@@ -4,92 +4,33 @@ second-order failure probabilities for quadratic limit states.
 The pipeline: fit (or accept) quadratic limit states, transform them
 into uncorrelated standard-normal space, evaluate the probability of
 failure in closed form, and optimize the design means in a single loop.
-FORM, SORM and Monte Carlo estimators are included as baselines.
+FORM, SORM and Monte Carlo estimators are included as baselines; they
+and the lower-level helpers are imported from their submodules.
 """
 
-from .errors import (
-    BreitungSingularityError,
-    ConvergenceError,
-    DegenerateTailError,
-    DivisionGuardError,
-    DomainError,
-    NotACorrelationMatrixError,
-    ProblemFormatError,
-    QuadrelError,
-    SingularFitError,
-    SolverFailureError,
-    UnsupportedDesignError,
-    ZeroHalfwidthError,
-)
-from .variables import (
-    EquivalentNormal,
-    Kind,
-    RandomVariable,
-    Role,
-    equivalent_normal,
-    hermite_prob,
-    std_normal,
-    std_normal_inv,
-    variable_inv_cdf,
-    variable_pdf_cdf,
-)
-from .quadratic import (
-    CorrelationModel,
-    QuadraticForm,
-    SpectralForm,
-    StandardNormalQuadratic,
-    correlation_decompose,
-    identity_correlation,
-    spectral,
-    to_standard_normal,
-)
-from .pf import Branch, PfDiagnostics, beta_generalized, pf_quadratic
-from .form import form_mpp, sorm_breitung
-from .montecarlo import McEstimate, mc_pf, transform_samples
-from .doe import (
-    DoeBox,
-    DoePlan,
-    Scheme,
-    bbd_points,
-    ccd_points,
-    doe_box,
-    fit_quadratic,
-    inscribed_ccd_2,
-    plan_to_csv,
-)
+from .errors import QuadrelError
+from .variables import Kind, RandomVariable, Role
+from .quadratic import QuadraticForm, correlation_decompose, to_standard_normal
+from .pf import pf_quadratic
 from .solver import (
     ConstraintSpec,
-    EvalCounters,
     RbdoProblem,
-    RbdoResult,
     StdMode,
     mc_audit,
     rbdo_double_loop_form,
     rssl_solve,
-    solve_deterministic,
 )
 from .problems import builtin_problems
+from .problem_io import build_problem
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "BreitungSingularityError", "ConvergenceError", "DegenerateTailError",
-    "DivisionGuardError", "DomainError", "NotACorrelationMatrixError",
-    "ProblemFormatError", "QuadrelError", "SingularFitError",
-    "SolverFailureError", "UnsupportedDesignError", "ZeroHalfwidthError",
-    "EquivalentNormal", "Kind", "RandomVariable", "Role",
-    "equivalent_normal", "hermite_prob", "std_normal", "std_normal_inv",
-    "variable_inv_cdf", "variable_pdf_cdf",
-    "CorrelationModel", "QuadraticForm", "SpectralForm",
-    "StandardNormalQuadratic", "correlation_decompose",
-    "identity_correlation", "spectral", "to_standard_normal",
-    "Branch", "PfDiagnostics", "beta_generalized", "pf_quadratic",
-    "form_mpp", "sorm_breitung",
-    "McEstimate", "mc_pf", "transform_samples",
-    "DoeBox", "DoePlan", "Scheme", "bbd_points", "ccd_points", "doe_box",
-    "fit_quadratic", "inscribed_ccd_2", "plan_to_csv",
-    "ConstraintSpec", "EvalCounters", "RbdoProblem", "RbdoResult",
-    "StdMode", "mc_audit", "rbdo_double_loop_form", "rssl_solve",
-    "solve_deterministic",
-    "builtin_problems",
+    "QuadrelError",
+    "Kind", "RandomVariable", "Role",
+    "QuadraticForm", "correlation_decompose", "to_standard_normal",
+    "pf_quadratic",
+    "ConstraintSpec", "RbdoProblem", "StdMode",
+    "mc_audit", "rbdo_double_loop_form", "rssl_solve",
+    "builtin_problems", "build_problem",
 ]

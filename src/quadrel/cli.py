@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from .doe import Scheme, bbd_points, ccd_points, doe_box, inscribed_ccd_2, plan_to_csv
+from .doe import Scheme, plan_to_csv
 from .errors import (
     ConvergenceError,
     ProblemFormatError,
@@ -23,19 +23,13 @@ from .errors import (
     SolverFailureError,
 )
 from .pf import beta_generalized, pf_quadratic
-from .problem_io import (
-    build_problem,
-    load_document,
-    mc_estimate_to_dict,
-    result_to_dict,
-    save_result,
-    trace_to_csv,
-)
+from .problem_io import build_problem, load_document, save_result, trace_to_csv
 from .problems import builtin_problems
 from .quadratic import to_standard_normal
 from .solver import (
     EvalCounters,
     RbdoResult,
+    doe_plan,
     mc_audit,
     rbdo_double_loop_form,
     rssl_solve,
@@ -45,45 +39,54 @@ from .variables import std_normal_inv
 
 
 def _load_problem(args):
-    """Resolve the positional problem argument into an RbdoProblem."""
-    name = args.problem
+    """Resolve the positional problem argument into an RbdoProblem.
+
+    ``--pf`` / ``--beta`` replace every constraint's target.
+    """
+    if args.pf is not None:
+        target = {"pf_all": args.pf}
+    elif args.beta is not None:
+        target = {"beta_d": args.beta}
+    else:
+        target = {}
     builders = builtin_problems()
-    if name in builders:
-        builder = builders[name]
+    if args.problem in builders:
+        builder = builders[args.problem]
         params = inspect.signature(builder).parameters
-        kwargs = {}
-        if getattr(args, "coeff_file", None) is not None and "coefficient_file" in params:
-            kwargs["coefficient_file"] = args.coeff_file
-        if getattr(args, "pf", None) is not None:
-            if "pf_all" in params:
-                kwargs["pf_all"] = args.pf
-            else:
-                kwargs["beta_d"] = -std_normal_inv(args.pf)
-        elif getattr(args, "beta", None) is not None:
-            kwargs["beta_d"] = args.beta
-        return builder(**kwargs)
-    doc = load_document(name)
-    if getattr(args, "pf", None) is not None:
-        doc["targets"] = {"pf_all": args.pf}
-        for con in doc["constraints"]:
-            con.pop("beta_d", None)
-            con.pop("pf_all", None)
-    elif getattr(args, "beta", None) is not None:
-        doc["targets"] = {"beta_d": args.beta}
-        for con in doc["constraints"]:
-            con.pop("beta_d", None)
-            con.pop("pf_all", None)
+        if "pf_all" in target and "pf_all" not in params:
+            target = {"beta_d": -std_normal_inv(args.pf)}
+        if args.coeff_file is not None and "coefficient_file" in params:
+            target["coefficient_file"] = args.coeff_file
+        return builder(**target)
+    doc = load_document(args.problem)
+    if target:
+        doc["targets"] = target
+        constraints = doc.get("constraints")
+        for con in constraints if isinstance(constraints, list) else []:
+            if isinstance(con, dict):
+                con.pop("beta_d", None)
+                con.pop("pf_all", None)
     return build_problem(doc)
 
 
-def _parse_at(text, n, what="--at"):
+def _design_point(args, problem):
+    """Design means from ``--at``, or the problem's start point."""
+    if not args.at:
+        return problem.design_start()
+    n = len(problem.design_indices)
     try:
-        vals = np.array([float(tok) for tok in text.split(",")])
+        vals = np.array([float(tok) for tok in args.at.split(",")])
     except ValueError as exc:
-        raise ProblemFormatError(f"{what} must be comma-separated numbers", path=what) from exc
+        raise ProblemFormatError("--at must be comma-separated numbers", path="--at") from exc
     if vals.size != n:
-        raise ProblemFormatError(f"{what} needs {n} components, got {vals.size}", path=what)
+        raise ProblemFormatError(f"--at needs {n} components, got {vals.size}", path="--at")
     return vals
+
+
+def _print_mc(constraints, estimates):
+    for spec, est in zip(constraints, estimates):
+        print(f"pf_mc[{spec.name}]         {est.pf_hat:.6g} +- {est.ci95_halfwidth:.2g}"
+              f"  (beta {beta_generalized(est.pf_hat):.4f}, n={est.n}, seed={est.seed})")
 
 
 def _print_report(problem, res: RbdoResult):
@@ -95,15 +98,13 @@ def _print_report(problem, res: RbdoResult):
     for spec, pf in zip(problem.constraints, res.pf_closed_form):
         print(f"pf_cf[{spec.name}]         {pf:.6g}  (beta {beta_generalized(pf):.4f})")
     if res.pf_mc:
-        for spec, est in zip(problem.constraints, res.pf_mc):
-            print(f"pf_mc[{spec.name}]         {est.pf_hat:.6g} +- {est.ci95_halfwidth:.2g}"
-                  f"  (beta {beta_generalized(est.pf_hat):.4f}, n={est.n}, seed={est.seed})")
+        _print_mc(problem.constraints, res.pf_mc)
     c = res.counters
     print(f"g evals           {c.deterministic_g_evals} (DOE {res.doe_evals})")
     print(f"g* evals          {c.gstar_evals}")
 
 
-def _run_method(problem, method, seed):
+def _run_method(problem, method):
     if method == "rssl":
         return rssl_solve(problem)
     if method == "form-double-loop":
@@ -121,7 +122,7 @@ def _run_method(problem, method, seed):
 def cmd_solve(args) -> int:
     problem = _load_problem(args)
     t0 = time.perf_counter()
-    res = _run_method(problem, args.method, args.seed)
+    res = _run_method(problem, args.method)
     if args.mc_n > 0 and args.method != "deterministic":
         res.pf_mc = mc_audit(problem, res.mu_opt, n=args.mc_n, seed=args.seed)
     wall = time.perf_counter() - t0
@@ -145,8 +146,7 @@ def cmd_pf(args) -> int:
             f"constraint {spec.name!r} is a black-box limit state; pf diagnostics "
             "need an explicit quadratic (run 'solve' to fit surrogates)",
             path=f"constraints[{args.index}]")
-    mu_design = (_parse_at(args.at, len(problem.design_indices))
-                 if args.at else problem.design_start())
+    mu_design = _design_point(args, problem)
     mu_full = problem.full_mean(mu_design)
     qn = to_standard_normal(spec.quadratic, problem.variables_at(mu_full),
                             problem.corr, mu_full)
@@ -168,36 +168,18 @@ def cmd_pf(args) -> int:
 
 def cmd_mc_check(args) -> int:
     problem = _load_problem(args)
-    mu_design = (_parse_at(args.at, len(problem.design_indices))
-                 if args.at else problem.design_start())
+    mu_design = _design_point(args, problem)
     print(f"mu_design         {np.round(mu_design, 6).tolist()}")
-    estimates = mc_audit(problem, mu_design, n=args.mc_n, seed=args.seed)
-    for spec, est in zip(problem.constraints, estimates):
-        print(f"pf_mc[{spec.name}]         {est.pf_hat:.6g} +- {est.ci95_halfwidth:.2g}"
-              f"  (beta {beta_generalized(est.pf_hat):.4f}, n={est.n}, seed={est.seed})")
+    _print_mc(problem.constraints, mc_audit(problem, mu_design, n=args.mc_n, seed=args.seed))
     return 0
 
 
 def cmd_doe(args) -> int:
     problem = _load_problem(args)
-    mu_design = (_parse_at(args.at, len(problem.design_indices))
-                 if args.at else problem.design_start())
-    mu_full = problem.full_mean(mu_design)
+    mu_full = problem.full_mean(_design_point(args, problem))
     beta_d = max(s.beta_target for s in problem.constraints)
-    box = doe_box(problem.variables_at(mu_full), problem.corr, beta_d, mu_full,
-                  halfwidth_overrides=problem.doe_halfwidth_overrides,
-                  c_r_design=problem.doe_c_r_design,
-                  c_r_parameter=problem.doe_c_r_parameter)
     scheme = Scheme(args.scheme) if args.scheme else problem.doe_scheme
-    n = problem.n_z
-    if scheme is Scheme.CCD:
-        plan = ccd_points(n, box)
-    elif scheme is Scheme.INSCRIBED_CCD2:
-        plan = inscribed_ccd_2(box)
-    elif scheme is Scheme.BBD or n >= 3:
-        plan = bbd_points(n, box)
-    else:
-        plan = inscribed_ccd_2(box)
+    plan = doe_plan(problem, mu_full, beta_d, scheme)
     plan_to_csv(plan, [v.name for v in problem.variables], args.out)
     print(f"wrote {plan.size} {plan.scheme.value} points to {args.out}")
     return 0
@@ -218,7 +200,7 @@ def cmd_compare(args) -> int:
     rows = {}
     for method in ("rssl", "form-double-loop"):
         problem = _load_problem(args)
-        res = _run_method(problem, method, args.seed)
+        res = _run_method(problem, method)
         if args.mc_n > 0:
             res.pf_mc = mc_audit(problem, res.mu_opt, n=args.mc_n, seed=args.seed)
         rows[method] = (problem, res)

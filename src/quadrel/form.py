@@ -14,7 +14,7 @@ from scipy.optimize import minimize
 
 from .errors import BreitungSingularityError, ConvergenceError, DomainError
 from .montecarlo import transform_samples
-from .quadratic import CorrelationModel, StandardNormalQuadratic, identity_correlation
+from .quadratic import CorrelationModel, QuadraticForm, identity_correlation
 from .variables import RandomVariable, std_normal
 
 
@@ -29,7 +29,8 @@ def _g_in_standard_space(g, variables, corr):
     return g_n
 
 
-def _fd_gradient(f, x, rel_step=1e-6):
+def fd_gradient(f, x, rel_step=1e-6):
+    """Central-difference gradient of the scalar function ``f`` at ``x``."""
     x = np.asarray(x, dtype=float)
     grad = np.empty_like(x)
     for i in range(x.size):
@@ -70,7 +71,7 @@ def form_mpp(g, variables: list[RandomVariable], corr: CorrelationModel | None,
 
     gval = g_n(z)
     for it in range(max_iter):
-        grad = _fd_gradient(g_n, z)
+        grad = fd_gradient(g_n, z)
         gnorm = np.linalg.norm(grad)
         trace.append((it, float(np.linalg.norm(z)), float(gval)))
         if converged(z, gval, grad):
@@ -132,7 +133,7 @@ def _tangent_basis(alpha: np.ndarray) -> np.ndarray:
     return np.eye(n) - 2.0 * np.outer(v, v)
 
 
-def sorm_breitung(qn: StandardNormalQuadratic, beta_hl: float, mpp_zN) -> float:
+def sorm_breitung(qn: QuadraticForm, beta_hl: float, mpp_zN) -> float:
     """Breitung's curvature-corrected failure probability for a quadratic
     limit state at a known MPP.
 

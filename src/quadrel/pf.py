@@ -17,13 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DivisionGuardError, DomainError
-from .quadratic import (
-    SpectralForm,
-    StandardNormalQuadratic,
-    classify_signs,
-    spectral,
-    DEFAULT_EPS,
-)
+from .quadratic import QuadraticForm, SpectralForm, spectral
 from .variables import hermite_prob, std_normal, std_normal_inv
 
 
@@ -100,7 +94,7 @@ def pf_same_sign(s: SpectralForm):
     return pf_raw, kappa2, h, q0, flipped
 
 
-def pf_quadratic(qn: StandardNormalQuadratic, eps: float = DEFAULT_EPS):
+def pf_quadratic(qn: QuadraticForm):
     """Probability that Q_N(z_N) < 0, dispatching on the eigenvalue signs.
 
     Returns (pf, diagnostics); pf is clamped to [0, 1], the raw value is
@@ -109,12 +103,12 @@ def pf_quadratic(qn: StandardNormalQuadratic, eps: float = DEFAULT_EPS):
     if not (np.all(np.isfinite(qn.a)) and np.all(np.isfinite(qn.k)) and math.isfinite(qn.c)):
         raise DomainError("pf_quadratic requires finite coefficients")
 
-    gamma_raw = np.linalg.eigvalsh(qn.a)
-    scale = float(np.linalg.norm(qn.a))
-    pos, neg, zero = classify_signs(gamma_raw, scale)
-    k_norm = float(np.linalg.norm(qn.k))
-
-    if zero.all():
+    # spectral zeroes structurally zero eigenvalues and lifts them to
+    # +/-eps when the rest share one sign, so s.gamma's sign pattern
+    # alone picks the branch
+    s = spectral(qn)
+    if not s.gamma.any():
+        k_norm = float(np.linalg.norm(qn.k))
         if k_norm == 0.0:
             # degenerate constant limit state: failed everywhere or nowhere
             pf = 1.0 if qn.c < 0.0 else 0.0
@@ -127,8 +121,7 @@ def pf_quadratic(qn: StandardNormalQuadratic, eps: float = DEFAULT_EPS):
         _, pf = std_normal(kappa1)
         return pf, PfDiagnostics(branch=Branch.LINEAR_EXACT, kappa=kappa1, pf_raw=pf)
 
-    s = spectral(qn, eps=eps)
-    if pos.any() and neg.any():
+    if (s.gamma > 0.0).any() and (s.gamma < 0.0).any():
         pf_raw, kappa1 = pf_mixed(s)
         diag = PfDiagnostics(branch=Branch.MIXED_SIGNS, kappa=kappa1, pf_raw=pf_raw)
     else:

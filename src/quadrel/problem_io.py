@@ -3,9 +3,9 @@
 A problem file is a JSON document with sections ``variables``,
 ``correlation`` (optional), ``objective``, ``constraints``, ``targets``
 (optional global default), ``solver`` and ``doe`` (both optional).
-Validation reports the JSON path of the offending field.  Documents
-round-trip: saving a loaded document and reloading it reproduces an
-identical in-memory problem.
+``build_problem`` checks each field as it builds it and reports the
+JSON path of the offending one.  Documents round-trip: saving a loaded
+document and reloading it reproduces an identical in-memory problem.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from .doe import Scheme
 from .errors import ProblemFormatError
 from .montecarlo import McEstimate
 from .pf import beta_generalized
@@ -24,7 +25,7 @@ from .variables import Kind, RandomVariable, Role
 
 _KINDS = {k.value for k in Kind}
 _ROLES = {r.value for r in Role}
-_SCHEMES = {"bbd", "ccd", "inscribed-ccd2"}
+_SCHEMES = {s.value for s in Scheme}
 
 # Names usable inside constraint/objective expressions besides the
 # variable columns themselves.
@@ -50,120 +51,46 @@ def _get_number(obj, key, path, default=None, required=False):
 
 
 def load_document(path) -> dict:
-    """Read and validate a problem file, returning the raw document."""
+    """Read a problem file's JSON object; ``build_problem`` checks its fields."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ProblemFormatError(f"invalid JSON: {exc}", path="") from exc
-    validate_document(doc)
+    _require(isinstance(doc, dict), "problem file must be a JSON object", "")
     return doc
 
 
 def save_document(doc: dict, path):
-    validate_document(doc)
+    build_problem(doc)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def validate_document(doc: dict):
-    _require(isinstance(doc, dict), "problem file must be a JSON object", "")
-    variables = doc.get("variables")
-    _require(isinstance(variables, list) and variables,
-             "'variables' must be a non-empty list", "variables")
-    names = []
-    for i, v in enumerate(variables):
-        p = f"variables[{i}]"
-        _require(isinstance(v, dict), "variable entries must be objects", p)
-        name = v.get("name")
-        _require(isinstance(name, str) and name.isidentifier(),
-                 "variable name must be an identifier", f"{p}.name")
-        _require(name not in names, f"duplicate variable name {name!r}", f"{p}.name")
-        names.append(name)
-        _require(v.get("kind") in _KINDS,
-                 f"kind must be one of {sorted(_KINDS)}", f"{p}.kind")
-        _require(v.get("role") in _ROLES,
-                 f"role must be one of {sorted(_ROLES)}", f"{p}.role")
-        has_mean = "mean" in v
-        has_value = "value" in v
-        _require(has_mean != has_value,
-                 "give exactly one of 'mean' / 'value'", p)
-        mean = _get_number(v, "mean" if has_mean else "value", p, required=True)
-        _require("std" not in v or "cv" not in v,
-                 "give at most one of 'std' / 'cv'", p)
-        std = _get_number(v, "std", p)
-        cv = _get_number(v, "cv", p)
-        if cv is not None:
-            _require(cv >= 0.0, "cv must be >= 0", f"{p}.cv")
-            std = cv * abs(mean)
-        if std is not None:
-            _require(std >= 0.0, "std must be >= 0", f"{p}.std")
-        _get_number(v, "lower", p)
-        _get_number(v, "upper", p)
-
-    corr = doc.get("correlation")
-    if corr is not None:
-        n = len(variables)
-        _require(isinstance(corr, list) and len(corr) == n
-                 and all(isinstance(row, list) and len(row) == n for row in corr),
-                 f"correlation must be a {n}x{n} matrix", "correlation")
-
-    objective = doc.get("objective")
-    _require(isinstance(objective, dict), "'objective' must be an object", "objective")
-    obj_keys = {"linear", "quadratic", "expression", "builtin"} & set(objective)
-    _require(len(obj_keys) == 1,
-             "objective needs exactly one of 'linear', 'quadratic', "
-             "'expression', 'builtin'", "objective")
-    if "builtin" in objective:
-        _require(objective["builtin"] in ("sum", "sum-of-squares"),
-                 "builtin objective must be 'sum' or 'sum-of-squares'",
-                 "objective.builtin")
-
-    constraints = doc.get("constraints")
-    _require(isinstance(constraints, list) and constraints,
-             "'constraints' must be a non-empty list", "constraints")
-    targets = doc.get("targets", {})
-    _require(isinstance(targets, dict), "'targets' must be an object", "targets")
-    global_target = ("beta_d" in targets) or ("pf_all" in targets)
-    _require(not ("beta_d" in targets and "pf_all" in targets),
-             "give at most one of targets.beta_d / targets.pf_all", "targets")
-    for i, con in enumerate(constraints):
-        p = f"constraints[{i}]"
-        _require(isinstance(con, dict), "constraint entries must be objects", p)
-        kind_keys = {"quadratic", "expression"} & set(con)
-        _require(len(kind_keys) == 1,
-                 "constraint needs exactly one of 'quadratic' / 'expression'", p)
-        if "quadratic" in con:
-            n = len(variables)
-            expected = 1 + n + n * (n + 1) // 2
-            coeffs = con["quadratic"]
-            _require(isinstance(coeffs, list) and len(coeffs) == expected,
-                     f"flat quadratic over {n} variables needs {expected} "
-                     f"coefficients", f"{p}.quadratic")
-        else:
-            _require(isinstance(con["expression"], str),
-                     "'expression' must be a string", f"{p}.expression")
-        own_target = ("beta_d" in con) or ("pf_all" in con)
-        _require(not ("beta_d" in con and "pf_all" in con),
-                 "give at most one of beta_d / pf_all", p)
-        _require(own_target or global_target,
-                 "constraint has no target and no global targets section", p)
-
-    solver = doc.get("solver", {})
-    _require(isinstance(solver, dict), "'solver' must be an object", "solver")
-    doe = doc.get("doe", {})
-    _require(isinstance(doe, dict), "'doe' must be an object", "doe")
-    if "scheme" in doe:
-        _require(doe["scheme"] in _SCHEMES,
-                 f"doe scheme must be one of {sorted(_SCHEMES)}", "doe.scheme")
-    if "halfwidth_overrides" in doe:
-        hw = doe["halfwidth_overrides"]
-        _require(isinstance(hw, dict), "halfwidth_overrides must be an object",
-                 "doe.halfwidth_overrides")
-        for key in hw:
-            _require(key in names, f"unknown variable {key!r}",
-                     f"doe.halfwidth_overrides.{key}")
+def _build_variable(v, p: str, names: list[str]) -> RandomVariable:
+    _require(isinstance(v, dict), "variable entries must be objects", p)
+    name = v.get("name")
+    _require(isinstance(name, str) and name.isidentifier(),
+             "variable name must be an identifier", f"{p}.name")
+    _require(name not in names, f"duplicate variable name {name!r}", f"{p}.name")
+    _require(v.get("kind") in _KINDS, f"kind must be one of {sorted(_KINDS)}", f"{p}.kind")
+    _require(v.get("role") in _ROLES, f"role must be one of {sorted(_ROLES)}", f"{p}.role")
+    has_mean = "mean" in v
+    _require(has_mean != ("value" in v), "give exactly one of 'mean' / 'value'", p)
+    mean = _get_number(v, "mean" if has_mean else "value", p, required=True)
+    _require("std" not in v or "cv" not in v, "give at most one of 'std' / 'cv'", p)
+    std = _get_number(v, "std", p, default=0.0)
+    cv = _get_number(v, "cv", p)
+    if cv is not None:
+        _require(cv >= 0.0, "cv must be >= 0", f"{p}.cv")
+        std = cv * abs(mean)
+    _require(std >= 0.0, "std must be >= 0", f"{p}.std")
+    return RandomVariable(
+        name=name, kind=Kind(v["kind"]), role=Role(v["role"]), mean=mean, std=std,
+        lower=_get_number(v, "lower", p, default=-math.inf),
+        upper=_get_number(v, "upper", p, default=math.inf),
+    )
 
 
 def _compile_expression(expr: str, names: list[str], path: str):
@@ -187,17 +114,23 @@ def _compile_expression(expr: str, names: list[str], path: str):
     return g
 
 
-def _build_objective(spec: dict, design_names: list[str]):
+def _build_objective(spec, design_names: list[str]):
+    _require(isinstance(spec, dict), "'objective' must be an object", "objective")
+    _require(len({"linear", "quadratic", "expression", "builtin"} & set(spec)) == 1,
+             "objective needs exactly one of 'linear', 'quadratic', "
+             "'expression', 'builtin'", "objective")
     nd = len(design_names)
     if "builtin" in spec:
+        _require(spec["builtin"] in ("sum", "sum-of-squares"),
+                 "builtin objective must be 'sum' or 'sum-of-squares'",
+                 "objective.builtin")
         if spec["builtin"] == "sum":
             return lambda mu: float(np.sum(mu))
         return lambda mu: float(np.sum(np.asarray(mu) ** 2))
     if "linear" in spec:
         coeffs = np.asarray(spec["linear"], dtype=float)
-        if coeffs.shape != (nd,):
-            raise ProblemFormatError(
-                f"linear objective needs {nd} coefficients", path="objective.linear")
+        _require(coeffs.shape == (nd,), f"linear objective needs {nd} coefficients",
+                 "objective.linear")
         const = float(spec.get("constant", 0.0))
         return lambda mu: float(coeffs @ np.asarray(mu, dtype=float) + const)
     if "quadratic" in spec:
@@ -210,73 +143,101 @@ def _build_objective(spec: dict, design_names: list[str]):
     return lambda mu: float(g(np.atleast_2d(mu))[0])
 
 
+def _build_constraint(con, i: int, names: list[str], targets: dict) -> ConstraintSpec:
+    p = f"constraints[{i}]"
+    _require(isinstance(con, dict), "constraint entries must be objects", p)
+    _require(len({"quadratic", "expression"} & set(con)) == 1,
+             "constraint needs exactly one of 'quadratic' / 'expression'", p)
+    if "quadratic" in con:
+        n = len(names)
+        expected = 1 + n + n * (n + 1) // 2
+        coeffs = con["quadratic"]
+        _require(isinstance(coeffs, list) and len(coeffs) == expected,
+                 f"flat quadratic over {n} variables needs {expected} "
+                 f"coefficients", f"{p}.quadratic")
+        limit_state = {"quadratic": QuadraticForm.from_flat(np.asarray(coeffs, dtype=float), n)}
+    else:
+        _require(isinstance(con["expression"], str),
+                 "'expression' must be a string", f"{p}.expression")
+        limit_state = {"g": _compile_expression(con["expression"], names, f"{p}.expression")}
+    _require(not ("beta_d" in con and "pf_all" in con),
+             "give at most one of beta_d / pf_all", p)
+    # the constraint's own target wins over the global default
+    for source in (con, targets):
+        for key in ("beta_d", "pf_all"):
+            if key in source:
+                return ConstraintSpec(name=con.get("name", f"g{i+1}"),
+                                      **limit_state, **{key: float(source[key])})
+    raise ProblemFormatError("constraint has no target and no global targets section", path=p)
+
+
 def build_problem(doc: dict) -> RbdoProblem:
-    """Construct an RbdoProblem from a validated document."""
-    validate_document(doc)
+    """Check a problem document field by field and build its RbdoProblem.
+
+    The first bad field raises ProblemFormatError with its JSON path.
+    """
+    _require(isinstance(doc, dict), "problem file must be a JSON object", "")
+    entries = doc.get("variables")
+    _require(isinstance(entries, list) and entries,
+             "'variables' must be a non-empty list", "variables")
     variables = []
-    for v in doc["variables"]:
-        mean = float(v["mean"] if "mean" in v else v["value"])
-        std = float(v["std"]) if "std" in v else (
-            float(v["cv"]) * abs(mean) if "cv" in v else 0.0)
-        variables.append(RandomVariable(
-            name=v["name"], kind=Kind(v["kind"]), role=Role(v["role"]),
-            mean=mean, std=std,
-            lower=float(v.get("lower", -math.inf)),
-            upper=float(v.get("upper", math.inf)),
-        ))
+    for i, v in enumerate(entries):
+        variables.append(_build_variable(v, f"variables[{i}]", [u.name for u in variables]))
     names = [v.name for v in variables]
-    design_names = [v.name for v in variables if v.is_design]
+    n = len(variables)
 
-    corr = None
-    if doc.get("correlation") is not None:
-        corr = correlation_decompose(np.asarray(doc["correlation"], dtype=float))
+    corr = doc.get("correlation")
+    if corr is not None:
+        _require(isinstance(corr, list) and len(corr) == n
+                 and all(isinstance(row, list) and len(row) == n for row in corr),
+                 f"correlation must be a {n}x{n} matrix", "correlation")
+        corr = correlation_decompose(np.asarray(corr, dtype=float))
 
+    objective = _build_objective(doc.get("objective"),
+                                 [v.name for v in variables if v.is_design])
+
+    constraints = doc.get("constraints")
+    _require(isinstance(constraints, list) and constraints,
+             "'constraints' must be a non-empty list", "constraints")
     targets = doc.get("targets", {})
-    constraints = []
-    for i, con in enumerate(doc["constraints"]):
-        target = {}
-        if "beta_d" in con:
-            target["beta_d"] = float(con["beta_d"])
-        elif "pf_all" in con:
-            target["pf_all"] = float(con["pf_all"])
-        elif "beta_d" in targets:
-            target["beta_d"] = float(targets["beta_d"])
-        else:
-            target["pf_all"] = float(targets["pf_all"])
-        name = con.get("name", f"g{i+1}")
-        if "quadratic" in con:
-            q = QuadraticForm.from_flat(np.asarray(con["quadratic"], dtype=float),
-                                        len(variables))
-            constraints.append(ConstraintSpec(name=name, quadratic=q, **target))
-        else:
-            g = _compile_expression(con["expression"], names,
-                                    f"constraints[{i}].expression")
-            constraints.append(ConstraintSpec(name=name, g=g, **target))
+    _require(isinstance(targets, dict), "'targets' must be an object", "targets")
+    _require(not ("beta_d" in targets and "pf_all" in targets),
+             "give at most one of targets.beta_d / targets.pf_all", "targets")
+    specs = [_build_constraint(con, i, names, targets) for i, con in enumerate(constraints)]
 
-    doe = doc.get("doe", {})
-    scheme = doe.get("scheme")
-    std_mode = StdMode()
     solver = doc.get("solver", {})
+    _require(isinstance(solver, dict), "'solver' must be an object", "solver")
+    std_mode = StdMode()
     if "proportional_t" in solver:
         std_mode = StdMode(proportional=True,
                            t=np.asarray(solver["proportional_t"], dtype=float))
 
+    doe = doc.get("doe", {})
+    _require(isinstance(doe, dict), "'doe' must be an object", "doe")
+    scheme = doe.get("scheme")
+    if "scheme" in doe:
+        _require(scheme in _SCHEMES, f"doe scheme must be one of {sorted(_SCHEMES)}",
+                 "doe.scheme")
+        scheme = Scheme(scheme)
+    overrides = doe.get("halfwidth_overrides", {})
+    _require(isinstance(overrides, dict), "halfwidth_overrides must be an object",
+             "doe.halfwidth_overrides")
+    for key in overrides:
+        _require(key in names, f"unknown variable {key!r}",
+                 f"doe.halfwidth_overrides.{key}")
+
     return RbdoProblem(
         variables=variables,
-        objective=_build_objective(doc["objective"], design_names),
-        constraints=constraints,
+        objective=objective,
+        constraints=specs,
         corr=corr,
         std_mode=std_mode,
         shared_evaluations=bool(doc.get("shared_evaluations", False)),
         doe_scheme=scheme,
-        doe_halfwidth_overrides=dict(doe.get("halfwidth_overrides", {})),
+        doe_halfwidth_overrides=dict(overrides),
         doe_c_r_design=doe.get("c_r_design"),
         doe_c_r_parameter=doe.get("c_r_parameter"),
     )
-
-
-def load_problem(path) -> RbdoProblem:
-    return build_problem(load_document(path))
 
 
 def mc_estimate_to_dict(est: McEstimate) -> dict:

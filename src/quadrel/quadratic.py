@@ -9,7 +9,7 @@ closed-form probability kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,40 +122,12 @@ def correlation_decompose(c) -> CorrelationModel:
     return CorrelationModel(c=c, t=t, d=np.sqrt(lam))
 
 
-@dataclass(frozen=True)
-class StandardNormalQuadratic:
-    """Quadratic limit state expressed in uncorrelated standard-normal space."""
-
-    a: np.ndarray
-    k: np.ndarray
-    c: float
-    expansion_point: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        object.__setattr__(self, "a", 0.5 * (a + a.T))
-        object.__setattr__(self, "k", np.asarray(self.k, dtype=float))
-        object.__setattr__(self, "c", float(self.c))
-        if self.expansion_point is not None:
-            object.__setattr__(self, "expansion_point", np.asarray(self.expansion_point, dtype=float))
-
-    @property
-    def dim(self) -> int:
-        return self.a.shape[0]
-
-    def __call__(self, z_n):
-        z_n = np.asarray(z_n, dtype=float)
-        if z_n.ndim == 1:
-            return float(z_n @ self.a @ z_n + self.k @ z_n + self.c)
-        return np.einsum("ij,jk,ik->i", z_n, self.a, z_n) + z_n @ self.k + self.c
-
-
 def to_standard_normal(
     q: QuadraticForm,
     variables: list[RandomVariable],
     corr: CorrelationModel | None,
     at,
-) -> StandardNormalQuadratic:
+) -> QuadraticForm:
     """Transform Q into uncorrelated standard-normal space around ``at``.
 
     ``at`` is the stacked vector of current means; each variable is
@@ -183,7 +155,7 @@ def to_standard_normal(
     a_n = m.T @ q.a @ m
     k_n = m.T @ (q.k + 2.0 * q.a @ mu_eq)
     c_n = q.c + mu_eq @ q.a @ mu_eq + q.k @ mu_eq
-    return StandardNormalQuadratic(a=a_n, k=k_n, c=c_n, expansion_point=mu_eq)
+    return QuadraticForm(a=a_n, k=k_n, c=c_n)
 
 
 @dataclass(frozen=True)
@@ -237,7 +209,7 @@ def moment_sums(gamma: np.ndarray, kbar: np.ndarray) -> tuple:
     return (m1, m2, m3, m4)
 
 
-def spectral(qn: StandardNormalQuadratic, eps: float = DEFAULT_EPS) -> SpectralForm:
+def spectral(qn: QuadraticForm, eps: float = DEFAULT_EPS) -> SpectralForm:
     """Eigen-decompose A', rotate k' and evaluate the moment sums.
 
     When all eigenvalues share one sign, zeros are replaced by +/-eps

@@ -9,13 +9,14 @@ limit states again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .doe import DoeBox, Scheme, bbd_points, ccd_points, doe_box, fit_quadratic, inscribed_ccd_2
-from .errors import DomainError, SolverFailureError, UnsupportedDesignError
-from .form import form_mpp
+from .errors import DomainError, SolverFailureError
+from .form import fd_gradient, form_mpp
 from .montecarlo import mc_pf
 from .pf import pf_quadratic
 from .quadratic import CorrelationModel, QuadraticForm, to_standard_normal
@@ -187,16 +188,20 @@ class _CountingEvaluator:
         return np.asarray(spec.evaluate(z_batch), dtype=float)
 
 
+def _counted_objective(problem: RbdoProblem, counters: EvalCounters):
+    def objective(mu):
+        counters.objective_evals += 1
+        return float(problem.objective(np.asarray(mu, dtype=float)))
+    return objective
+
+
 def solve_deterministic(problem: RbdoProblem, start=None,
                         counters: EvalCounters = None) -> np.ndarray:
     """Minimize the objective subject to g_i >= 0 at the means and bounds."""
     counters = counters if counters is not None else EvalCounters()
     evaluator = _CountingEvaluator(problem, counters)
     x0 = np.asarray(start, dtype=float) if start is not None else problem.design_start()
-
-    def objective(mu):
-        counters.objective_evals += 1
-        return float(problem.objective(np.asarray(mu, dtype=float)))
+    objective = _counted_objective(problem, counters)
 
     def make_con(spec):
         def fun(mu):
@@ -215,13 +220,21 @@ def solve_deterministic(problem: RbdoProblem, start=None,
 
 
 def _default_plan(n: int, box: DoeBox, scheme: Scheme = None):
-    if scheme is Scheme.BBD or (scheme is None and n >= 3):
-        return bbd_points(n, box)
-    if scheme is Scheme.CCD:
-        return ccd_points(n, box)
-    if n == 2:
+    """Plan of ``scheme``; by default inscribed-ccd2 for n = 2, else BBD."""
+    if scheme is None:
+        scheme = Scheme.INSCRIBED_CCD2 if n == 2 else Scheme.BBD
+    if scheme is Scheme.INSCRIBED_CCD2:
         return inscribed_ccd_2(box)
-    raise UnsupportedDesignError(f"no default DOE scheme for n = {n}")
+    return (bbd_points if scheme is Scheme.BBD else ccd_points)(n, box)
+
+
+def doe_plan(problem: RbdoProblem, mu_full, beta_d: float, scheme: Scheme = None):
+    """Sampling plan around the stacked means ``mu_full``, sized by ``beta_d``."""
+    box = doe_box(problem.variables_at(mu_full), problem.corr, beta_d, mu_full,
+                  halfwidth_overrides=problem.doe_halfwidth_overrides,
+                  c_r_design=problem.doe_c_r_design,
+                  c_r_parameter=problem.doe_c_r_parameter)
+    return _default_plan(problem.n_z, box, scheme)
 
 
 def build_surrogates(problem: RbdoProblem, mu_det, beta_d_max: float,
@@ -239,12 +252,7 @@ def build_surrogates(problem: RbdoProblem, mu_det, beta_d_max: float,
         return [s.quadratic for s in problem.constraints], None
 
     mu_full = problem.full_mean(np.asarray(mu_det, dtype=float))
-    vars_at = problem.variables_at(mu_full)
-    box = doe_box(vars_at, problem.corr, beta_d_max, mu_full,
-                  halfwidth_overrides=problem.doe_halfwidth_overrides,
-                  c_r_design=problem.doe_c_r_design,
-                  c_r_parameter=problem.doe_c_r_parameter)
-    plan = _default_plan(problem.n_z, box, problem.doe_scheme)
+    plan = doe_plan(problem, mu_full, beta_d_max, problem.doe_scheme)
 
     surrogates = []
     for spec in problem.constraints:
@@ -276,32 +284,19 @@ def probabilistic_constraint(q: QuadraticForm, problem: RbdoProblem,
     return gstar
 
 
-def _central_diff_jac(fun, rel_step=1e-6):
-    def jac(x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        for i in range(x.size):
-            h = rel_step * max(1.0, abs(x[i]))
-            xp = x.copy(); xp[i] += h
-            xm = x.copy(); xm[i] -= h
-            out[i] = (fun(xp) - fun(xm)) / (2.0 * h)
-        return out
-    return jac
-
-
 def _constrained_minimize(objective, gstars, scales, x0, bounds, trace,
                           shift=0.0, maxiter=400):
     """One SLSQP pass over scaled inequality constraints g*/scale >= shift."""
     cons = []
     for gs, sc in zip(gstars, scales):
         fun = (lambda gs=gs, sc=sc: lambda mu: gs(mu) / sc - shift)()
-        cons.append({"type": "ineq", "fun": fun, "jac": _central_diff_jac(fun)})
+        cons.append({"type": "ineq", "fun": fun, "jac": partial(fd_gradient, fun)})
 
     def record(xk):
         gmin = min(gs(xk) for gs in gstars) if gstars else np.inf
         trace.append((len(trace), np.array(xk), float(objective(xk)), float(gmin)))
 
-    res = minimize(objective, x0, jac=_central_diff_jac(objective), method="SLSQP",
+    res = minimize(objective, x0, jac=partial(fd_gradient, objective), method="SLSQP",
                    bounds=bounds, constraints=cons, callback=record,
                    options={"maxiter": maxiter, "ftol": 1e-12})
     return res
@@ -329,10 +324,7 @@ def rssl_solve(problem: RbdoProblem, start=None, extra_starts: int = 4) -> RbdoR
         for q, spec in zip(surrogates, problem.constraints)
     ]
     scales = [spec.pf_target for spec in problem.constraints]
-
-    def objective(mu):
-        counters.objective_evals += 1
-        return float(problem.objective(np.asarray(mu, dtype=float)))
+    objective = _counted_objective(problem, counters)
 
     trace = []
     lo = np.array([b[0] for b in problem.bounds])
@@ -371,9 +363,9 @@ def rssl_solve(problem: RbdoProblem, start=None, extra_starts: int = 4) -> RbdoR
     if best is None:
         raise SolverFailureError("single-loop optimization failed", phase="single-loop",
                                  trace=trace)
-    assert counters.deterministic_g_evals == frozen_evals, (
-        "black-box limit state called during the single loop"
-    )
+    if counters.deterministic_g_evals != frozen_evals:
+        raise SolverFailureError("black-box limit state called during the single loop",
+                                 phase="single-loop", trace=trace)
 
     mu_opt = np.asarray(best.x, dtype=float)
     pf_cf = [spec.pf_target - gs(mu_opt) for gs, spec in zip(gstars, problem.constraints)]
@@ -414,10 +406,7 @@ def rbdo_double_loop_form(problem: RbdoProblem, start=None) -> RbdoResult:
             return out
         return fun
 
-    def objective(mu):
-        counters.objective_evals += 1
-        return float(problem.objective(np.asarray(mu, dtype=float)))
-
+    objective = _counted_objective(problem, counters)
     x0 = np.asarray(start, dtype=float) if start is not None else problem.design_start()
     trace = []
 
@@ -429,8 +418,8 @@ def rbdo_double_loop_form(problem: RbdoProblem, start=None) -> RbdoResult:
     for i, s in enumerate(problem.constraints):
         fun = beta_con(i, s)
         cons.append({"type": "ineq", "fun": fun,
-                     "jac": _central_diff_jac(fun, rel_step=1e-5)})
-    res = minimize(objective, x0, jac=_central_diff_jac(objective),
+                     "jac": partial(fd_gradient, fun, rel_step=1e-5)})
+    res = minimize(objective, x0, jac=partial(fd_gradient, objective),
                    method="SLSQP", bounds=problem.bounds,
                    constraints=cons, callback=record,
                    options={"maxiter": 300, "ftol": 1e-10})

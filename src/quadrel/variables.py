@@ -47,14 +47,6 @@ def std_normal(x):
     return pdf, cdf
 
 
-def std_normal_pdf(x):
-    return std_normal(x)[0]
-
-
-def std_normal_cdf(x):
-    return std_normal(x)[1]
-
-
 def std_normal_inv(p):
     """Inverse standard normal CDF for p strictly inside (0, 1)."""
     arr = np.asarray(p, dtype=float)
@@ -189,6 +181,6 @@ def equivalent_normal(v: RandomVariable, x: float) -> EquivalentNormal:
             f"{v.name}: CDF saturated at x={x} (F={cdf}); cannot equivalently normalize"
         )
     u = ndtri(np.clip(cdf, _CDF_FLOOR, _CDF_CEIL))
-    sigma_eq = std_normal_pdf(u) / pdf
+    sigma_eq = std_normal(u)[0] / pdf
     mu_eq = x - u * sigma_eq
     return EquivalentNormal(mu_eq=float(mu_eq), sigma_eq=float(sigma_eq))

@@ -26,7 +26,7 @@ from quadrel.problems import (
     demo_ellipse,
     ellipse_form,
 )
-from quadrel.quadratic import StandardNormalQuadratic, to_standard_normal
+from quadrel.quadratic import QuadraticForm, to_standard_normal
 from quadrel.solver import mc_audit, rbdo_double_loop_form, rssl_solve
 from quadrel.variables import Kind, RandomVariable, Role, std_normal
 
@@ -171,7 +171,7 @@ def test_criterion_07_linear_exactness():
         k = rng.normal(size=n)
         k /= np.linalg.norm(k)
         beta = rng.uniform(0.5, 4.0)
-        pf, diag = pf_quadratic(StandardNormalQuadratic(
+        pf, diag = pf_quadratic(QuadraticForm(
             a=np.zeros((n, n)), k=k, c=beta))
         ok = ok and abs(pf - std_normal(-beta)[1]) <= 1e-12
         ok = ok and abs(diag.kappa + beta) <= 1e-12
@@ -228,7 +228,7 @@ def test_criterion_09_randomized_closed_form_vs_form():
         mval = min_on_sphere(a, k, beta_t)
         if mval is None or -mval <= 0:
             continue
-        qn = StandardNormalQuadratic(a=a, k=k, c=-mval)
+        qn = QuadraticForm(a=a, k=k, c=-mval)
         variables = [RandomVariable(f"z{i}", Kind.NORMAL, Role.PARAMETER, 0.0, 1.0)
                      for i in range(n)]
         try:

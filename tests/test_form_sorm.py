@@ -6,7 +6,7 @@ import pytest
 from quadrel.errors import BreitungSingularityError, DomainError
 from quadrel.form import form_mpp, sorm_breitung
 from quadrel.montecarlo import mc_pf
-from quadrel.quadratic import StandardNormalQuadratic, correlation_decompose
+from quadrel.quadratic import QuadraticForm, correlation_decompose
 from quadrel.variables import Kind, RandomVariable, Role, std_normal, variable_pdf_cdf
 
 
@@ -87,7 +87,7 @@ class TestSormBreitung:
             amat[i, i] = a
         k = np.zeros(n)
         k[0] = 1.0
-        return StandardNormalQuadratic(a=amat, k=k, c=beta)
+        return QuadraticForm(a=amat, k=k, c=beta)
 
     def test_matches_monte_carlo(self):
         beta, a, n = 2.0, 0.05, 3

@@ -5,7 +5,7 @@ import pytest
 
 from quadrel.errors import DomainError
 from quadrel.montecarlo import mc_pf, transform_samples
-from quadrel.quadratic import StandardNormalQuadratic, correlation_decompose
+from quadrel.quadratic import QuadraticForm, correlation_decompose
 from quadrel.variables import Kind, RandomVariable, Role
 
 
@@ -15,7 +15,7 @@ def snv(name):
 
 class TestReproducibility:
     def test_same_seed_same_estimate(self):
-        qn = StandardNormalQuadratic(a=np.diag([0.05, -0.08]),
+        qn = QuadraticForm(a=np.diag([0.05, -0.08]),
                                      k=np.array([0.3, -0.2]), c=1.2)
         variables = [snv("z1"), snv("z2")]
         a = mc_pf(qn, variables, None, n=200_000, seed=7)
@@ -26,7 +26,7 @@ class TestReproducibility:
     def test_chunking_invariant(self):
         # the estimate depends on (seed, n), not on how the stream is cut
         # into chunks: consecutive draws from one generator concatenate
-        qn = StandardNormalQuadratic(a=np.zeros((2, 2)),
+        qn = QuadraticForm(a=np.zeros((2, 2)),
                                      k=np.array([1.0, 0.0]), c=2.0)
         variables = [snv("z1"), snv("z2")]
         a = mc_pf(qn, variables, None, n=300_000, seed=11, chunk_size=50_000)
@@ -34,7 +34,7 @@ class TestReproducibility:
         assert a.pf_hat == b.pf_hat
 
     def test_different_seeds_differ(self):
-        qn = StandardNormalQuadratic(a=np.zeros((1, 1)),
+        qn = QuadraticForm(a=np.zeros((1, 1)),
                                      k=np.array([1.0]), c=1.5)
         a = mc_pf(qn, [snv("z")], None, n=100_000, seed=1)
         b = mc_pf(qn, [snv("z")], None, n=100_000, seed=2)
@@ -44,7 +44,7 @@ class TestReproducibility:
 class TestAccuracy:
     def test_linear_anchor(self):
         # g = 3 - z fails with probability Phi(-3) = 1.3499e-3
-        qn = StandardNormalQuadratic(a=np.zeros((1, 1)),
+        qn = QuadraticForm(a=np.zeros((1, 1)),
                                      k=np.array([-1.0]), c=3.0)
         est = mc_pf(qn, [snv("z")], None, n=10_000_000, seed=5)
         assert est.pf_hat == pytest.approx(0.001349898, abs=4e-5)
@@ -101,11 +101,11 @@ class TestTransformSamples:
 
 class TestValidation:
     def test_n_too_small(self):
-        qn = StandardNormalQuadratic(a=np.zeros((1, 1)), k=np.array([1.0]), c=1.0)
+        qn = QuadraticForm(a=np.zeros((1, 1)), k=np.array([1.0]), c=1.0)
         with pytest.raises(DomainError):
             mc_pf(qn, [snv("z")], None, n=500, seed=0)
 
     def test_bad_chunk(self):
-        qn = StandardNormalQuadratic(a=np.zeros((1, 1)), k=np.array([1.0]), c=1.0)
+        qn = QuadraticForm(a=np.zeros((1, 1)), k=np.array([1.0]), c=1.0)
         with pytest.raises(DomainError):
             mc_pf(qn, [snv("z")], None, n=10_000, seed=0, chunk_size=0)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from quadrel.errors import DivisionGuardError, DomainError
 from quadrel.pf import Branch, beta_generalized, pf_quadratic, pf_same_sign
-from quadrel.quadratic import SpectralForm, StandardNormalQuadratic, moment_sums
+from quadrel.quadratic import QuadraticForm, SpectralForm, moment_sums
 from quadrel.variables import std_normal
 
 # Frozen Monte Carlo oracles (2e7 standard-normal samples, seed 123,
@@ -28,7 +28,7 @@ MC_ORACLES = [
 
 
 def qn_of(a, k, c):
-    return StandardNormalQuadratic(a=np.asarray(a, dtype=float),
+    return QuadraticForm(a=np.asarray(a, dtype=float),
                                    k=np.asarray(k, dtype=float), c=float(c))
 
 

@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from quadrel.cli import main
-from quadrel.errors import DomainError, ProblemFormatError
+from quadrel.errors import DomainError, ProblemFormatError, UnsupportedDesignError
 from quadrel.problem_io import (
     build_problem,
     load_document,
     result_to_dict,
     save_document,
-    validate_document,
 )
 from quadrel.problems import (
     builtin_problems,
@@ -21,7 +20,7 @@ from quadrel.problems import (
     ellipse_form,
     load_crash_coefficients,
 )
-from quadrel.solver import rssl_solve
+from quadrel.solver import build_surrogates, rssl_solve
 from quadrel.variables import std_normal, std_normal_inv
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -43,6 +42,24 @@ def ellipse_doc():
         "constraints": [{"name": "g", "quadratic": flat}],
         "targets": {"beta_d": 3.0},
     }
+
+
+def box_doc(n, scheme):
+    """n normal design variables and one black-box constraint; ``scheme``
+    (None = absent) goes into the ``doe`` section."""
+    doc = {
+        "variables": [
+            {"name": f"x{i+1}", "kind": "normal", "role": "design-variable",
+             "mean": 5.0, "std": 0.3, "lower": 0.0, "upper": 10.0}
+            for i in range(n)
+        ],
+        "objective": {"builtin": "sum"},
+        "constraints": [{"expression": " + ".join(f"x{i+1}**2" for i in range(n)) + " - 9"}],
+        "targets": {"beta_d": 3.0},
+    }
+    if scheme is not None:
+        doc["doe"] = {"scheme": scheme}
+    return doc
 
 
 class TestRegistry:
@@ -183,7 +200,7 @@ class TestProblemDocuments:
         doc = ellipse_doc()
         mutate(doc)
         with pytest.raises(ProblemFormatError) as err:
-            validate_document(doc)
+            build_problem(doc)
         assert err.value.path == path
 
     def test_unknown_expression_name(self):
@@ -237,6 +254,22 @@ class TestCli:
         res = json.loads(out.read_text())
         assert res["success"]
 
+    @pytest.mark.parametrize("flag,value", [("--beta", "3.0"),
+                                            ("--pf", repr(std_normal(-3.0)[1]))])
+    def test_target_override_on_document_without_targets(self, flag, value, tmp_path,
+                                                          capsys):
+        doc = ellipse_doc()
+        del doc["targets"]
+        path = tmp_path / "notargets.json"
+        path.write_text(json.dumps(doc))
+        out_file = tmp_path / "file.json"
+        out_builtin = tmp_path / "builtin.json"
+        assert main(["solve", str(path), flag, value, "--out", str(out_file)]) == 0
+        assert main(["solve", "demo-ellipse", "--out", str(out_builtin)]) == 0
+        a = json.loads(out_file.read_text())
+        b = json.loads(out_builtin.read_text())
+        assert a["mu_opt"] == pytest.approx(b["mu_opt"], abs=1e-8)
+
     def test_pf_subcommand(self, capsys):
         assert main(["pf", "demo-ellipse", "--at", "3.0"]) == 0
         out = capsys.readouterr().out
@@ -251,12 +284,46 @@ class TestCli:
                      "--at", "4.85", "--seed", "3"]) == 0
         assert "pf_mc[g]" in capsys.readouterr().out
 
-    def test_doe_csv(self, tmp_path, capsys):
+    @pytest.mark.parametrize("source,rows,scheme", [
+        ("bench-3g", 9, "inscribed-ccd2"),
+        ((2, None), 9, "inscribed-ccd2"),
+        ((2, "inscribed-ccd2"), 9, "inscribed-ccd2"),
+        ((2, "ccd"), 9, "ccd"),
+        ((2, "bbd"), None, None),
+        ((3, None), 13, "bbd"),
+        ((3, "bbd"), 13, "bbd"),
+        ((3, "ccd"), 15, "ccd"),
+        ((3, "inscribed-ccd2"), None, None),
+    ], ids=["bench-3g", "n2-default", "n2-inscribed-ccd2", "n2-ccd", "n2-bbd",
+            "n3-default", "n3-bbd", "n3-ccd", "n3-inscribed-ccd2"])
+    def test_doe_csv(self, source, rows, scheme, tmp_path, capsys):
+        # 'quadrel doe' writes exactly the plan build_surrogates fits at the
+        # same point; rows None marks a scheme undefined for that n
+        if isinstance(source, str):
+            name, problem = source, builtin_problems()[source]()
+        else:
+            doc = box_doc(*source)
+            name = str(tmp_path / "doc.json")
+            save_document(doc, name)
+            problem = build_problem(doc)
         out = tmp_path / "plan.csv"
-        assert main(["doe", "bench-3g", "--out", str(out)]) == 0
+        code = main(["doe", name, "--out", str(out)])
+        mu = problem.design_start()
+        beta_d = max(s.beta_target for s in problem.constraints)
+        if rows is None:
+            assert code == 2
+            with pytest.raises(UnsupportedDesignError):
+                build_surrogates(problem, mu, beta_d)
+            return
+        assert code == 0
+        assert f"wrote {rows} {scheme} points" in capsys.readouterr().out
         lines = out.read_text().strip().splitlines()
-        assert lines[0] == "x1,x2"
-        assert len(lines) == 1 + 9
+        assert lines[0] == ",".join(v.name for v in problem.variables)
+        _, fitted = build_surrogates(problem, mu, beta_d)
+        assert fitted.scheme.value == scheme
+        written = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert written.shape == (rows, problem.n_z)
+        assert np.array_equal(written, fitted.points)
 
     def test_doe_scheme_option(self, tmp_path, capsys):
         out = tmp_path / "plan.csv"

@@ -11,7 +11,6 @@ from quadrel.errors import DomainError, NotACorrelationMatrixError
 from quadrel.quadratic import (
     CorrelationModel,
     QuadraticForm,
-    StandardNormalQuadratic,
     classify_signs,
     correlation_decompose,
     identity_correlation,
@@ -184,7 +183,7 @@ class TestSpectral:
     def test_kbar_norm_preserved(self):
         rng = np.random.default_rng(7)
         a = rng.normal(size=(4, 4))
-        qn = StandardNormalQuadratic(a=a, k=rng.normal(size=4), c=0.0)
+        qn = QuadraticForm(a=a, k=rng.normal(size=4), c=0.0)
         s = spectral(qn)
         assert np.linalg.norm(s.kbar) == pytest.approx(np.linalg.norm(qn.k), rel=1e-12)
 
@@ -193,18 +192,18 @@ class TestSpectral:
         # by +eps so the one-sign closed form applies
         a = np.zeros((3, 3))
         a[1:, 1:] = [[0.00375, 0.00225], [0.00225, 0.00375]]
-        qn = StandardNormalQuadratic(a=a, k=np.array([0.0, 0.1, -0.2]), c=1.0)
+        qn = QuadraticForm(a=a, k=np.array([0.0, 0.1, -0.2]), c=1.0)
         s = spectral(qn, eps=1e-7)
         assert sorted(np.round(s.gamma, 10)) == pytest.approx([1e-7, 0.0015, 0.006])
 
     def test_mixed_sign_keeps_zeros(self):
-        qn = StandardNormalQuadratic(a=np.diag([0.5, -0.5, 0.0]),
+        qn = QuadraticForm(a=np.diag([0.5, -0.5, 0.0]),
                                      k=np.array([0.0, 0.0, 1.0]), c=1.0)
         s = spectral(qn)
         assert np.count_nonzero(s.gamma == 0.0) == 1
 
     def test_eps_validation(self):
-        qn = StandardNormalQuadratic(a=np.eye(2), k=np.zeros(2), c=1.0)
+        qn = QuadraticForm(a=np.eye(2), k=np.zeros(2), c=1.0)
         with pytest.raises(DomainError):
             spectral(qn, eps=0.0)
 
