@@ -10,7 +10,7 @@ and the lower-level helpers are imported from their submodules.
 
 from .errors import QuadrelError
 from .variables import Kind, RandomVariable, Role
-from .quadratic import QuadraticForm, correlation_decompose, to_standard_normal
+from .quadratic import QuadraticForm, correlation_decompose, standard_normal_map, to_standard_normal
 from .pf import pf_quadratic
 from .solver import (
     ConstraintSpec,
@@ -28,7 +28,7 @@ __version__ = "1.0.0"
 __all__ = [
     "QuadrelError",
     "Kind", "RandomVariable", "Role",
-    "QuadraticForm", "correlation_decompose", "to_standard_normal",
+    "QuadraticForm", "correlation_decompose", "standard_normal_map", "to_standard_normal",
     "pf_quadratic",
     "ConstraintSpec", "RbdoProblem", "StdMode",
     "mc_audit", "rbdo_double_loop_form", "rssl_solve",

@@ -25,7 +25,7 @@ from .errors import (
 from .pf import beta_generalized, pf_quadratic
 from .problem_io import build_problem, load_document, save_result, trace_to_csv
 from .problems import builtin_problems
-from .quadratic import to_standard_normal
+from .quadratic import standard_normal_map, to_standard_normal
 from .solver import (
     EvalCounters,
     RbdoResult,
@@ -148,8 +148,8 @@ def cmd_pf(args) -> int:
             path=f"constraints[{args.index}]")
     mu_design = _design_point(args, problem)
     mu_full = problem.full_mean(mu_design)
-    qn = to_standard_normal(spec.quadratic, problem.variables_at(mu_full),
-                            problem.corr, mu_full)
+    snmap = standard_normal_map(problem.variables_at(mu_full), problem.corr, mu_full)
+    qn = to_standard_normal(spec.quadratic, snmap)
     pf, diag = pf_quadratic(qn)
     print(f"constraint        {spec.name}")
     print(f"mu_design         {np.round(mu_design, 6).tolist()}")

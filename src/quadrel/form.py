@@ -7,8 +7,6 @@ curvature correction evaluated on a quadratic limit state at the MPP.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.optimize import minimize
 
@@ -30,15 +28,19 @@ def _g_in_standard_space(g, variables, corr):
 
 
 def fd_gradient(f, x, rel_step=1e-6):
-    """Central-difference gradient of the scalar function ``f`` at ``x``."""
+    """Central-difference gradient (n,) of a scalar ``f`` at ``x``, or the
+    Jacobian (m, n) of an ``f`` returning an (m,) vector."""
     x = np.asarray(x, dtype=float)
-    grad = np.empty_like(x)
+    jac = None
     for i in range(x.size):
         h = rel_step * max(1.0, abs(x[i]))
         xp = x.copy(); xp[i] += h
         xm = x.copy(); xm[i] -= h
-        grad[i] = (f(xp) - f(xm)) / (2.0 * h)
-    return grad
+        col = (f(xp) - f(xm)) / (2.0 * h)
+        if jac is None:
+            jac = np.empty(x.shape + np.shape(col))
+        jac[i] = col
+    return jac.T
 
 
 def form_mpp(g, variables: list[RandomVariable], corr: CorrelationModel | None,

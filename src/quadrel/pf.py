@@ -65,17 +65,26 @@ def pf_same_sign(s: SpectralForm):
     """Closed form for eigenvalues all of one sign (elliptic limit states).
 
     Returns (pf_raw, kappa2, h, q0, flipped) where ``flipped`` records
-    whether the 1 - P side of the dispatch was taken.
+    whether the 1 - P side of the dispatch was taken.  When Q_N cannot
+    change sign the answer is exact: pf is 0 or 1, kappa2 is -inf or
+    +inf and h is None.
     """
     m1, m2, m3, m4 = s.m
     if m1 == 0.0:
         raise DivisionGuardError("same-sign branch requires m1 != 0")
     if m2 <= 0.0:
         raise DivisionGuardError(f"same-sign branch requires m2 > 0, got {m2}")
+    sign_gamma = 1.0 if s.gamma[0] > 0.0 else -1.0
+    q0 = float(np.sum(s.kbar**2 / (4.0 * s.gamma))) - s.cprime
+    # Q_N = sum_j gamma_j (y_j + kbar_j / 2 gamma_j)^2 - q0: with every
+    # gamma > 0 and q0 <= 0 it never drops below 0, and the mirror case
+    # never rises above 0
+    if sign_gamma * q0 <= 0.0:
+        pf = 0.0 if sign_gamma > 0.0 else 1.0
+        return pf, math.copysign(math.inf, -sign_gamma), None, q0, False
     h = 1.0 - 2.0 * m1 * m3 / (3.0 * m2**2)
     if h == 0.0:
         raise DivisionGuardError("same-sign branch hit h = 0")
-    q0 = float(np.sum(s.kbar**2 / (4.0 * s.gamma))) - s.cprime
     ratio = abs(q0 / m1)
     kappa2 = (
         abs(m1)
@@ -88,7 +97,6 @@ def pf_same_sign(s: SpectralForm):
         * (m4 / (2.0 * m2**2) - 20.0 * m3**2 / (27.0 * m2**3) + 2.0 * m3 / (9.0 * m1 * m2))
         + hermite_prob(1, kappa2) * (-2.0 * m3**2 / (3.0 * m2**3) + 2.0 * m3 / (3.0 * m1 * m2))
     )
-    sign_gamma = 1.0 if s.gamma[0] > 0.0 else -1.0
     flipped = sign_gamma * h < 0.0
     pf_raw = 1.0 - p if flipped else p
     return pf_raw, kappa2, h, q0, flipped

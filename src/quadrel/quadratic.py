@@ -122,22 +122,19 @@ def correlation_decompose(c) -> CorrelationModel:
     return CorrelationModel(c=c, t=t, d=np.sqrt(lam))
 
 
-def to_standard_normal(
-    q: QuadraticForm,
+def standard_normal_map(
     variables: list[RandomVariable],
     corr: CorrelationModel | None,
     at,
-) -> QuadraticForm:
-    """Transform Q into uncorrelated standard-normal space around ``at``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The affine map (S T D, mu_eq) from uncorrelated standard normals around ``at``.
 
     ``at`` is the stacked vector of current means; each variable is
     equivalently normalized at its own mean, deterministic entries map to
-    (value, 0).  The returned form satisfies the exact identity
-    Q_N(z_N) = Q(S T D z_N + mu_eq).
+    (value, 0).  The map depends only on the design point, so every
+    constraint at that point shares it.
     """
-    n = q.dim
-    if len(variables) != n:
-        raise DomainError(f"quadratic has dim {n} but {len(variables)} variables given")
+    n = len(variables)
     at = np.asarray(at, dtype=float)
     if at.shape != (n,):
         raise DomainError(f"expansion point has shape {at.shape}, expected ({n},)")
@@ -150,8 +147,18 @@ def to_standard_normal(
         eq = equivalent_normal(v.with_mean(at[i]) if v.mean != at[i] else v, at[i])
         sigma_eq[i] = eq.sigma_eq
         mu_eq[i] = eq.mu_eq
+    return sigma_eq[:, None] * corr.l, mu_eq
 
-    m = sigma_eq[:, None] * corr.l  # S T D
+
+def to_standard_normal(q: QuadraticForm, snmap: tuple[np.ndarray, np.ndarray]) -> QuadraticForm:
+    """Transform Q through the map ``snmap = (S T D, mu_eq)`` of ``standard_normal_map``.
+
+    The returned form satisfies the exact identity
+    Q_N(z_N) = Q(S T D z_N + mu_eq).
+    """
+    m, mu_eq = snmap
+    if m.shape[0] != q.dim:
+        raise DomainError(f"quadratic has dim {q.dim} but the map has {m.shape[0]} variables")
     a_n = m.T @ q.a @ m
     k_n = m.T @ (q.k + 2.0 * q.a @ mu_eq)
     c_n = q.c + mu_eq @ q.a @ mu_eq + q.k @ mu_eq

@@ -19,8 +19,8 @@ from .errors import DomainError, SolverFailureError
 from .form import fd_gradient, form_mpp
 from .montecarlo import mc_pf
 from .pf import pf_quadratic
-from .quadratic import CorrelationModel, QuadraticForm, to_standard_normal
-from .variables import RandomVariable, Role, std_normal, std_normal_inv
+from .quadratic import CorrelationModel, QuadraticForm, standard_normal_map, to_standard_normal
+from .variables import Role, std_normal, std_normal_inv
 
 # Tolerated closed-form constraint violation at the reported optimum.
 FEASIBILITY_SLACK = 1e-9
@@ -161,31 +161,28 @@ class RbdoResult:
     doe_evals: int = 0
 
 
-class _CountingEvaluator:
-    """Counts black-box limit-state evaluations with a shared-call cache.
+def _counted_limit_states(problem: RbdoProblem, counters: EvalCounters):
+    """Every constraint's limit state over a batch (m, n), as an (n_con, m) array.
 
-    With shared evaluations, distinct constraints probed at the same
-    point cost a single system call; the cache keys points by their
-    bytes so repeated solver probes are counted once per point.
+    Each call counts its black-box evaluations, one per row and black-box
+    constraint.  With shared evaluations one system call serves every
+    constraint, so each distinct point evaluated through this function
+    counts once.
     """
+    n_blackbox = sum(spec.quadratic is None for spec in problem.constraints)
+    seen = set()
 
-    def __init__(self, problem: RbdoProblem, counters: EvalCounters):
-        self.problem = problem
-        self.counters = counters
-        self._seen = set()
-
-    def eval_constraint(self, spec: ConstraintSpec, z_batch: np.ndarray):
+    def evaluate(z_batch):
         z_batch = np.atleast_2d(np.asarray(z_batch, dtype=float))
-        if spec.quadratic is None:
-            if self.problem.shared_evaluations:
-                for row in z_batch:
-                    key = row.tobytes()
-                    if key not in self._seen:
-                        self._seen.add(key)
-                        self.counters.deterministic_g_evals += 1
-            else:
-                self.counters.deterministic_g_evals += z_batch.shape[0]
-        return np.asarray(spec.evaluate(z_batch), dtype=float)
+        if not problem.shared_evaluations:
+            counters.deterministic_g_evals += n_blackbox * z_batch.shape[0]
+        elif n_blackbox:
+            fresh = {row.tobytes() for row in z_batch} - seen
+            seen.update(fresh)
+            counters.deterministic_g_evals += len(fresh)
+        return np.array([spec.evaluate(z_batch) for spec in problem.constraints], dtype=float)
+
+    return evaluate
 
 
 def _counted_objective(problem: RbdoProblem, counters: EvalCounters):
@@ -199,19 +196,12 @@ def solve_deterministic(problem: RbdoProblem, start=None,
                         counters: EvalCounters = None) -> np.ndarray:
     """Minimize the objective subject to g_i >= 0 at the means and bounds."""
     counters = counters if counters is not None else EvalCounters()
-    evaluator = _CountingEvaluator(problem, counters)
+    limit_states = _counted_limit_states(problem, counters)
     x0 = np.asarray(start, dtype=float) if start is not None else problem.design_start()
     objective = _counted_objective(problem, counters)
-
-    def make_con(spec):
-        def fun(mu):
-            z = problem.full_mean(mu)
-            return float(evaluator.eval_constraint(spec, z[None, :])[0])
-        return fun
-
-    cons = [{"type": "ineq", "fun": make_con(spec)} for spec in problem.constraints]
+    con = {"type": "ineq", "fun": lambda mu: limit_states(problem.full_mean(mu))[:, 0]}
     res = minimize(objective, x0, method="SLSQP", bounds=problem.bounds,
-                   constraints=cons, options={"maxiter": 500, "ftol": 1e-10})
+                   constraints=[con], options={"maxiter": 500, "ftol": 1e-10})
     if not res.success:
         raise SolverFailureError(
             f"deterministic solve failed: {res.message}", phase="deterministic"
@@ -246,60 +236,54 @@ def build_surrogates(problem: RbdoProblem, mu_det, beta_d_max: float,
     (surrogates, plan_or_None).
     """
     counters = counters if counters is not None else EvalCounters()
-    evaluator = _CountingEvaluator(problem, counters)
-    blackbox = [s for s in problem.constraints if s.quadratic is None]
-    if not blackbox:
+    if all(s.quadratic is not None for s in problem.constraints):
         return [s.quadratic for s in problem.constraints], None
 
     mu_full = problem.full_mean(np.asarray(mu_det, dtype=float))
     plan = doe_plan(problem, mu_full, beta_d_max, problem.doe_scheme)
-
-    surrogates = []
-    for spec in problem.constraints:
-        if spec.quadratic is not None:
-            surrogates.append(spec.quadratic)
-            continue
-        values = evaluator.eval_constraint(spec, plan.points)
-        surrogates.append(fit_quadratic(plan.points, values))
+    values = _counted_limit_states(problem, counters)(plan.points)
+    surrogates = [
+        spec.quadratic if spec.quadratic is not None else fit_quadratic(plan.points, v)
+        for spec, v in zip(problem.constraints, values)
+    ]
     return surrogates, plan
 
 
-def probabilistic_constraint(q: QuadraticForm, problem: RbdoProblem,
-                             spec: ConstraintSpec, counters: EvalCounters = None):
-    """Analytic constraint g*(mu_design) = pf_target - pf_closed_form(mu).
+def probabilistic_constraint(surrogates: list, problem: RbdoProblem,
+                             counters: EvalCounters = None):
+    """Analytic constraints g*(mu_design) = pf_target - pf_closed_form(mu).
 
-    Evaluation never calls the original black-box limit state.
+    Returns one function of the design means giving the vector over
+    ``problem.constraints``: the standard-normal map is built once per
+    design point and shared by every surrogate.  Evaluation never calls
+    the original black-box limit state.
     """
-    target = spec.pf_target
+    targets = np.array([spec.pf_target for spec in problem.constraints])
 
     def gstar(mu_design):
         if counters is not None:
-            counters.gstar_evals += 1
+            counters.gstar_evals += len(surrogates)
         mu_full = problem.full_mean(mu_design)
-        vars_at = problem.variables_at(mu_full)
-        qn = to_standard_normal(q, vars_at, problem.corr, mu_full)
-        pf, _ = pf_quadratic(qn)
-        return target - pf
+        snmap = standard_normal_map(problem.variables_at(mu_full), problem.corr, mu_full)
+        pf = [pf_quadratic(to_standard_normal(q, snmap))[0] for q in surrogates]
+        return targets - pf
 
     return gstar
 
 
-def _constrained_minimize(objective, gstars, scales, x0, bounds, trace,
+def _constrained_minimize(objective, gstar, scales, x0, bounds, trace,
                           shift=0.0, maxiter=400):
-    """One SLSQP pass over scaled inequality constraints g*/scale >= shift."""
-    cons = []
-    for gs, sc in zip(gstars, scales):
-        fun = (lambda gs=gs, sc=sc: lambda mu: gs(mu) / sc - shift)()
-        cons.append({"type": "ineq", "fun": fun, "jac": partial(fd_gradient, fun)})
+    """One SLSQP pass over the scaled inequality constraints g*/scale >= shift."""
+    def fun(mu):
+        return gstar(mu) / scales - shift
 
     def record(xk):
-        gmin = min(gs(xk) for gs in gstars) if gstars else np.inf
-        trace.append((len(trace), np.array(xk), float(objective(xk)), float(gmin)))
+        trace.append((len(trace), np.array(xk), float(objective(xk)), float(gstar(xk).min())))
 
-    res = minimize(objective, x0, jac=partial(fd_gradient, objective), method="SLSQP",
-                   bounds=bounds, constraints=cons, callback=record,
-                   options={"maxiter": maxiter, "ftol": 1e-12})
-    return res
+    con = {"type": "ineq", "fun": fun, "jac": partial(fd_gradient, fun)}
+    return minimize(objective, x0, jac=partial(fd_gradient, objective), method="SLSQP",
+                    bounds=bounds, constraints=[con], callback=record,
+                    options={"maxiter": maxiter, "ftol": 1e-12})
 
 
 def rssl_solve(problem: RbdoProblem, start=None, extra_starts: int = 4) -> RbdoResult:
@@ -319,11 +303,8 @@ def rssl_solve(problem: RbdoProblem, start=None, extra_starts: int = 4) -> RbdoR
     doe_evals = counters.deterministic_g_evals - evals_before_doe
     frozen_evals = counters.deterministic_g_evals
 
-    gstars = [
-        probabilistic_constraint(q, problem, spec, counters=counters)
-        for q, spec in zip(surrogates, problem.constraints)
-    ]
-    scales = [spec.pf_target for spec in problem.constraints]
+    gstar = probabilistic_constraint(surrogates, problem, counters=counters)
+    scales = np.array([spec.pf_target for spec in problem.constraints])
     objective = _counted_objective(problem, counters)
 
     trace = []
@@ -339,21 +320,21 @@ def rssl_solve(problem: RbdoProblem, start=None, extra_starts: int = 4) -> RbdoR
 
     best = None
     for x0 in starts:
-        res = _constrained_minimize(objective, gstars, scales, x0, problem.bounds, trace)
+        res = _constrained_minimize(objective, gstar, scales, x0, problem.bounds, trace)
         if not res.success:
             continue
-        viol = max((-gs(res.x) for gs in gstars), default=0.0)
+        viol = float(np.max(-gstar(res.x)))
         # restoration: shift the scaled constraints inward until the
         # unscaled model is satisfied to FEASIBILITY_SLACK
         shift = 0.0
         attempts = 0
         while viol > FEASIBILITY_SLACK and attempts < 5:
-            shift += 2.0 * max(viol / min(scales), 1e-12)
-            res = _constrained_minimize(objective, gstars, scales, res.x,
+            shift += 2.0 * max(viol / scales.min(), 1e-12)
+            res = _constrained_minimize(objective, gstar, scales, res.x,
                                         problem.bounds, trace, shift=shift)
             if not res.success:
                 break
-            viol = max((-gs(res.x) for gs in gstars), default=0.0)
+            viol = float(np.max(-gstar(res.x)))
             attempts += 1
         if not res.success or viol > FEASIBILITY_SLACK:
             continue
@@ -368,7 +349,7 @@ def rssl_solve(problem: RbdoProblem, start=None, extra_starts: int = 4) -> RbdoR
                                  phase="single-loop", trace=trace)
 
     mu_opt = np.asarray(best.x, dtype=float)
-    pf_cf = [spec.pf_target - gs(mu_opt) for gs, spec in zip(gstars, problem.constraints)]
+    pf_cf = (scales - gstar(mu_opt)).tolist()
     return RbdoResult(
         method="rssl", mu_opt=mu_opt, objective_value=float(best.fun),
         pf_closed_form=pf_cf, counters=counters, trace=trace, success=True,
@@ -382,29 +363,28 @@ def rbdo_double_loop_form(problem: RbdoProblem, start=None) -> RbdoResult:
     Baseline method; every constraint evaluation runs an MPP search.
     """
     counters = EvalCounters()
-    cache = [dict() for _ in problem.constraints]
+    beta_targets = np.array([spec.beta_target for spec in problem.constraints])
+    cache = {}
 
-    def beta_con(idx, spec):
-        def fun(mu):
-            mu = np.asarray(mu, dtype=float)
-            key = mu.tobytes()
-            hit = cache[idx].get(key)
-            if hit is not None:
-                return hit
+    def counted(spec):
+        def g(z):
+            counters.deterministic_g_evals += np.atleast_2d(z).shape[0]
+            return spec.evaluate(z)
+        return g
+
+    limit_states = [counted(spec) for spec in problem.constraints]
+
+    def beta_margins(mu):
+        mu = np.asarray(mu, dtype=float)
+        key = mu.tobytes()
+        if key not in cache:
             mu_full = problem.full_mean(mu)
             vars_at = problem.variables_at(mu_full)
-
-            def g(z):
-                counters.deterministic_g_evals += np.atleast_2d(z).shape[0]
-                return spec.evaluate(z)
-
             # the inner MPP search must be a deterministic function of mu,
             # otherwise the outer finite differences see solver noise
-            beta, _, _ = form_mpp(g, vars_at, problem.corr)
-            out = beta - spec.beta_target
-            cache[idx][key] = out
-            return out
-        return fun
+            betas = [form_mpp(g, vars_at, problem.corr)[0] for g in limit_states]
+            cache[key] = betas - beta_targets
+        return cache[key]
 
     objective = _counted_objective(problem, counters)
     x0 = np.asarray(start, dtype=float) if start is not None else problem.design_start()
@@ -414,24 +394,18 @@ def rbdo_double_loop_form(problem: RbdoProblem, start=None) -> RbdoResult:
         trace.append((len(trace), np.array(xk), float(objective(xk)), np.nan))
 
     # central differences with a step far above the inner solver tolerance
-    cons = []
-    for i, s in enumerate(problem.constraints):
-        fun = beta_con(i, s)
-        cons.append({"type": "ineq", "fun": fun,
-                     "jac": partial(fd_gradient, fun, rel_step=1e-5)})
+    con = {"type": "ineq", "fun": beta_margins,
+           "jac": partial(fd_gradient, beta_margins, rel_step=1e-5)}
     res = minimize(objective, x0, jac=partial(fd_gradient, objective),
                    method="SLSQP", bounds=problem.bounds,
-                   constraints=cons, callback=record,
+                   constraints=[con], callback=record,
                    options={"maxiter": 300, "ftol": 1e-10})
     if not res.success:
         raise SolverFailureError(f"double-loop FORM solve failed: {res.message}",
                                  phase="double-loop", trace=trace)
 
     mu_opt = np.asarray(res.x, dtype=float)
-    pf_cf = []
-    for i, spec in enumerate(problem.constraints):
-        beta = beta_con(i, spec)(mu_opt) + spec.beta_target
-        pf_cf.append(float(std_normal(-beta)[1]))
+    pf_cf = [float(std_normal(-beta)[1]) for beta in beta_margins(mu_opt) + beta_targets]
     return RbdoResult(
         method="form-double-loop", mu_opt=mu_opt, objective_value=float(res.fun),
         pf_closed_form=pf_cf, counters=counters, trace=trace, success=True,

@@ -26,7 +26,7 @@ from quadrel.problems import (
     demo_ellipse,
     ellipse_form,
 )
-from quadrel.quadratic import QuadraticForm, to_standard_normal
+from quadrel.quadratic import QuadraticForm, standard_normal_map, to_standard_normal
 from quadrel.solver import mc_audit, rbdo_double_loop_form, rssl_solve
 from quadrel.variables import Kind, RandomVariable, Role, std_normal
 
@@ -43,8 +43,8 @@ def report(num, desc, ok):
 def ellipse_qn(mu_x1):
     problem = demo_ellipse(mu_x1=float(mu_x1))
     mu_full = problem.full_mean(np.array([mu_x1], dtype=float))
-    return to_standard_normal(ellipse_form(), problem.variables_at(mu_full),
-                              None, mu_full)
+    return to_standard_normal(ellipse_form(),
+                              standard_normal_map(problem.variables_at(mu_full), None, mu_full))
 
 
 @functools.lru_cache(maxsize=None)

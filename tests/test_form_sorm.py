@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quadrel.errors import BreitungSingularityError, DomainError
-from quadrel.form import form_mpp, sorm_breitung
+from quadrel.form import fd_gradient, form_mpp, sorm_breitung
 from quadrel.montecarlo import mc_pf
 from quadrel.quadratic import QuadraticForm, correlation_decompose
 from quadrel.variables import Kind, RandomVariable, Role, std_normal, variable_pdf_cdf
@@ -12,6 +12,26 @@ from quadrel.variables import Kind, RandomVariable, Role, std_normal, variable_p
 
 def snv(name="z"):
     return RandomVariable(name, Kind.NORMAL, Role.PARAMETER, 0.0, 1.0)
+
+
+class TestFdGradient:
+    def test_scalar_is_central_difference(self):
+        f = lambda x: float(np.exp(x[0]) * x[1] ** 3)
+        x = np.array([0.4, -2.5])
+        expected = np.empty(2)
+        for i in range(2):
+            step = np.zeros(2)
+            step[i] = 1e-6 * max(1.0, abs(x[i]))
+            expected[i] = (f(x + step) - f(x - step)) / (2.0 * step[i])
+        assert np.array_equal(fd_gradient(f, x), expected)
+
+    def test_vector_jacobian_stacks_scalar_gradients(self):
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(3, 4))
+        f = lambda x: np.sin(a @ x)
+        x = rng.normal(size=4)
+        rows = [fd_gradient(lambda x, i=i: float(f(x)[i]), x, rel_step=1e-5) for i in range(3)]
+        assert np.array_equal(fd_gradient(f, x, rel_step=1e-5), np.stack(rows))
 
 
 class TestFormMpp:

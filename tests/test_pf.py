@@ -112,6 +112,17 @@ class TestSameSignKernel:
         with pytest.raises(DivisionGuardError):
             pf_same_sign(s)
 
+    @pytest.mark.parametrize("a,k,c,exact", [
+        (np.eye(2), [0.0, 0.0], 1.0, 0.0),
+        ([[0.1]], [1.0], 3.0, 0.0),
+        ([[0.00375]], [0.045], 1.06, 0.0),
+        (-np.eye(2), [0.0, 0.0], -1.0, 1.0),
+    ])
+    def test_limit_state_that_cannot_change_sign(self, a, k, c, exact):
+        # every gamma > 0 with q0 <= 0 never fails; the mirror always does
+        pf, _ = pf_quadratic(qn_of(a, k, c))
+        assert pf == exact
+
     def test_flip_branch_consistency(self):
         # concave limit state: the kernel reports its P on the mirrored
         # problem and the dispatcher takes 1 - P; both stay in [0, 1]

@@ -223,6 +223,9 @@ class TestCli:
         out = capsys.readouterr().out
         assert "mu_opt" in out and "pf_cf[g]" in out
 
+    def test_solve_varstd_at_zero_std_bound(self, capsys):
+        assert main(["solve", "demo-ellipse-varstd"]) == 0
+
     def test_solve_writes_result_json(self, tmp_path, capsys):
         out = tmp_path / "result.json"
         assert main(["solve", "demo-ellipse", "--out", str(out)]) == 0

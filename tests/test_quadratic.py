@@ -16,6 +16,7 @@ from quadrel.quadratic import (
     identity_correlation,
     moment_sums,
     spectral,
+    standard_normal_map,
     to_standard_normal,
 )
 from quadrel.variables import Kind, RandomVariable, Role
@@ -116,7 +117,8 @@ class TestToStandardNormal:
         # both variables: reference matrices and polynomials
         mu_x1 = 4.0
         variables = [normal("x1", mu_x1, 0.3, Role.DESIGN_VARIABLE), normal("p1", 3.4, 0.3)]
-        qn = to_standard_normal(ELLIPSE, variables, None, np.array([mu_x1, 3.4]))
+        snmap = standard_normal_map(variables, None, np.array([mu_x1, 3.4]))
+        qn = to_standard_normal(ELLIPSE, snmap)
         assert np.allclose(qn.a, [[0.00375, 0.00225], [0.00225, 0.00375]], atol=1e-12)
         assert qn.k[0] == pytest.approx(mu_x1 / 40.0 - 0.109, abs=1e-12)
         assert qn.k[1] == pytest.approx(3.0 * mu_x1 / 200.0 + 0.045, abs=1e-12)
@@ -125,7 +127,8 @@ class TestToStandardNormal:
 
     def test_eigenvalues_of_worked_example(self):
         variables = [normal("x1", 2.0, 0.3), normal("p1", 3.4, 0.3)]
-        qn = to_standard_normal(ELLIPSE, variables, None, np.array([2.0, 3.4]))
+        snmap = standard_normal_map(variables, None, np.array([2.0, 3.4]))
+        qn = to_standard_normal(ELLIPSE, snmap)
         gamma = np.linalg.eigvalsh(qn.a)
         assert gamma == pytest.approx([0.0015, 0.006], abs=1e-12)
 
@@ -136,7 +139,7 @@ class TestToStandardNormal:
         means = np.array([1.0, -2.0, 0.5])
         stds = np.array([0.3, 1.2, 0.05])
         variables = [normal(f"x{i}", means[i], stds[i]) for i in range(3)]
-        qn = to_standard_normal(q, variables, None, means)
+        qn = to_standard_normal(q, standard_normal_map(variables, None, means))
         for z_n in rng.normal(size=(20, 3)):
             z = means + stds * z_n
             assert qn(z_n) == pytest.approx(q(z), rel=1e-10, abs=1e-10)
@@ -148,7 +151,7 @@ class TestToStandardNormal:
         means = np.array([2.0, 3.4])
         stds = np.array([0.3, 0.3])
         variables = [normal("x1", 2.0, 0.3), normal("p1", 3.4, 0.3)]
-        qn = to_standard_normal(q, variables, corr, means)
+        qn = to_standard_normal(q, standard_normal_map(variables, corr, means))
         for z_n in rng.normal(size=(20, 2)):
             z = means + stds * (corr.l @ z_n)
             assert qn(z_n) == pytest.approx(q(z), rel=1e-10, abs=1e-10)
@@ -161,13 +164,14 @@ class TestToStandardNormal:
             normal("x1", 1.0, 0.5),
             normal("p1", 0.0, 1.0),
         ]
-        qn = to_standard_normal(q, variables, None, np.array([2.0, 1.0, 0.0]))
+        qn = to_standard_normal(q, standard_normal_map(variables, None, np.array([2.0, 1.0, 0.0])))
         assert np.all(qn.a[0, :] == 0.0) and np.all(qn.a[:, 0] == 0.0)
         assert qn.k[0] == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
-            to_standard_normal(ELLIPSE, [normal("x", 0.0, 1.0)], None, np.zeros(1))
+            to_standard_normal(ELLIPSE,
+                               standard_normal_map([normal("x", 0.0, 1.0)], None, np.zeros(1)))
 
 
 class TestSpectral:

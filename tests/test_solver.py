@@ -1,12 +1,16 @@
 """Single-loop solver plumbing: deterministic phase, surrogate building,
 analytic probabilistic constraints, counters and the audit helpers."""
 
+import os
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import quadrel.solver
 from quadrel.errors import DomainError
-from quadrel.problems import bench_3g, demo_ellipse, demo_ellipse_varstd
+from quadrel.pf import pf_quadratic
+from quadrel.problems import bench_3g, builtin_problems, demo_ellipse, demo_ellipse_varstd
 from quadrel.solver import (
     ConstraintSpec,
     EvalCounters,
@@ -18,12 +22,24 @@ from quadrel.solver import (
     rssl_solve,
     solve_deterministic,
 )
-from quadrel.quadratic import QuadraticForm
+from quadrel.quadratic import QuadraticForm, standard_normal_map, to_standard_normal
 from quadrel.variables import Kind, RandomVariable, Role
+
+CRASH_CSV = os.path.join(os.path.dirname(__file__), "data", "crash_coefficients.csv")
 
 
 def design(name, mean, std, lower, upper):
     return RandomVariable(name, Kind.NORMAL, Role.DESIGN_VARIABLE, mean, std, lower, upper)
+
+
+def builtin(name):
+    builder = builtin_problems()[name]
+    return builder(CRASH_CSV) if name == "crashworthiness" else builder()
+
+
+def bounds_of(problem):
+    return (np.array([b[0] for b in problem.bounds]),
+            np.array([b[1] for b in problem.bounds]))
 
 
 class TestConstraintSpec:
@@ -130,8 +146,8 @@ class TestProbabilisticConstraint:
         # is the infeasible band
         problem = demo_ellipse(beta_d=3.0)
         spec = problem.constraints[0]
-        gstar = probabilistic_constraint(spec.quadratic, problem, spec)
-        f = lambda mu: gstar(np.array([mu]))
+        gstar = probabilistic_constraint([spec.quadratic], problem)
+        f = lambda mu: gstar(np.array([mu]))[0]
         lo = brentq(f, 2.0, 4.85, xtol=1e-10)
         hi = brentq(f, 4.85, 8.0, xtol=1e-10)
         assert lo == pytest.approx(3.86, abs=0.02)
@@ -145,20 +161,55 @@ class TestProbabilisticConstraint:
         const = demo_ellipse(beta_d=3.0, sigma_x1=0.3)
         prop = demo_ellipse_varstd(beta_d=3.0, t=0.1)
         mu = np.array([3.0])
-        g_const = probabilistic_constraint(const.constraints[0].quadratic, const,
-                                           const.constraints[0])(mu)
-        g_prop = probabilistic_constraint(prop.constraints[0].quadratic, prop,
-                                          prop.constraints[0])(mu)
+        g_const = probabilistic_constraint([const.constraints[0].quadratic], const)(mu)[0]
+        g_prop = probabilistic_constraint([prop.constraints[0].quadratic], prop)(mu)[0]
         assert abs(g_const - g_prop) <= 1e-10
 
     def test_counts_gstar_evals(self):
         problem = demo_ellipse()
         spec = problem.constraints[0]
         counters = EvalCounters()
-        gstar = probabilistic_constraint(spec.quadratic, problem, spec, counters=counters)
+        gstar = probabilistic_constraint([spec.quadratic], problem, counters=counters)
         gstar(np.array([4.0]))
         gstar(np.array([5.0]))
         assert counters.gstar_evals == 2
+
+    @pytest.mark.parametrize("name", ["crashworthiness", "demo-ellipse-lognormal",
+                                      "demo-ellipse-varstd", "demo-ellipse-det"])
+    def test_vector_matches_each_constraint(self, name):
+        problem = builtin(name)
+        surrogates = [spec.quadratic for spec in problem.constraints]
+        gstar = probabilistic_constraint(surrogates, problem)
+        lo, hi = bounds_of(problem)
+        for frac in (0.0, 0.3, 0.5, 0.9):
+            mu = lo + frac * (hi - lo)
+            mu_full = problem.full_mean(mu)
+            snmap = standard_normal_map(problem.variables_at(mu_full), problem.corr, mu_full)
+            expected = [spec.pf_target - pf_quadratic(to_standard_normal(q, snmap))[0]
+                        for q, spec in zip(surrogates, problem.constraints)]
+            assert gstar(mu).tolist() == expected
+
+    def test_one_map_per_design_point(self, monkeypatch):
+        # every constraint shares the design point's variables and map
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(RbdoProblem, "variables_at",
+                            counted("variables_at", RbdoProblem.variables_at))
+        monkeypatch.setattr(quadrel.solver, "standard_normal_map",
+                            counted("standard_normal_map", standard_normal_map))
+        problem = builtin("crashworthiness")
+        counters = EvalCounters()
+        gstar = probabilistic_constraint([s.quadratic for s in problem.constraints], problem,
+                                         counters=counters)
+        assert gstar(problem.design_start()).shape == (10,)
+        assert calls == ["variables_at", "standard_normal_map"]
+        assert counters.gstar_evals == 10
 
 
 class TestRsslSolve:
@@ -199,6 +250,16 @@ class TestRsslSolve:
         b = rssl_solve(demo_ellipse(beta_d=3.0))
         assert np.array_equal(a.mu_opt, b.mu_opt)
         assert a.objective_value == b.objective_value
+
+    @pytest.mark.parametrize("name", sorted(builtin_problems()))
+    def test_every_builtin_solves(self, name):
+        problem = builtin(name)
+        result = rssl_solve(problem)
+        lo, hi = bounds_of(problem)
+        assert result.success
+        assert np.all(result.mu_opt >= lo) and np.all(result.mu_opt <= hi)
+        for pf, spec in zip(result.pf_closed_form, problem.constraints):
+            assert pf <= spec.pf_target + 1e-9
 
     def test_result_reports_pf_within_target(self):
         result = rssl_solve(demo_ellipse(beta_d=3.0))
