@@ -6,6 +6,9 @@ an Edgeworth-corrected normal approximation when signs are mixed, and a
 power-transformed noncentral chi-square approximation when all
 eigenvalues share one sign (elliptic limit states).  A purely linear
 form reduces to the exact FORM result.
+
+Every formula runs on a stack of forms at once (one row per form);
+``pf_quadratic`` is the batch of one.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DivisionGuardError, DomainError
-from .quadratic import QuadraticForm, SpectralForm, spectral
+from .quadratic import QuadraticForm, SpectralForm, row_dot, spectral
 from .variables import hermite_prob, std_normal, std_normal_inv
 
 
@@ -26,6 +29,11 @@ class Branch(str, Enum):
     SAME_SIGN_P = "same-sign-p"
     SAME_SIGN_ONE_MINUS_P = "same-sign-1-p"
     LINEAR_EXACT = "linear-exact"
+
+
+# PfBatch.branch codes index this tuple
+BRANCHES = tuple(Branch)
+_MIXED, _SAME_P, _SAME_1MP, _LINEAR = range(4)
 
 
 @dataclass(frozen=True)
@@ -38,25 +46,81 @@ class PfDiagnostics:
     degenerate: bool = False
 
 
+@dataclass(frozen=True)
+class PfBatch:
+    """Closed-form results for a stack of forms, one entry per row.
+
+    ``h`` and ``q0`` are NaN where the row's branch has none; ``branch``
+    holds indices into ``BRANCHES``.
+    """
+
+    pf_raw: np.ndarray
+    kappa: np.ndarray
+    branch: np.ndarray
+    h: np.ndarray
+    q0: np.ndarray
+    degenerate: np.ndarray
+
+    @property
+    def pf(self) -> np.ndarray:
+        """``pf_raw`` clamped to [0, 1]."""
+        return np.minimum(np.maximum(self.pf_raw, 0.0), 1.0)
+
+    def diagnostics(self, i: int) -> PfDiagnostics:
+        h, q0 = float(self.h[i]), float(self.q0[i])
+        return PfDiagnostics(
+            branch=BRANCHES[self.branch[i]], kappa=float(self.kappa[i]),
+            pf_raw=float(self.pf_raw[i]), h=None if math.isnan(h) else h,
+            q0=None if math.isnan(q0) else q0, degenerate=bool(self.degenerate[i]),
+        )
+
+
+# x**p through the C library's pow, the one Python floats use: numpy's
+# ``**`` has its own vectorized pow, which can differ from it in the last
+# bit, and a last-bit change in g* moves SLSQP's path
+_pow = np.float_power
+
+
+def _batched(s: SpectralForm) -> SpectralForm:
+    """``s`` with a leading batch axis: a 1-D form becomes a batch of one."""
+    if s.gamma.ndim > 1:
+        return s
+    return SpectralForm(gamma=s.gamma[None], kbar=s.kbar[None], cprime=np.atleast_1d(s.cprime),
+                        m=tuple(np.atleast_1d(m) for m in s.m))
+
+
+def _select(s: SpectralForm, rows):
+    """(index, forms) of the rows of ``s`` in mask ``rows``, or None if there are none."""
+    count = np.count_nonzero(rows)
+    if count == 0:
+        return None
+    if count == len(rows):
+        return slice(None), s
+    return rows, SpectralForm(gamma=s.gamma[rows], kbar=s.kbar[rows], cprime=s.cprime[rows],
+                              m=tuple(m[rows] for m in s.m))
+
+
 def pf_mixed(s: SpectralForm):
     """Closed form for eigenvalues of differing signs (saddle limit states).
 
-    Returns (pf_raw, kappa1).
+    Returns (pf_raw, kappa1), one entry per form.
     """
-    _, m2, m3, m4 = s.m
-    if m2 <= 0.0:
-        raise DivisionGuardError(f"mixed-sign branch requires m2 > 0, got {m2}")
-    var = float(np.sum(2.0 * s.gamma**2 + s.kbar**2))
-    kappa1 = -(s.cprime + float(np.sum(s.gamma))) / math.sqrt(var)
+    s = _batched(s)
+    gamma, kbar, cprime, (_, m2, m3, m4) = s.gamma, s.kbar, s.cprime, s.m
+    bad = m2 <= 0.0
+    if bad.any():
+        raise DivisionGuardError(f"mixed-sign branch requires m2 > 0, got {m2[bad][0]}")
+    var = np.add.reduce(2.0 * gamma**2 + kbar**2, -1)
+    kappa1 = -(cprime + np.add.reduce(gamma, -1)) / np.sqrt(var)
     pdf, cdf = std_normal(kappa1)
     # Edgeworth expansion in the standardized quadratic: skewness term
     # with H2, kurtosis term with H3, skewness-squared term with H5
     # (H5 computed inline; the public Hermite helper stops at degree 3).
-    h5 = kappa1**5 - 10.0 * kappa1**3 + 15.0 * kappa1
+    h5 = _pow(kappa1, 5) - 10.0 * _pow(kappa1, 3) + 15.0 * kappa1
     corr = (
-        math.sqrt(2.0) / 3.0 * hermite_prob(2, kappa1) * m3 / m2**1.5
-        + h5 / 9.0 * m3**2 / m2**3
-        + hermite_prob(3, kappa1) / 2.0 * m4 / m2**2
+        math.sqrt(2.0) / 3.0 * hermite_prob(2, kappa1) * m3 / _pow(m2, 1.5)
+        + h5 / 9.0 * _pow(m3, 2) / _pow(m2, 3)
+        + hermite_prob(3, kappa1) / 2.0 * m4 / _pow(m2, 2)
     )
     return cdf - pdf * corr, kappa1
 
@@ -64,79 +128,110 @@ def pf_mixed(s: SpectralForm):
 def pf_same_sign(s: SpectralForm):
     """Closed form for eigenvalues all of one sign (elliptic limit states).
 
-    Returns (pf_raw, kappa2, h, q0, flipped) where ``flipped`` records
-    whether the 1 - P side of the dispatch was taken.  When Q_N cannot
-    change sign the answer is exact: pf is 0 or 1, kappa2 is -inf or
-    +inf and h is None.
+    Returns (pf_raw, kappa2, h, q0, flipped), one entry per form, where
+    ``flipped`` records whether the 1 - P side of the dispatch was taken.
+    When Q_N cannot change sign the answer is exact: pf is 0 or 1, kappa2
+    is -inf or +inf and h is NaN.
     """
-    m1, m2, m3, m4 = s.m
-    if m1 == 0.0:
+    s = _batched(s)
+    gamma, kbar, cprime, (m1, m2, m3, m4) = s.gamma, s.kbar, s.cprime, s.m
+    if (m1 == 0.0).any():
         raise DivisionGuardError("same-sign branch requires m1 != 0")
-    if m2 <= 0.0:
-        raise DivisionGuardError(f"same-sign branch requires m2 > 0, got {m2}")
-    sign_gamma = 1.0 if s.gamma[0] > 0.0 else -1.0
-    q0 = float(np.sum(s.kbar**2 / (4.0 * s.gamma))) - s.cprime
+    bad = m2 <= 0.0
+    if bad.any():
+        raise DivisionGuardError(f"same-sign branch requires m2 > 0, got {m2[bad][0]}")
+    sign_gamma = np.where(gamma[:, 0] > 0.0, 1.0, -1.0)
+    q0 = np.add.reduce(kbar**2 / (4.0 * gamma), -1) - cprime
     # Q_N = sum_j gamma_j (y_j + kbar_j / 2 gamma_j)^2 - q0: with every
     # gamma > 0 and q0 <= 0 it never drops below 0, and the mirror case
     # never rises above 0
-    if sign_gamma * q0 <= 0.0:
-        pf = 0.0 if sign_gamma > 0.0 else 1.0
-        return pf, math.copysign(math.inf, -sign_gamma), None, q0, False
-    h = 1.0 - 2.0 * m1 * m3 / (3.0 * m2**2)
-    if h == 0.0:
+    exact = sign_gamma * q0 <= 0.0
+    m2_2, m2_3, m3_2 = _pow(m2, 2), _pow(m2, 3), _pow(m3, 2)
+    h = 1.0 - 2.0 * m1 * m3 / (3.0 * m2_2)
+    if (h[~exact] == 0.0).any():
         raise DivisionGuardError("same-sign branch hit h = 0")
-    ratio = abs(q0 / m1)
-    kappa2 = (
-        abs(m1)
-        / math.sqrt(2.0 * h * h * m2)
-        * (ratio**h - 1.0 - h * (h - 1.0) * m2 / m1**2)
-    )
-    pdf, cdf = std_normal(kappa2)
-    p = cdf - pdf * (
-        hermite_prob(3, kappa2)
-        * (m4 / (2.0 * m2**2) - 20.0 * m3**2 / (27.0 * m2**3) + 2.0 * m3 / (9.0 * m1 * m2))
-        + hermite_prob(1, kappa2) * (-2.0 * m3**2 / (3.0 * m2**3) + 2.0 * m3 / (3.0 * m1 * m2))
-    )
-    flipped = sign_gamma * h < 0.0
-    pf_raw = 1.0 - p if flipped else p
-    return pf_raw, kappa2, h, q0, flipped
+    # exact rows may divide by h = 0 below; their values are replaced
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = np.abs(q0 / m1)
+        kappa2 = (
+            np.abs(m1)
+            / np.sqrt(2.0 * h * h * m2)
+            * (_pow(ratio, h) - 1.0 - h * (h - 1.0) * m2 / _pow(m1, 2))
+        )
+        pdf, cdf = std_normal(kappa2)
+        p = cdf - pdf * (
+            hermite_prob(3, kappa2)
+            * (m4 / (2.0 * m2_2) - 20.0 * m3_2 / (27.0 * m2_3) + 2.0 * m3 / (9.0 * m1 * m2))
+            + hermite_prob(1, kappa2) * (-2.0 * m3_2 / (3.0 * m2_3) + 2.0 * m3 / (3.0 * m1 * m2))
+        )
+    flipped = (sign_gamma * h < 0.0) & ~exact
+    pf_raw = np.where(exact, np.where(sign_gamma > 0.0, 0.0, 1.0),
+                      np.where(flipped, 1.0 - p, p))
+    kappa2 = np.where(exact, -sign_gamma * math.inf, kappa2)
+    return pf_raw, kappa2, np.where(exact, math.nan, h), q0, flipped
+
+
+def pf_batch(s: SpectralForm, k) -> PfBatch:
+    """Probability that each row's Q_N(z_N) < 0, dispatching on its eigenvalue signs.
+
+    ``s`` comes from ``spectral`` or ``spectral_in_basis``, which zero
+    structurally zero eigenvalues and lift them to +/-eps when the rest
+    share one sign, so each row's sign pattern alone picks its branch.
+    ``k`` holds the unrotated linear terms (m, n); rows with no nonzero
+    eigenvalue take the exact linear result from their norm.
+    """
+    s = _batched(s)
+    n = s.gamma.shape[0]
+    pos = (s.gamma > 0.0).any(axis=-1)
+    neg = (s.gamma < 0.0).any(axis=-1)
+    pf_raw = np.empty(n)
+    kappa = np.empty(n)
+    branch = np.full(n, _MIXED)
+    h = np.full(n, math.nan)
+    q0 = np.full(n, math.nan)
+    degenerate = np.zeros(n, dtype=bool)
+
+    mixed = _select(s, pos & neg)
+    if mixed:
+        rows, sub = mixed
+        pf_raw[rows], kappa[rows] = pf_mixed(sub)
+    same = _select(s, pos ^ neg)
+    if same:
+        rows, sub = same
+        pf_raw[rows], kappa[rows], h[rows], q0[rows], flipped = pf_same_sign(sub)
+        branch[rows] = np.where(flipped, _SAME_1MP, _SAME_P)
+    linear = _select(s, ~(pos | neg))
+    if linear:
+        rows, sub = linear
+        c = sub.cprime
+        k_lin = np.atleast_2d(k)[rows]
+        k_norm = np.sqrt(row_dot(k_lin, k_lin))
+        # a degenerate constant limit state fails everywhere or nowhere
+        deg = k_norm == 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kap = np.where(deg, np.copysign(math.inf, -c), -c / k_norm)
+        pf_raw[rows] = np.where(deg, np.where(c < 0.0, 1.0, 0.0), std_normal(kap)[1])
+        kappa[rows] = kap
+        branch[rows] = _LINEAR
+        degenerate[rows] = deg
+    return PfBatch(pf_raw, kappa, branch, h, q0, degenerate)
+
+
+def require_finite(*arrays):
+    """Raise DomainError unless every coefficient is finite."""
+    if not all(np.isfinite(x).all() for x in arrays):
+        raise DomainError("the closed form requires finite coefficients")
 
 
 def pf_quadratic(qn: QuadraticForm):
     """Probability that Q_N(z_N) < 0, dispatching on the eigenvalue signs.
 
     Returns (pf, diagnostics); pf is clamped to [0, 1], the raw value is
-    kept in the diagnostics.
+    kept in the diagnostics.  This is ``pf_batch`` on a batch of one.
     """
-    if not (np.all(np.isfinite(qn.a)) and np.all(np.isfinite(qn.k)) and math.isfinite(qn.c)):
-        raise DomainError("pf_quadratic requires finite coefficients")
-
-    # spectral zeroes structurally zero eigenvalues and lifts them to
-    # +/-eps when the rest share one sign, so s.gamma's sign pattern
-    # alone picks the branch
-    s = spectral(qn)
-    if not s.gamma.any():
-        k_norm = float(np.linalg.norm(qn.k))
-        if k_norm == 0.0:
-            # degenerate constant limit state: failed everywhere or nowhere
-            pf = 1.0 if qn.c < 0.0 else 0.0
-            diag = PfDiagnostics(
-                branch=Branch.LINEAR_EXACT, kappa=math.copysign(math.inf, -qn.c),
-                pf_raw=pf, degenerate=True,
-            )
-            return pf, diag
-        kappa1 = -qn.c / k_norm
-        _, pf = std_normal(kappa1)
-        return pf, PfDiagnostics(branch=Branch.LINEAR_EXACT, kappa=kappa1, pf_raw=pf)
-
-    if (s.gamma > 0.0).any() and (s.gamma < 0.0).any():
-        pf_raw, kappa1 = pf_mixed(s)
-        diag = PfDiagnostics(branch=Branch.MIXED_SIGNS, kappa=kappa1, pf_raw=pf_raw)
-    else:
-        pf_raw, kappa2, h, q0, flipped = pf_same_sign(s)
-        branch = Branch.SAME_SIGN_ONE_MINUS_P if flipped else Branch.SAME_SIGN_P
-        diag = PfDiagnostics(branch=branch, kappa=kappa2, pf_raw=pf_raw, h=h, q0=q0)
-    return float(np.clip(pf_raw, 0.0, 1.0)), diag
+    require_finite(qn.a, qn.k, qn.c)
+    batch = pf_batch(spectral(qn), qn.k)
+    return float(batch.pf[0]), batch.diagnostics(0)
 
 
 def beta_generalized(pf: float) -> float:

@@ -51,7 +51,7 @@ class QuadraticForm:
         z = np.asarray(z, dtype=float)
         if z.ndim == 1:
             return float(z @ self.a @ z + self.k @ z + self.c)
-        return np.einsum("ij,jk,ik->i", z, self.a, z) + z @ self.k + self.c
+        return np.einsum("ij,ij->i", z @ self.a, z) + z @ self.k + self.c
 
     def gradient(self, z):
         z = np.asarray(z, dtype=float)
@@ -167,10 +167,12 @@ def to_standard_normal(q: QuadraticForm, snmap: tuple[np.ndarray, np.ndarray]) -
 
 @dataclass(frozen=True)
 class SpectralForm:
-    """Eigen-data of a standard-normal quadratic plus the moment sums m_1..m_4.
+    """Eigen-data of standard-normal quadratics plus the moment sums m_1..m_4.
 
-    ``gamma`` holds the (possibly epsilon-regularized) eigenvalues,
-    ``kbar`` the linear term rotated into the eigenbasis.
+    ``gamma`` holds the (possibly epsilon-regularized) eigenvalues and
+    ``kbar`` the linear term rotated into the eigenbasis.  A stack of m
+    forms has ``gamma`` and ``kbar`` of shape (m, n) and ``cprime`` and
+    each m_r of shape (m,); a 1-D form is a batch of one.
     """
 
     gamma: np.ndarray
@@ -180,17 +182,18 @@ class SpectralForm:
 
     @property
     def dim(self) -> int:
-        return self.gamma.shape[0]
+        return self.gamma.shape[-1]
 
 
-def classify_signs(gamma: np.ndarray, scale: float):
+def classify_signs(gamma: np.ndarray, scale):
     """Split eigenvalues into (positive, negative, zero) masks.
 
     ``scale`` sets the zero threshold: |gamma| <= SIGN_ZERO_TOL * max(1, scale)
     counts as zero, so structurally singular forms (deterministic rows)
-    route to the intended branch.
+    route to the intended branch.  For a stack of forms ``gamma`` is
+    (m, n) and ``scale`` holds one value per form.
     """
-    tol = SIGN_ZERO_TOL * max(1.0, scale)
+    tol = (SIGN_ZERO_TOL * np.maximum(1.0, scale))[..., None]
     pos = gamma > tol
     neg = gamma < -tol
     zero = ~(pos | neg)
@@ -200,20 +203,55 @@ def classify_signs(gamma: np.ndarray, scale: float):
 def moment_sums(gamma: np.ndarray, kbar: np.ndarray) -> tuple:
     """m_r = sum_j (gamma_j^r + (r/4) gamma_j^{r-2} kbar_j^2), r = 1..4.
 
-    For r = 1 a zero eigenvalue with a nonzero kbar component yields an
-    infinite term; that combination only occurs in the mixed-sign branch,
-    which never consumes m_1.
+    Sums run over the last axis, one set per form.  For r = 1 a zero
+    eigenvalue with a nonzero kbar component yields an infinite term;
+    that combination only occurs in the mixed-sign branch, which never
+    consumes m_1.
     """
     g2 = gamma * gamma
     k2 = kbar * kbar
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv_g = np.where(gamma != 0.0, 1.0 / np.where(gamma != 0.0, gamma, 1.0), np.inf)
-        m1_terms = np.where(k2 == 0.0, gamma, gamma + 0.25 * inv_g * k2)
-    m1 = float(np.sum(m1_terms))
-    m2 = float(np.sum(g2 + 0.5 * k2))
-    m3 = float(np.sum(g2 * gamma + 0.75 * gamma * k2))
-    m4 = float(np.sum(g2 * g2 + g2 * k2))
-    return (m1, m2, m3, m4)
+        m1_terms = np.where(k2 == 0.0, gamma, gamma + 0.25 / gamma * k2)
+    total = np.add.reduce
+    return (total(m1_terms, -1), total(g2 + 0.5 * k2, -1),
+            total(g2 * gamma + 0.75 * gamma * k2, -1), total(g2 * g2 + g2 * k2, -1))
+
+
+def row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x_i . y_i over the last axis, one BLAS dot per row.
+
+    A 1-D ``x @ y`` is the same dot, so a row of a stack gets exactly the
+    value its form gets on its own.
+    """
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+def eigenbasis(a: np.ndarray, eps: float = DEFAULT_EPS):
+    """Eigenvalues and eigenvectors (gamma, P) of symmetric A', one (n, n) or a stack (m, n, n).
+
+    Eigenvalues within the zero tolerance of ``classify_signs`` (scaled
+    by the Frobenius norm of each A') become 0.  In a form whose other
+    eigenvalues share one sign they are then lifted to that sign's
+    +/-eps; a mixed-sign form keeps its zeros.
+    """
+    if eps <= 0.0:
+        raise DomainError(f"eps must be > 0, got {eps}")
+    gamma, p = np.linalg.eigh(a)
+    flat = a.reshape(a.shape[:-2] + (-1,))
+    pos, neg, zero = classify_signs(gamma, np.sqrt(row_dot(flat, flat)))
+    has_pos = pos.any(axis=-1, keepdims=True)
+    has_neg = neg.any(axis=-1, keepdims=True)
+    lift = np.where(has_pos & has_neg, 0.0, np.where(has_pos, eps, np.where(has_neg, -eps, 0.0)))
+    return np.where(zero, lift, gamma), p
+
+
+def spectral_in_basis(gamma: np.ndarray, p: np.ndarray, k, c) -> SpectralForm:
+    """Rotate the linear terms k, (n,) or (m, n), into the eigenbasis ``P`` and sum moments.
+
+    ``(gamma, P)`` comes from ``eigenbasis``; ``c`` holds the constants.
+    """
+    kbar = np.matmul(np.swapaxes(p, -1, -2), k[..., None])[..., 0]
+    return SpectralForm(gamma=gamma, kbar=kbar, cprime=c, m=moment_sums(gamma, kbar))
 
 
 def spectral(qn: QuadraticForm, eps: float = DEFAULT_EPS) -> SpectralForm:
@@ -222,16 +260,5 @@ def spectral(qn: QuadraticForm, eps: float = DEFAULT_EPS) -> SpectralForm:
     When all eigenvalues share one sign, zeros are replaced by +/-eps
     before the moments are computed; the mixed-sign branch keeps them.
     """
-    if eps <= 0.0:
-        raise DomainError(f"eps must be > 0, got {eps}")
-    gamma, p = np.linalg.eigh(qn.a)
-    kbar = p.T @ qn.k
-    scale = float(np.linalg.norm(qn.a))
-    pos, neg, zero = classify_signs(gamma, scale)
-    gamma = np.where(zero, 0.0, gamma)
-    if not (pos.any() and neg.any()):
-        if pos.any():
-            gamma = np.where(zero, eps, gamma)
-        elif neg.any():
-            gamma = np.where(zero, -eps, gamma)
-    return SpectralForm(gamma=gamma, kbar=kbar, cprime=qn.c, m=moment_sums(gamma, kbar))
+    gamma, p = eigenbasis(qn.a, eps)
+    return spectral_in_basis(gamma, p, qn.k, qn.c)

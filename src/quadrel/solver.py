@@ -18,9 +18,17 @@ from .doe import DoeBox, Scheme, bbd_points, ccd_points, doe_box, fit_quadratic,
 from .errors import DomainError, SolverFailureError
 from .form import fd_gradient, form_mpp
 from .montecarlo import mc_pf
-from .pf import pf_quadratic
-from .quadratic import CorrelationModel, QuadraticForm, standard_normal_map, to_standard_normal
-from .variables import Role, std_normal, std_normal_inv
+from .pf import pf_batch, pf_quadratic, require_finite
+from .quadratic import (
+    CorrelationModel,
+    QuadraticForm,
+    eigenbasis,
+    row_dot,
+    spectral_in_basis,
+    standard_normal_map,
+    to_standard_normal,
+)
+from .variables import Kind, Role, std_normal, std_normal_inv
 
 # Tolerated closed-form constraint violation at the reported optimum.
 FEASIBILITY_SLACK = 1e-9
@@ -249,24 +257,67 @@ def build_surrogates(problem: RbdoProblem, mu_det, beta_d_max: float,
     return surrogates, plan
 
 
+def _map_is_constant(problem: RbdoProblem) -> bool:
+    """Whether the standard-normal map S T D is the same at every design point.
+
+    It is when no std scales with the mean and every variable is normal or
+    deterministic: equivalent normalization then returns each variable's
+    own (mean, std), so only mu_eq = mu moves.
+    """
+    return not problem.std_mode.proportional and all(
+        v.is_deterministic or v.kind is Kind.NORMAL for v in problem.variables
+    )
+
+
 def probabilistic_constraint(surrogates: list, problem: RbdoProblem,
                              counters: EvalCounters = None):
     """Analytic constraints g*(mu_design) = pf_target - pf_closed_form(mu).
 
     Returns one function of the design means giving the vector over
-    ``problem.constraints``: the standard-normal map is built once per
-    design point and shared by every surrogate.  Evaluation never calls
-    the original black-box limit state.
+    ``problem.constraints``, evaluated for all surrogates in one batched
+    pass of the closed form.  When the standard-normal map does not
+    depend on the means (``_map_is_constant``), the map, A' = M'AM, its
+    eigenbasis and sign pattern are built here, once; each evaluation
+    then only moves the linear term and the constant.  Otherwise each
+    evaluation builds one map and runs one batched eigendecomposition.
+    Evaluation never calls the original black-box limit state.
     """
     targets = np.array([spec.pf_target for spec in problem.constraints])
+    a = np.stack([q.a for q in surrogates])
+    two_a = 2.0 * a
+    k = np.stack([q.k for q in surrogates])
+    c = np.array([q.c for q in surrogates])
+
+    def standard_forms(snmap):
+        """(eigenbasis of every A', stacked k', stacked c') under ``snmap``."""
+        forms = [to_standard_normal(q, snmap) for q in surrogates]
+        a_n = np.stack([f.a for f in forms])
+        require_finite(a_n)
+        return eigenbasis(a_n), np.stack([f.k for f in forms]), np.array([f.c for f in forms])
+
+    constant = _map_is_constant(problem)
+    if constant:
+        mu_full = problem.full_mean(problem.design_start())
+        snmap = standard_normal_map(problem.variables_at(mu_full), problem.corr, mu_full)
+        m_t = snmap[0].T
+        basis = standard_forms(snmap)[0]
 
     def gstar(mu_design):
         if counters is not None:
             counters.gstar_evals += len(surrogates)
         mu_full = problem.full_mean(mu_design)
-        snmap = standard_normal_map(problem.variables_at(mu_full), problem.corr, mu_full)
-        pf = [pf_quadratic(to_standard_normal(q, snmap))[0] for q in surrogates]
-        return targets - pf
+        if constant:
+            # Q_N(z) = Q(M z + mu): M'(k + 2A mu) and c + mu'A mu + k'mu,
+            # one BLAS call per row in the association to_standard_normal
+            # uses, so each row matches it bit for bit
+            k_n = np.matmul(m_t, (k + np.matmul(two_a, mu_full))[..., None])[..., 0]
+            c_n = c + row_dot(np.matmul(mu_full, a), mu_full) + row_dot(k, mu_full)
+            gamma, p = basis
+        else:
+            snmap = standard_normal_map(problem.variables_at(mu_full), problem.corr, mu_full)
+            (gamma, p), k_n, c_n = standard_forms(snmap)
+        require_finite(k_n, c_n)
+        return targets - pf_batch(spectral_in_basis(gamma, p, k_n, c_n), k_n).pf
 
     return gstar
 
@@ -349,7 +400,9 @@ def rssl_solve(problem: RbdoProblem, start=None, extra_starts: int = 4) -> RbdoR
                                  phase="single-loop", trace=trace)
 
     mu_opt = np.asarray(best.x, dtype=float)
-    pf_cf = (scales - gstar(mu_opt)).tolist()
+    mu_full = problem.full_mean(mu_opt)
+    snmap = standard_normal_map(problem.variables_at(mu_full), problem.corr, mu_full)
+    pf_cf = [pf_quadratic(to_standard_normal(q, snmap))[0] for q in surrogates]
     return RbdoResult(
         method="rssl", mu_opt=mu_opt, objective_value=float(best.fun),
         pf_closed_form=pf_cf, counters=counters, trace=trace, success=True,

@@ -9,8 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadrel.errors import DivisionGuardError, DomainError
-from quadrel.pf import Branch, beta_generalized, pf_quadratic, pf_same_sign
-from quadrel.quadratic import QuadraticForm, SpectralForm, moment_sums
+from quadrel.pf import Branch, beta_generalized, pf_batch, pf_quadratic, pf_same_sign
+from quadrel.quadratic import (
+    QuadraticForm,
+    SpectralForm,
+    eigenbasis,
+    moment_sums,
+    spectral_in_basis,
+)
 from quadrel.variables import std_normal
 
 # Frozen Monte Carlo oracles (2e7 standard-normal samples, seed 123,
@@ -129,6 +135,108 @@ class TestSameSignKernel:
         pf, diag = pf_quadratic(qn_of(np.diag([-0.04, -0.06]), [0.3, 0.1], 2.2))
         assert diag.branch is Branch.SAME_SIGN_ONE_MINUS_P
         assert 0.0 < pf < 1.0
+
+
+# Row kinds of a random stack: each exercises one branch or special case.
+FORM_KINDS = ["mixed", "convex", "concave", "linear", "constant", "never-fails",
+              "always-fails", "deterministic-row"]
+
+
+def random_form(kind, n, rng):
+    """One standard-normal quadratic of the given kind in n variables."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    d = rng.uniform(0.01, 0.3, size=n)
+    k = rng.normal(size=n)
+    c = rng.uniform(-3.0, 3.0)
+    if kind == "mixed":
+        d[rng.permutation(n)[: max(1, n // 2)]] *= -1.0
+        if n == 1:
+            kind = "linear"
+    if kind in ("concave", "always-fails"):
+        d = -d
+    if kind in ("never-fails", "always-fails"):
+        # Q_N = sum d_j y_j^2 + c keeps the sign of d when c does
+        k[:] = 0.0
+        c = abs(c) * np.sign(d[0])
+    a = (q * d) @ q.T
+    if kind in ("linear", "constant"):
+        a[:] = 0.0
+    if kind == "constant":
+        k[:] = 0.0
+    if kind == "deterministic-row":
+        # a variable with zero std: its row, column and k entry vanish
+        a = np.diag(d)
+        j = rng.integers(n)
+        a[j, :] = a[:, j] = 0.0
+        k[j] = 0.0
+    return QuadraticForm(a=a, k=k, c=c)
+
+
+class TestBatchedKernel:
+    """pf_batch on a stack equals pf_quadratic (a batch of one) row by row."""
+
+    @given(st.lists(st.sampled_from(FORM_KINDS), min_size=1, max_size=8),
+           st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_stack_equals_one_form_at_a_time(self, kinds, n, seed):
+        rng = np.random.default_rng(seed)
+        forms = [random_form(kind, n, rng) for kind in kinds]
+        a = np.stack([f.a for f in forms])
+        k = np.stack([f.k for f in forms])
+        c = np.array([f.c for f in forms])
+        gamma, p = eigenbasis(a)
+        singles, guarded = [], False
+        for f in forms:
+            try:
+                singles.append(pf_quadratic(f))
+            except DivisionGuardError:
+                guarded = True
+        if guarded:
+            with pytest.raises(DivisionGuardError):
+                pf_batch(spectral_in_basis(gamma, p, k, c), k)
+            return
+        batch = pf_batch(spectral_in_basis(gamma, p, k, c), k)
+        for i, (pf, diag) in enumerate(singles):
+            assert batch.pf[i] == pf
+            assert batch.diagnostics(i) == diag
+
+    @given(st.lists(st.sampled_from(["mixed", "convex", "tiny-mixed", "tiny-convex"]),
+                    min_size=1, max_size=6),
+           st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=100, deadline=None)
+    def test_guard_in_any_row_raises(self, kinds, seed):
+        # eigenvalues so small that m2 underflows to 0 hit the division
+        # guard of their branch; the stack raises whenever one row does
+        rng = np.random.default_rng(seed)
+        rows = []
+        for kind in kinds:
+            scale = 1e-200 if kind.startswith("tiny") else 1.0
+            gamma = rng.uniform(0.01, 0.3, size=3) * scale
+            if kind.endswith("mixed"):
+                gamma[0] = -gamma[0]
+            kbar = rng.normal(size=3) * scale
+            rows.append((gamma, kbar, rng.uniform(-3.0, 3.0)))
+
+        def form(rows):
+            gamma = np.array([r[0] for r in rows])
+            kbar = np.array([r[1] for r in rows])
+            return (SpectralForm(gamma=gamma, kbar=kbar, cprime=np.array([r[2] for r in rows]),
+                                 m=moment_sums(gamma, kbar)), kbar)
+
+        singles, guarded = [], False
+        for row in rows:
+            try:
+                singles.append(pf_batch(*form([row])))
+            except DivisionGuardError:
+                guarded = True
+        assert guarded == any(kind.startswith("tiny") for kind in kinds)
+        if guarded:
+            with pytest.raises(DivisionGuardError):
+                pf_batch(*form(rows))
+            return
+        batch = pf_batch(*form(rows))
+        for i, single in enumerate(singles):
+            assert batch.diagnostics(i) == single.diagnostics(0)
 
 
 class TestBetaGeneralized:

@@ -10,7 +10,13 @@ from scipy.optimize import brentq
 import quadrel.solver
 from quadrel.errors import DomainError
 from quadrel.pf import pf_quadratic
-from quadrel.problems import bench_3g, builtin_problems, demo_ellipse, demo_ellipse_varstd
+from quadrel.problems import (
+    bench_3g,
+    bench_quad4,
+    builtin_problems,
+    demo_ellipse,
+    demo_ellipse_varstd,
+)
 from quadrel.solver import (
     ConstraintSpec,
     EvalCounters,
@@ -212,6 +218,41 @@ class TestProbabilisticConstraint:
         assert counters.gstar_evals == 10
 
 
+    @pytest.mark.parametrize("name,constant", [
+        ("crashworthiness", True), ("demo-ellipse-det", True),
+        ("demo-ellipse-lognormal", False), ("demo-ellipse-varstd", False),
+    ])
+    def test_constant_map_built_once_per_solve(self, name, constant, monkeypatch):
+        # normal variables with constant std give one map and one
+        # eigendecomposition per constraint for the whole solve; lognormal
+        # or proportional-std variables need a fresh map per design point
+        problem = builtin(name)
+        maps, matrices = [], []
+
+        def counted_map(*args):
+            maps.append(1)
+            return standard_normal_map(*args)
+
+        eigh = np.linalg.eigh
+
+        def counted_eigh(a):
+            matrices.append(int(np.prod(np.shape(a)[:-2])))
+            return eigh(a)
+
+        monkeypatch.setattr(quadrel.solver, "standard_normal_map", counted_map)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        gstar = probabilistic_constraint([s.quadratic for s in problem.constraints], problem)
+        lo, hi = bounds_of(problem)
+        calls = 4
+        for frac in np.linspace(0.1, 0.9, calls):
+            gstar(lo + frac * (hi - lo))
+        n_con = len(problem.constraints)
+        if constant:
+            assert len(maps) == 1 and sum(matrices) == n_con
+        else:
+            assert len(maps) == calls and matrices == [n_con] * calls
+
+
 class TestRsslSolve:
     def test_ellipse_optimum_at_bound(self):
         # minimizing mu itself runs to the lower bound, which is feasible
@@ -258,6 +299,24 @@ class TestRsslSolve:
         lo, hi = bounds_of(problem)
         assert result.success
         assert np.all(result.mu_opt >= lo) and np.all(result.mu_opt <= hi)
+        for pf, spec in zip(result.pf_closed_form, problem.constraints):
+            assert pf <= spec.pf_target + 1e-9
+
+    @pytest.mark.parametrize("build,start,objective", [
+        (bench_3g, [6.8, 2.1], 6.7168),                              # acceptance 04
+        (bench_3g, [3.1, 8.0], 6.7168),
+        (bench_3g, [10.0, 1.4], 6.7168),
+        (lambda: bench_quad4(beta_d=3.0), [1.4, -2.3, -1.5, 2.4], 0.8665),   # acceptance 06
+        (lambda: bench_quad4(beta_d=3.0), [4.0, -2.9, -3.4, -2.6], 0.8665),
+        (lambda: bench_quad4(beta_d=3.0), [-3.2, 0.5, -4.0, -0.3], 0.8665),
+    ])
+    def test_off_centre_starts(self, build, start, objective):
+        # deterministic-phase starts spread over the full design box reach
+        # the same single-loop optimum as design_start()
+        problem = build()
+        result = rssl_solve(problem, start=np.array(start))
+        assert result.success
+        assert result.objective_value == pytest.approx(objective, abs=0.02)
         for pf, spec in zip(result.pf_closed_form, problem.constraints):
             assert pf <= spec.pf_target + 1e-9
 
