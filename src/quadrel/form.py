@@ -122,6 +122,30 @@ def form_mpp(g, variables: list[RandomVariable], corr: CorrelationModel | None,
     return beta, z, mpp_z
 
 
+def beta_sensitivity(g, beta: float, mpp_zN, variables: list[RandomVariable],
+                     corr: CorrelationModel | None, moved: list, steps) -> np.ndarray:
+    """Gradient of beta_HL over parameters theta of the transform, from a known MPP.
+
+    Hohenbichler & Rackwitz (1986): with u* the MPP and grad_u G the limit
+    state's gradient there in standard-normal space,
+    d beta / d theta_j = -(u* . grad_u G) / (beta ||grad_u G||^2) dG/dtheta_j,
+    and the signed form (dG/dtheta_j) / ||grad_u G|| at beta = 0.
+    ``variables`` are the variables at theta and ``moved`` the lists at
+    theta + h_j e_j and theta - h_j e_j for j = 0, 1, ... in turn, with
+    h_j = ``steps[j]``.  u* stays fixed while the transform moves with
+    theta, so dG/dtheta comes from one call of ``g`` on the moved images
+    of u*, whatever the marginals, correlation or roles.
+    """
+    u = np.asarray(mpp_zN, dtype=float)
+    grad = fd_gradient(_g_in_standard_space(g, variables, corr), u)
+    images = np.vstack([transform_samples(u[None, :], v, corr) for v in moved])
+    g_moved = np.asarray(g(images), dtype=float)
+    dg = (g_moved[0::2] - g_moved[1::2]) / (2.0 * np.asarray(steps, dtype=float))
+    grad_sq = grad @ grad
+    scale = -(u @ grad) / (beta * grad_sq) if beta > 0.0 else 1.0 / np.sqrt(grad_sq)
+    return scale * dg
+
+
 def _tangent_basis(alpha: np.ndarray) -> np.ndarray:
     """Orthonormal matrix whose last column is ``alpha`` (Householder)."""
     n = alpha.size

@@ -8,6 +8,7 @@ limit states again.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -15,8 +16,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .doe import DoeBox, Scheme, bbd_points, ccd_points, doe_box, fit_quadratic, inscribed_ccd_2
-from .errors import DomainError, SolverFailureError
-from .form import fd_gradient, form_mpp
+from .errors import ConvergenceError, DomainError, SolverFailureError
+from .form import beta_sensitivity, fd_gradient, form_mpp
 from .montecarlo import mc_pf
 from .pf import pf_batch, pf_quadratic, require_finite
 from .quadratic import (
@@ -410,45 +411,116 @@ def rssl_solve(problem: RbdoProblem, start=None, extra_starts: int = 4) -> RbdoR
     )
 
 
+def _cannot_fail(spec: ConstraintSpec, variables: list, corr, mu_full) -> bool:
+    """Whether Prob[g(z) < 0] is provably 0 at the means ``mu_full``.
+
+    Only for an explicit quadratic in normal or deterministic variables,
+    where the standard-normal form is exact: its failure set is empty when
+    the closed form takes its exact zero (Q_N can never drop below 0).
+    """
+    if spec.quadratic is None or not all(
+            v.is_deterministic or v.kind is Kind.NORMAL for v in variables):
+        return False
+    qn = to_standard_normal(spec.quadratic, standard_normal_map(variables, corr, mu_full))
+    return pf_quadratic(qn)[1].kappa == -math.inf
+
+
+class FormMargins:
+    """FORM constraints beta_HL_i(mu) - beta_d_i over ``problem.constraints``
+    as a function of the design means, and their Jacobian.
+
+    Each new design point runs one MPP search per constraint, cached by
+    the bytes of mu.  ``jacobian`` takes d beta / d mu from the cached MPPs
+    (``form.beta_sensitivity``), so it starts no search at a point the
+    margins were evaluated at.  A constraint whose failure set is provably
+    empty there (``_cannot_fail``) has beta = +inf and a zero row.  Every
+    limit-state row evaluated counts in ``counters.deterministic_g_evals``.
+    """
+
+    def __init__(self, problem: RbdoProblem, counters: EvalCounters):
+        self.problem = problem
+        self.targets = np.array([spec.beta_target for spec in problem.constraints])
+        self._cache = {}
+
+        def counted(spec):
+            def g(z):
+                counters.deterministic_g_evals += np.atleast_2d(z).shape[0]
+                return spec.evaluate(z)
+            return g
+
+        self._limit_states = [counted(spec) for spec in problem.constraints]
+
+    def _mpps(self, mu):
+        """(margins, [(beta, u*) or None per constraint]) at ``mu``."""
+        mu = np.asarray(mu, dtype=float)
+        key = mu.tobytes()
+        if key not in self._cache:
+            problem = self.problem
+            mu_full = problem.full_mean(mu)
+            vars_at = problem.variables_at(mu_full)
+            mpps = []
+            for spec, g in zip(problem.constraints, self._limit_states):
+                try:
+                    mpps.append(form_mpp(g, vars_at, problem.corr)[:2])
+                except ConvergenceError:
+                    if not _cannot_fail(spec, vars_at, problem.corr, mu_full):
+                        raise
+                    mpps.append(None)
+            betas = np.array([math.inf if m is None else m[0] for m in mpps])
+            self._cache[key] = (betas - self.targets, mpps)
+        return self._cache[key]
+
+    def __call__(self, mu) -> np.ndarray:
+        return self._mpps(mu)[0]
+
+    def cached(self, mu):
+        """The margins at ``mu`` if they were evaluated there, else None."""
+        entry = self._cache.get(np.asarray(mu, dtype=float).tobytes())
+        return None if entry is None else entry[0]
+
+    def jacobian(self, mu) -> np.ndarray:
+        """(n_con, n_design) d beta_i / d mu_j at the MPPs found at ``mu``."""
+        mu = np.asarray(mu, dtype=float)
+        _, mpps = self._mpps(mu)
+        problem = self.problem
+        # fd_gradient's default step; u* is fixed, so no solver noise enters
+        steps = 1e-6 * np.maximum(1.0, np.abs(mu))
+        moved = []
+        for j, h in enumerate(steps):
+            for sign in (1.0, -1.0):
+                shifted = mu.copy()
+                shifted[j] += sign * h
+                moved.append(problem.variables_at(problem.full_mean(shifted)))
+        vars_at = problem.variables_at(problem.full_mean(mu))
+        return np.array([
+            np.zeros(mu.size) if m is None
+            else beta_sensitivity(g, m[0], m[1], vars_at, problem.corr, moved, steps)
+            for g, m in zip(self._limit_states, mpps)
+        ])
+
+
 def rbdo_double_loop_form(problem: RbdoProblem, start=None) -> RbdoResult:
     """FORM-based double loop: constraints beta_HL_i(mu) >= beta_d_i.
 
-    Baseline method; every constraint evaluation runs an MPP search.
+    Baseline method; every new design point runs one MPP search per
+    constraint, and the constraint Jacobian comes from those MPPs
+    (``FormMargins``).
     """
     counters = EvalCounters()
-    beta_targets = np.array([spec.beta_target for spec in problem.constraints])
-    cache = {}
-
-    def counted(spec):
-        def g(z):
-            counters.deterministic_g_evals += np.atleast_2d(z).shape[0]
-            return spec.evaluate(z)
-        return g
-
-    limit_states = [counted(spec) for spec in problem.constraints]
-
-    def beta_margins(mu):
-        mu = np.asarray(mu, dtype=float)
-        key = mu.tobytes()
-        if key not in cache:
-            mu_full = problem.full_mean(mu)
-            vars_at = problem.variables_at(mu_full)
-            # the inner MPP search must be a deterministic function of mu,
-            # otherwise the outer finite differences see solver noise
-            betas = [form_mpp(g, vars_at, problem.corr)[0] for g in limit_states]
-            cache[key] = betas - beta_targets
-        return cache[key]
-
+    margins = FormMargins(problem, counters)
     objective = _counted_objective(problem, counters)
     x0 = np.asarray(start, dtype=float) if start is not None else problem.design_start()
     trace = []
 
     def record(xk):
-        trace.append((len(trace), np.array(xk), float(objective(xk)), np.nan))
+        done = margins.cached(xk)
+        trace.append((len(trace), np.array(xk), float(objective(xk)),
+                      np.nan if done is None else float(done.min())))
 
-    # central differences with a step far above the inner solver tolerance
-    con = {"type": "ineq", "fun": beta_margins,
-           "jac": partial(fd_gradient, beta_margins, rel_step=1e-5)}
+    # beta = +inf reaches SLSQP as a finite margin: with its zero Jacobian
+    # row any positive value is inactive, while +inf makes the QP fail
+    con = {"type": "ineq", "fun": lambda mu: np.nan_to_num(margins(mu), posinf=1.0),
+           "jac": margins.jacobian}
     res = minimize(objective, x0, jac=partial(fd_gradient, objective),
                    method="SLSQP", bounds=problem.bounds,
                    constraints=[con], callback=record,
@@ -458,7 +530,7 @@ def rbdo_double_loop_form(problem: RbdoProblem, start=None) -> RbdoResult:
                                  phase="double-loop", trace=trace)
 
     mu_opt = np.asarray(res.x, dtype=float)
-    pf_cf = [float(std_normal(-beta)[1]) for beta in beta_margins(mu_opt) + beta_targets]
+    pf_cf = [float(std_normal(-beta)[1]) for beta in margins(mu_opt) + margins.targets]
     return RbdoResult(
         method="form-double-loop", mu_opt=mu_opt, objective_value=float(res.fun),
         pf_closed_form=pf_cf, counters=counters, trace=trace, success=True,

@@ -1,10 +1,11 @@
-"""Most-probable-point search and the Breitung curvature correction."""
+"""Most-probable-point search, its sensitivities and the Breitung curvature
+correction."""
 
 import numpy as np
 import pytest
 
 from quadrel.errors import BreitungSingularityError, DomainError
-from quadrel.form import fd_gradient, form_mpp, sorm_breitung
+from quadrel.form import beta_sensitivity, fd_gradient, form_mpp, sorm_breitung
 from quadrel.montecarlo import mc_pf
 from quadrel.quadratic import QuadraticForm, correlation_decompose
 from quadrel.variables import Kind, RandomVariable, Role, std_normal, variable_pdf_cdf
@@ -97,6 +98,45 @@ class TestFormMpp:
 
         beta_hl, _, _ = form_mpp(g, [snv("z1"), snv("z2")], corr)
         assert beta_hl == pytest.approx(b / np.sqrt(2.0 * (1.0 - rho)), rel=1e-6)
+
+
+class TestBetaSensitivity:
+    # g = a.x - b over independent normals x with means theta: beta_HL is
+    # |a.theta - b| / s with s = ||a sigma||, so d beta / d theta = +/- a / s,
+    # alpha_j / sigma_j up to the sign of g at the means
+    a = np.array([1.5, -0.7])
+    sigma = np.array([0.3, 0.5])
+
+    def variables(self, theta):
+        return [RandomVariable(f"x{j}", Kind.NORMAL, Role.DESIGN_VARIABLE, t, s, -10.0, 10.0)
+                for j, (t, s) in enumerate(zip(theta, self.sigma))]
+
+    def sensitivity(self, theta, beta, u):
+        g = lambda z: z @ self.a - 1.0
+        steps = 1e-6 * np.maximum(1.0, np.abs(theta))
+        moved = []
+        for j, h in enumerate(steps):
+            for sign in (1.0, -1.0):
+                shifted = theta.copy()
+                shifted[j] += sign * h
+                moved.append(self.variables(shifted))
+        return beta_sensitivity(g, beta, u, self.variables(theta), None, moved, steps)
+
+    @pytest.mark.parametrize("theta,sign", [([2.0, 1.0], 1.0), ([-1.0, 1.0], -1.0)])
+    def test_linear_state_is_alpha_over_sigma(self, theta, sign):
+        theta = np.array(theta)
+        g = lambda z: z @ self.a - 1.0
+        beta, u, _ = form_mpp(g, self.variables(theta), None)
+        s = np.linalg.norm(self.a * self.sigma)
+        np.testing.assert_allclose(self.sensitivity(theta, beta, u), sign * self.a / s,
+                                   rtol=1e-6)
+
+    def test_signed_form_at_zero_beta(self):
+        # the means lie on g = 0: u* = 0 and beta grows along +a
+        theta = np.array([1.0, 0.5 / 0.7])
+        s = np.linalg.norm(self.a * self.sigma)
+        np.testing.assert_allclose(self.sensitivity(theta, 0.0, np.zeros(2)), self.a / s,
+                                   rtol=1e-6)
 
 
 class TestSormBreitung:

@@ -1,6 +1,8 @@
-"""Single-loop solver plumbing: deterministic phase, surrogate building,
-analytic probabilistic constraints, counters and the audit helpers."""
+"""Solver plumbing: deterministic phase, surrogate building, analytic
+probabilistic constraints, counters, the FORM double loop and the audit
+helpers."""
 
+import math
 import os
 
 import numpy as np
@@ -8,23 +10,28 @@ import pytest
 from scipy.optimize import brentq
 
 import quadrel.solver
-from quadrel.errors import DomainError
+from quadrel.errors import ConvergenceError, DomainError
+from quadrel.form import fd_gradient
 from quadrel.pf import pf_quadratic
 from quadrel.problems import (
     bench_3g,
     bench_quad4,
     builtin_problems,
     demo_ellipse,
+    demo_ellipse_det,
+    demo_ellipse_lognormal,
     demo_ellipse_varstd,
 )
 from quadrel.solver import (
     ConstraintSpec,
     EvalCounters,
+    FormMargins,
     RbdoProblem,
     StdMode,
     build_surrogates,
     mc_audit,
     probabilistic_constraint,
+    rbdo_double_loop_form,
     rssl_solve,
     solve_deterministic,
 )
@@ -324,6 +331,104 @@ class TestRsslSolve:
         result = rssl_solve(demo_ellipse(beta_d=3.0))
         pf = result.pf_closed_form[0]
         assert 0.0 <= pf <= demo_ellipse().constraints[0].pf_target + 1e-9
+
+
+def counted_mpp_searches(monkeypatch):
+    """Patch the solver's MPP search to count its calls; returns the count list."""
+    calls = []
+    search = quadrel.solver.form_mpp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(quadrel.solver, "form_mpp", counted)
+    return calls
+
+
+class TestFormDoubleLoop:
+    @pytest.mark.parametrize("build,mu", [
+        (bench_3g, [3.4, 3.3]),
+        (bench_3g, [4.0, 3.0]),
+        (lambda: bench_quad4(beta_d=3.0), [-0.4, -0.5, -0.5, -0.5]),
+        (lambda: bench_quad4(beta_d=3.0), [0.2, -0.1, 0.3, 0.0]),
+        (demo_ellipse_lognormal, [2.0]),      # lognormal and correlated
+        (demo_ellipse_lognormal, [5.0]),
+        (demo_ellipse_det, [2.4, 0.5]),       # deterministic design variable
+        (demo_ellipse_det, [3.0, 2.0]),
+        (demo_ellipse_varstd, [2.0]),         # proportional std
+        (demo_ellipse_varstd, [5.0]),
+    ])
+    def test_jacobian_matches_outer_differences(self, build, mu):
+        margins = FormMargins(build(), EvalCounters())
+        mu = np.array(mu)
+        reference = fd_gradient(margins, mu, rel_step=1e-5)
+        np.testing.assert_allclose(margins.jacobian(mu), reference, rtol=1e-4)
+
+    def test_jacobian_at_cached_point_starts_no_search(self, monkeypatch):
+        calls = counted_mpp_searches(monkeypatch)
+        counters = EvalCounters()
+        problem = bench_3g()
+        margins = FormMargins(problem, counters)
+        mu = np.array([3.4, 3.3])
+        margins(mu)
+        searches, evals = len(calls), counters.deterministic_g_evals
+        assert searches == len(problem.constraints)
+        jac = margins.jacobian(mu)
+        assert len(calls) == searches
+        # per constraint: the gradient at u* (2 rows per variable) and the
+        # batch of moved images of u* (2 rows per design variable)
+        assert counters.deterministic_g_evals - evals == len(problem.constraints) * 2 * (
+            problem.n_z + jac.shape[1])
+
+    @pytest.mark.parametrize("name,build,objective,parent_evals", [
+        ("bench-3g", bench_3g, 6.725659, 6210),
+        ("bench-quad4", bench_quad4, 0.0154656, 11989),
+        ("bench-quad4 beta=3", lambda: bench_quad4(beta_d=3.0), 0.910632, 25607),
+        ("demo-ellipse", demo_ellipse, 0.0, 2751),
+        ("demo-ellipse-lognormal", demo_ellipse_lognormal, 0.1, 3566),
+        ("demo-ellipse-det", demo_ellipse_det, 2.436275, 2680),
+        # lower-bound corner; at most a tenth of the outer-difference loop's calls
+        ("crashworthiness", lambda: builtin("crashworthiness"), 3.8675, 51386),
+    ])
+    def test_optimum_with_fewer_limit_state_calls(self, name, build, objective, parent_evals):
+        problem = build()
+        result = rbdo_double_loop_form(problem)
+        assert result.success
+        assert result.objective_value == pytest.approx(objective, abs=1e-4)
+        assert result.counters.deterministic_g_evals < parent_evals
+        for pf, spec in zip(result.pf_closed_form, problem.constraints):
+            assert pf <= spec.pf_target + 1e-9
+
+    def test_limit_state_that_cannot_fail(self):
+        # at mu = 0 x1's std is 0 and the ellipse is positive for every p1
+        problem = demo_ellipse_varstd()
+        margins = FormMargins(problem, EvalCounters())
+        assert margins(np.array([0.0]))[0] == math.inf
+        assert np.array_equal(margins.jacobian(np.array([0.0])), [[0.0]])
+        assert math.isfinite(margins(np.array([2.0]))[0])
+        result = rbdo_double_loop_form(problem)
+        assert result.success
+        assert result.mu_opt[0] == 0.0
+        assert result.pf_closed_form == [0.0]
+
+    def test_black_box_that_cannot_fail_still_raises(self):
+        # the same limit state as a black box gives no proof that it cannot fail
+        problem = demo_ellipse_varstd()
+        q = problem.constraints[0].quadratic
+        problem.constraints = [ConstraintSpec(name="g", g=q, beta_d=3.0)]
+        with pytest.raises(ConvergenceError):
+            FormMargins(problem, EvalCounters())(np.array([0.0]))
+
+    def test_trace_records_cached_min_margin(self):
+        # every iterate SLSQP reports was evaluated, so each trace row reads
+        # the cache; the MPP search is a deterministic function of mu
+        problem = bench_3g()
+        result = rbdo_double_loop_form(problem)
+        assert result.trace
+        fresh = FormMargins(problem, EvalCounters())
+        for _, mu, _, margin in result.trace:
+            assert margin == fresh(mu).min()
 
 
 class TestMcAudit:
