@@ -21,6 +21,9 @@ from .variables import RandomVariable, Role, equivalent_normal
 C_R_DESIGN = 1.4
 C_R_PARAMETER = 1.0
 
+# Relative slack of DoeBox.contains on the box halfwidths.
+_CONTAINS_RTOL = 1e-9
+
 # Fraction f of the 2^(n-f) factorial part of a central composite design.
 _CCD_FRACTION = {2: 0, 3: 0, 4: 0, 5: 1, 6: 1, 7: 1, 8: 2, 9: 2, 10: 3, 11: 4, 12: 4}
 
@@ -61,16 +64,15 @@ class DoeBox:
     def dim(self) -> int:
         return self.center.size
 
-    def contains(self, points: np.ndarray, rtol: float = 1e-9) -> bool:
+    def contains(self, points: np.ndarray) -> bool:
         dev = np.abs(points - self.center)
-        return bool(np.all(dev <= self.halfwidths * (1.0 + rtol) + 1e-12))
+        return bool(np.all(dev <= self.halfwidths * (1.0 + _CONTAINS_RTOL) + 1e-12))
 
 
 @dataclass(frozen=True)
 class DoePlan:
     scheme: Scheme
     points: np.ndarray  # (m, n), first row is the box center
-    f: int | None = None
 
     @property
     def size(self) -> int:
@@ -160,15 +162,14 @@ def ccd_points(n: int, box: DoeBox) -> DoePlan:
         raise UnsupportedDesignError(f"CCD supported for 2 <= n <= 12, got {n}")
     if box.dim != n:
         raise DomainError(f"box dim {box.dim} != n = {n}")
-    f = _CCD_FRACTION[n]
     rows = [np.zeros(n)]
     for i in range(n):
         for s in (-1.0, 1.0):
             row = np.zeros(n)
             row[i] = s
             rows.append(row)
-    coded = np.vstack([np.array(rows), _fractional_factorial(n, f)])
-    return DoePlan(scheme=Scheme.CCD, points=_scale(coded, box), f=f)
+    coded = np.vstack([np.array(rows), _fractional_factorial(n, _CCD_FRACTION[n])])
+    return DoePlan(scheme=Scheme.CCD, points=_scale(coded, box))
 
 
 def inscribed_ccd_2(box: DoeBox) -> DoePlan:
@@ -185,7 +186,7 @@ def inscribed_ccd_2(box: DoeBox) -> DoePlan:
         [-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0],
         [-s, -s], [-s, s], [s, -s], [s, s],
     ])
-    return DoePlan(scheme=Scheme.INSCRIBED_CCD2, points=_scale(coded, box), f=0)
+    return DoePlan(scheme=Scheme.INSCRIBED_CCD2, points=_scale(coded, box))
 
 
 def n_quadratic_coefficients(n: int) -> int:

@@ -15,6 +15,11 @@ from .montecarlo import transform_samples
 from .quadratic import CorrelationModel, QuadraticForm, identity_correlation
 from .variables import RandomVariable, std_normal
 
+# HLRF convergence: |g| and the MPP's tangential part (relative), and the step limit.
+MPP_TOL = 1e-8
+MPP_OPT_TOL = 1e-6
+MPP_MAX_ITER = 200
+
 
 def _g_in_standard_space(g, variables, corr):
     """Wrap g(z) as g_N(z_N) through the exact marginal transform."""
@@ -43,9 +48,7 @@ def fd_gradient(f, x, rel_step=1e-6):
     return jac.T
 
 
-def form_mpp(g, variables: list[RandomVariable], corr: CorrelationModel | None,
-             start=None, tol: float = 1e-8, opt_tol: float = 1e-6,
-             max_iter: int = 200):
+def form_mpp(g, variables: list[RandomVariable], corr: CorrelationModel | None, start=None):
     """Find the most probable point of Prob[g(z) < 0].
 
     Returns (beta_hl, mpp_zN, mpp_z).  The search runs a damped HLRF
@@ -68,11 +71,11 @@ def form_mpp(g, variables: list[RandomVariable], corr: CorrelationModel | None,
             return False
         u = grad / gnorm
         tangential = z - (z @ u) * u
-        return (abs(gval) <= tol * scale
-                and np.linalg.norm(tangential) <= opt_tol * max(1.0, np.linalg.norm(z)))
+        return (abs(gval) <= MPP_TOL * scale
+                and np.linalg.norm(tangential) <= MPP_OPT_TOL * max(1.0, np.linalg.norm(z)))
 
     gval = g_n(z)
-    for it in range(max_iter):
+    for it in range(MPP_MAX_ITER):
         grad = fd_gradient(g_n, z)
         gnorm = np.linalg.norm(grad)
         trace.append((it, float(np.linalg.norm(z)), float(gval)))

@@ -240,11 +240,17 @@ def build_problem(doc: dict) -> RbdoProblem:
     )
 
 
+def _json_beta(pf: float):
+    """beta = -Phi^{-1}(pf), or None (JSON null) where pf = 0 or 1 makes it infinite."""
+    beta = beta_generalized(pf)
+    return beta if math.isfinite(beta) else None
+
+
 def mc_estimate_to_dict(est: McEstimate) -> dict:
     return {
         "pf": est.pf_hat,
         "ci95_halfwidth": est.ci95_halfwidth,
-        "beta_mc": beta_generalized(est.pf_hat),
+        "beta_mc": _json_beta(est.pf_hat),
         "n": est.n,
         "seed": est.seed,
     }
@@ -259,7 +265,7 @@ def result_to_dict(res: RbdoResult, wall_time: float = None) -> dict:
         "mu_opt": np.asarray(res.mu_opt, dtype=float).tolist(),
         "objective": res.objective_value,
         "pf_closed_form": [float(p) for p in res.pf_closed_form],
-        "beta_closed_form": [beta_generalized(float(p)) for p in res.pf_closed_form],
+        "beta_closed_form": [_json_beta(float(p)) for p in res.pf_closed_form],
         "counters": {
             "deterministic_g_evals": res.counters.deterministic_g_evals,
             "gstar_evals": res.counters.gstar_evals,
@@ -277,9 +283,10 @@ def result_to_dict(res: RbdoResult, wall_time: float = None) -> dict:
 
 
 def save_result(res: RbdoResult, path, wall_time: float = None):
+    # RFC 8259 has no Infinity or NaN: a non-finite number raises before the file opens
+    text = json.dumps(result_to_dict(res, wall_time=wall_time), indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(result_to_dict(res, wall_time=wall_time), fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def trace_to_csv(trace, path):

@@ -177,7 +177,7 @@ class SpectralForm:
 
     gamma: np.ndarray
     kbar: np.ndarray
-    cprime: float
+    cprime: np.ndarray
     m: tuple
 
     @property

@@ -275,13 +275,11 @@ def probabilistic_constraint(surrogates: list, problem: RbdoProblem,
     """Analytic constraints g*(mu_design) = pf_target - pf_closed_form(mu).
 
     Returns one function of the design means giving the vector over
-    ``problem.constraints``, evaluated for all surrogates in one batched
-    pass of the closed form.  When the standard-normal map does not
-    depend on the means (``_map_is_constant``), the map, A' = M'AM, its
-    eigenbasis and sign pattern are built here, once; each evaluation
-    then only moves the linear term and the constant.  Otherwise each
-    evaluation builds one map and runs one batched eigendecomposition.
-    Evaluation never calls the original black-box limit state.
+    ``problem.constraints`` in one batched pass of the closed form.  One
+    stacked transform through the standard-normal map (M, mu_eq) gives
+    every A' = M'AM with its eigenbasis, then k' and c'.  A fixed map
+    (``_map_is_constant``) is built once, here; otherwise each evaluation
+    builds it at its design point.  No evaluation calls a black-box limit state.
     """
     targets = np.array([spec.pf_target for spec in problem.constraints])
     a = np.stack([q.a for q in surrogates])
@@ -289,45 +287,36 @@ def probabilistic_constraint(surrogates: list, problem: RbdoProblem,
     k = np.stack([q.k for q in surrogates])
     c = np.array([q.c for q in surrogates])
 
-    def standard_forms(snmap):
-        """(eigenbasis of every A', stacked k', stacked c') under ``snmap``."""
-        forms = [to_standard_normal(q, snmap) for q in surrogates]
-        a_n = np.stack([f.a for f in forms])
+    def transform(mu_full):
+        """(M', eigenbasis of every A', mu_eq) under the map at ``mu_full``."""
+        m, mu_eq = standard_normal_map(problem.variables_at(mu_full), problem.corr, mu_full)
+        a_n = np.matmul(np.matmul(m.T, a), m)
+        a_n = 0.5 * (a_n + np.swapaxes(a_n, -1, -2))  # as QuadraticForm symmetrizes A
         require_finite(a_n)
-        return eigenbasis(a_n), np.stack([f.k for f in forms]), np.array([f.c for f in forms])
+        return m.T, eigenbasis(a_n), mu_eq
 
-    constant = _map_is_constant(problem)
-    if constant:
-        mu_full = problem.full_mean(problem.design_start())
-        snmap = standard_normal_map(problem.variables_at(mu_full), problem.corr, mu_full)
-        m_t = snmap[0].T
-        basis = standard_forms(snmap)[0]
+    fixed = None
+    if _map_is_constant(problem):  # every variable keeps its own mean: mu_eq = mu
+        fixed = transform(problem.full_mean(problem.design_start()))[:2]
 
     def gstar(mu_design):
         if counters is not None:
             counters.gstar_evals += len(surrogates)
         mu_full = problem.full_mean(mu_design)
-        if constant:
-            # Q_N(z) = Q(M z + mu): M'(k + 2A mu) and c + mu'A mu + k'mu,
-            # one BLAS call per row in the association to_standard_normal
-            # uses, so each row matches it bit for bit
-            k_n = np.matmul(m_t, (k + np.matmul(two_a, mu_full))[..., None])[..., 0]
-            c_n = c + row_dot(np.matmul(mu_full, a), mu_full) + row_dot(k, mu_full)
-            gamma, p = basis
-        else:
-            snmap = standard_normal_map(problem.variables_at(mu_full), problem.corr, mu_full)
-            (gamma, p), k_n, c_n = standard_forms(snmap)
+        m_t, (gamma, p), mu_eq = transform(mu_full) if fixed is None else (*fixed, mu_full)
+        # Q_N(z) = Q(M z + mu_eq) row by row as to_standard_normal associates it, bit for bit
+        k_n = np.matmul(m_t, (k + np.matmul(two_a, mu_eq))[..., None])[..., 0]
+        c_n = c + row_dot(np.matmul(mu_eq, a), mu_eq) + row_dot(k, mu_eq)
         require_finite(k_n, c_n)
         return targets - pf_batch(spectral_in_basis(gamma, p, k_n, c_n), k_n).pf
 
     return gstar
 
 
-def _constrained_minimize(objective, gstar, scales, x0, bounds, trace,
-                          shift=0.0, maxiter=400):
-    """One SLSQP pass over the scaled inequality constraints g*/scale >= shift."""
+def _constrained_minimize(objective, gstar, scales, x0, bounds, trace):
+    """One SLSQP pass over the scaled inequality constraints g*/scale >= 0."""
     def fun(mu):
-        return gstar(mu) / scales - shift
+        return gstar(mu) / scales
 
     def record(xk):
         trace.append((len(trace), np.array(xk), float(objective(xk)), float(gstar(xk).min())))
@@ -335,7 +324,7 @@ def _constrained_minimize(objective, gstar, scales, x0, bounds, trace,
     con = {"type": "ineq", "fun": fun, "jac": partial(fd_gradient, fun)}
     return minimize(objective, x0, jac=partial(fd_gradient, objective), method="SLSQP",
                     bounds=bounds, constraints=[con], callback=record,
-                    options={"maxiter": maxiter, "ftol": 1e-12})
+                    options={"maxiter": 400, "ftol": 1e-12})
 
 
 def rssl_solve(problem: RbdoProblem, start=None, extra_starts: int = 4) -> RbdoResult:
@@ -344,7 +333,8 @@ def rssl_solve(problem: RbdoProblem, start=None, extra_starts: int = 4) -> RbdoR
     Deterministic solve, one DOE batch, quadratic fits, then a single
     constrained optimization over analytic probabilistic constraints.
     ``extra_starts`` deterministic perturbations of the deterministic
-    solution guard against poor local minima of the single loop.
+    solution guard against poor local minima of the single loop; each
+    start runs one SLSQP pass.
     """
     counters = EvalCounters()
     mu_det = solve_deterministic(problem, start=start, counters=counters)
@@ -360,35 +350,18 @@ def rssl_solve(problem: RbdoProblem, start=None, extra_starts: int = 4) -> RbdoR
     objective = _counted_objective(problem, counters)
 
     trace = []
-    lo = np.array([b[0] for b in problem.bounds])
-    hi = np.array([b[1] for b in problem.bounds])
+    lo, hi = np.array(problem.bounds).T
     starts = [np.asarray(mu_det, dtype=float)]
     rng = np.random.default_rng(0)
     for _ in range(extra_starts):
-        jitter = rng.uniform(-0.25, 0.25, size=mu_det.size) * np.where(
-            np.isfinite(hi - lo), hi - lo, 1.0
-        )
+        jitter = rng.uniform(-0.25, 0.25, size=mu_det.size) * (hi - lo)
         starts.append(np.clip(mu_det + jitter, lo, hi))
 
     best = None
     for x0 in starts:
         res = _constrained_minimize(objective, gstar, scales, x0, problem.bounds, trace)
-        if not res.success:
-            continue
-        viol = float(np.max(-gstar(res.x)))
-        # restoration: shift the scaled constraints inward until the
-        # unscaled model is satisfied to FEASIBILITY_SLACK
-        shift = 0.0
-        attempts = 0
-        while viol > FEASIBILITY_SLACK and attempts < 5:
-            shift += 2.0 * max(viol / scales.min(), 1e-12)
-            res = _constrained_minimize(objective, gstar, scales, res.x,
-                                        problem.bounds, trace, shift=shift)
-            if not res.success:
-                break
-            viol = float(np.max(-gstar(res.x)))
-            attempts += 1
-        if not res.success or viol > FEASIBILITY_SLACK:
+        # success already bounds the summed scaled violation by ftol; this is the safety net
+        if not res.success or float(np.max(-gstar(res.x))) > FEASIBILITY_SLACK:
             continue
         if best is None or res.fun < best.fun:
             best = res

@@ -240,6 +240,21 @@ class TestCli:
                 assert abs(beta - (-std_normal_inv(pf))) <= 1e-12
                 assert abs(std_normal(-beta)[1] - pf) <= 1e-12
 
+    @pytest.mark.parametrize("method", ["rssl", "form-double-loop"])
+    def test_result_json_is_strict_where_pf_is_zero(self, method, tmp_path, capsys):
+        # demo-ellipse-varstd ends at pf = 0, where beta is infinite; RFC 8259
+        # has no Infinity token, so the file writes beta as null
+        out = tmp_path / "r.json"
+        assert main(["solve", "demo-ellipse-varstd", "--method", method, "--mc-n", "1000",
+                     "--out", str(out)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        res = json.loads(out.read_text(), parse_constant=reject)
+        assert res["pf_closed_form"] == [0.0] and res["beta_closed_form"] == [None]
+        assert res["pf_mc"][0]["pf"] == 0.0 and res["pf_mc"][0]["beta_mc"] is None
+
     def test_solve_problem_file_matches_builtin(self, tmp_path, capsys):
         path = tmp_path / "ellipse.json"
         save_document(ellipse_doc(), path)

@@ -23,6 +23,7 @@ from quadrel.problems import (
     demo_ellipse_varstd,
 )
 from quadrel.solver import (
+    FEASIBILITY_SLACK,
     ConstraintSpec,
     EvalCounters,
     FormMargins,
@@ -326,6 +327,29 @@ class TestRsslSolve:
         assert result.objective_value == pytest.approx(objective, abs=0.02)
         for pf, spec in zip(result.pf_closed_form, problem.constraints):
             assert pf <= spec.pf_target + 1e-9
+
+    @pytest.mark.parametrize("name", sorted(builtin_problems()) + ["bench-quad4 beta=3"])
+    def test_one_slsqp_pass_per_start_ends_feasible(self, name, monkeypatch):
+        # SLSQP reports success only when its summed scaled violation is
+        # below ftol = 1e-12, far inside FEASIBILITY_SLACK, so one pass per
+        # start is enough
+        problem = bench_quad4(beta_d=3.0) if name == "bench-quad4 beta=3" else builtin(name)
+        passes = []
+        one_pass = quadrel.solver._constrained_minimize
+
+        def recorded(objective, gstar, *args):
+            res = one_pass(objective, gstar, *args)
+            passes.append((res.success, float(np.max(-gstar(res.x)))))
+            return res
+
+        monkeypatch.setattr(quadrel.solver, "_constrained_minimize", recorded)
+        lo, hi = bounds_of(problem)
+        rng = np.random.default_rng(0)
+        for extra_starts in (4, 2):
+            passes.clear()
+            rssl_solve(problem, start=rng.uniform(lo, hi), extra_starts=extra_starts)
+            assert len(passes) == 1 + extra_starts
+            assert all(viol <= FEASIBILITY_SLACK for ok, viol in passes if ok)
 
     def test_result_reports_pf_within_target(self):
         result = rssl_solve(demo_ellipse(beta_d=3.0))
