@@ -147,8 +147,7 @@ def cmd_pf(args) -> int:
             "need an explicit quadratic (run 'solve' to fit surrogates)",
             path=f"constraints[{args.index}]")
     mu_design = _design_point(args, problem)
-    mu_full = problem.full_mean(mu_design)
-    snmap = standard_normal_map(problem.variables_at(mu_full), problem.corr, mu_full)
+    snmap = standard_normal_map(problem.variables_at(problem.full_mean(mu_design)), problem.corr)
     qn = to_standard_normal(spec.quadratic, snmap)
     pf, diag = pf_quadratic(qn)
     print(f"constraint        {spec.name}")

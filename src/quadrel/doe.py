@@ -13,7 +13,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, SingularFitError, UnsupportedDesignError, ZeroHalfwidthError
-from .quadratic import CorrelationModel, QuadraticForm
+from .quadratic import QuadraticForm
 from .variables import RandomVariable, Role, equivalent_normal
 
 # Rescaling constant applied to design-variable box halfwidths so the
@@ -79,8 +79,7 @@ class DoePlan:
         return self.points.shape[0]
 
 
-def doe_box(variables: list[RandomVariable], corr: CorrelationModel | None,
-            beta_d: float, det_solution,
+def doe_box(variables: list[RandomVariable], beta_d: float, det_solution,
             halfwidth_overrides: dict | None = None,
             c_r_design: float = None, c_r_parameter: float = None) -> DoeBox:
     """Box around the deterministic solution.

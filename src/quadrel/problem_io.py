@@ -40,14 +40,31 @@ def _require(cond, message, path):
         raise ProblemFormatError(message, path=path)
 
 
+def _is_number(val) -> bool:
+    """A JSON number: not a bool, and not NaN (which Python's json module accepts)."""
+    return isinstance(val, (int, float)) and not isinstance(val, bool) and val == val
+
+
 def _get_number(obj, key, path, default=None, required=False):
     if key not in obj:
         _require(not required, f"missing required field {key!r}", path)
         return default
     val = obj[key]
-    _require(isinstance(val, (int, float)) and not isinstance(val, bool),
-             f"{key!r} must be a number, got {type(val).__name__}", f"{path}.{key}")
+    _require(_is_number(val), f"{key!r} must be a number, got {val!r}", f"{path}.{key}")
     return float(val)
+
+
+def _get_array(val, shape: tuple, path: str) -> np.ndarray:
+    """``val`` as a float array of ``shape`` whose entries are all JSON numbers."""
+    arr = np.array(val, dtype=object)
+    _require(arr.shape == shape and all(map(_is_number, arr.flat)),
+             f"must be a numeric array of shape {shape}", path)
+    return arr.astype(float)
+
+
+def _flat_size(n: int) -> int:
+    """Coefficients of a flat quadratic over n variables (c, k, upper triangle of A)."""
+    return 1 + n + n * (n + 1) // 2
 
 
 def load_document(path) -> dict:
@@ -128,16 +145,12 @@ def _build_objective(spec, design_names: list[str]):
             return lambda mu: float(np.sum(mu))
         return lambda mu: float(np.sum(np.asarray(mu) ** 2))
     if "linear" in spec:
-        coeffs = np.asarray(spec["linear"], dtype=float)
-        _require(coeffs.shape == (nd,), f"linear objective needs {nd} coefficients",
-                 "objective.linear")
-        const = float(spec.get("constant", 0.0))
+        coeffs = _get_array(spec["linear"], (nd,), "objective.linear")
+        const = _get_number(spec, "constant", "objective", default=0.0)
         return lambda mu: float(coeffs @ np.asarray(mu, dtype=float) + const)
     if "quadratic" in spec:
-        try:
-            q = QuadraticForm.from_flat(np.asarray(spec["quadratic"], dtype=float), nd)
-        except Exception as exc:
-            raise ProblemFormatError(str(exc), path="objective.quadratic") from exc
+        coeffs = _get_array(spec["quadratic"], (_flat_size(nd),), "objective.quadratic")
+        q = QuadraticForm.from_flat(coeffs, nd)
         return lambda mu: float(q(np.asarray(mu, dtype=float)))
     g = _compile_expression(spec["expression"], design_names, "objective.expression")
     return lambda mu: float(g(np.atleast_2d(mu))[0])
@@ -149,13 +162,8 @@ def _build_constraint(con, i: int, names: list[str], targets: dict) -> Constrain
     _require(len({"quadratic", "expression"} & set(con)) == 1,
              "constraint needs exactly one of 'quadratic' / 'expression'", p)
     if "quadratic" in con:
-        n = len(names)
-        expected = 1 + n + n * (n + 1) // 2
-        coeffs = con["quadratic"]
-        _require(isinstance(coeffs, list) and len(coeffs) == expected,
-                 f"flat quadratic over {n} variables needs {expected} "
-                 f"coefficients", f"{p}.quadratic")
-        limit_state = {"quadratic": QuadraticForm.from_flat(np.asarray(coeffs, dtype=float), n)}
+        coeffs = _get_array(con["quadratic"], (_flat_size(len(names)),), f"{p}.quadratic")
+        limit_state = {"quadratic": QuadraticForm.from_flat(coeffs, len(names))}
     else:
         _require(isinstance(con["expression"], str),
                  "'expression' must be a string", f"{p}.expression")
@@ -163,11 +171,11 @@ def _build_constraint(con, i: int, names: list[str], targets: dict) -> Constrain
     _require(not ("beta_d" in con and "pf_all" in con),
              "give at most one of beta_d / pf_all", p)
     # the constraint's own target wins over the global default
-    for source in (con, targets):
+    for source, path in ((con, p), (targets, "targets")):
         for key in ("beta_d", "pf_all"):
             if key in source:
-                return ConstraintSpec(name=con.get("name", f"g{i+1}"),
-                                      **limit_state, **{key: float(source[key])})
+                return ConstraintSpec(name=con.get("name", f"g{i+1}"), **limit_state,
+                                      **{key: _get_number(source, key, path)})
     raise ProblemFormatError("constraint has no target and no global targets section", path=p)
 
 
@@ -188,13 +196,10 @@ def build_problem(doc: dict) -> RbdoProblem:
 
     corr = doc.get("correlation")
     if corr is not None:
-        _require(isinstance(corr, list) and len(corr) == n
-                 and all(isinstance(row, list) and len(row) == n for row in corr),
-                 f"correlation must be a {n}x{n} matrix", "correlation")
-        corr = correlation_decompose(np.asarray(corr, dtype=float))
+        corr = correlation_decompose(_get_array(corr, (n, n), "correlation"))
 
-    objective = _build_objective(doc.get("objective"),
-                                 [v.name for v in variables if v.is_design])
+    design_names = [v.name for v in variables if v.is_design]
+    objective = _build_objective(doc.get("objective"), design_names)
 
     constraints = doc.get("constraints")
     _require(isinstance(constraints, list) and constraints,
@@ -209,8 +214,8 @@ def build_problem(doc: dict) -> RbdoProblem:
     _require(isinstance(solver, dict), "'solver' must be an object", "solver")
     std_mode = StdMode()
     if "proportional_t" in solver:
-        std_mode = StdMode(proportional=True,
-                           t=np.asarray(solver["proportional_t"], dtype=float))
+        t = _get_array(solver["proportional_t"], (len(design_names),), "solver.proportional_t")
+        std_mode = StdMode(proportional=True, t=t)
 
     doe = doc.get("doe", {})
     _require(isinstance(doe, dict), "'doe' must be an object", "doe")
@@ -222,9 +227,14 @@ def build_problem(doc: dict) -> RbdoProblem:
     overrides = doe.get("halfwidth_overrides", {})
     _require(isinstance(overrides, dict), "halfwidth_overrides must be an object",
              "doe.halfwidth_overrides")
+    halfwidths = {}
     for key in overrides:
         _require(key in names, f"unknown variable {key!r}",
                  f"doe.halfwidth_overrides.{key}")
+        halfwidths[key] = _get_number(overrides, key, "doe.halfwidth_overrides")
+    shared = doc.get("shared_evaluations", False)
+    _require(isinstance(shared, bool), "'shared_evaluations' must be true or false",
+             "shared_evaluations")
 
     return RbdoProblem(
         variables=variables,
@@ -232,11 +242,11 @@ def build_problem(doc: dict) -> RbdoProblem:
         constraints=specs,
         corr=corr,
         std_mode=std_mode,
-        shared_evaluations=bool(doc.get("shared_evaluations", False)),
+        shared_evaluations=shared,
         doe_scheme=scheme,
-        doe_halfwidth_overrides=dict(overrides),
-        doe_c_r_design=doe.get("c_r_design"),
-        doe_c_r_parameter=doe.get("c_r_parameter"),
+        doe_halfwidth_overrides=halfwidths,
+        doe_c_r_design=_get_number(doe, "c_r_design", "doe"),
+        doe_c_r_parameter=_get_number(doe, "c_r_parameter", "doe"),
     )
 
 

@@ -16,7 +16,8 @@ import numpy as np
 from .errors import DomainError, NotACorrelationMatrixError
 from .variables import RandomVariable, equivalent_normal
 
-DEFAULT_EPS = 1e-7
+# Magnitude that structurally zero eigenvalues of a one-sign form are lifted to.
+LIFT_EPS = 1e-7
 
 # Eigenvalues below this (relative) threshold count as structurally zero
 # when classifying the sign pattern of the transformed quadratic.
@@ -123,28 +124,22 @@ def correlation_decompose(c) -> CorrelationModel:
 
 
 def standard_normal_map(
-    variables: list[RandomVariable],
-    corr: CorrelationModel | None,
-    at,
+    variables: list[RandomVariable], corr: CorrelationModel | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The affine map (S T D, mu_eq) from uncorrelated standard normals around ``at``.
+    """The affine map (S T D, mu_eq) from uncorrelated standard normals.
 
-    ``at`` is the stacked vector of current means; each variable is
-    equivalently normalized at its own mean, deterministic entries map to
-    (value, 0).  The map depends only on the design point, so every
-    constraint at that point shares it.
+    Each variable is equivalently normalized at its own mean;
+    deterministic entries map to (value, 0).  The map depends only on the
+    design point, so every constraint at that point shares it.
     """
     n = len(variables)
-    at = np.asarray(at, dtype=float)
-    if at.shape != (n,):
-        raise DomainError(f"expansion point has shape {at.shape}, expected ({n},)")
     if corr is None:
         corr = identity_correlation(n)
 
     sigma_eq = np.empty(n)
     mu_eq = np.empty(n)
     for i, v in enumerate(variables):
-        eq = equivalent_normal(v.with_mean(at[i]) if v.mean != at[i] else v, at[i])
+        eq = equivalent_normal(v, v.mean)
         sigma_eq[i] = eq.sigma_eq
         mu_eq[i] = eq.mu_eq
     return sigma_eq[:, None] * corr.l, mu_eq
@@ -226,22 +221,21 @@ def row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
-def eigenbasis(a: np.ndarray, eps: float = DEFAULT_EPS):
+def eigenbasis(a: np.ndarray):
     """Eigenvalues and eigenvectors (gamma, P) of symmetric A', one (n, n) or a stack (m, n, n).
 
     Eigenvalues within the zero tolerance of ``classify_signs`` (scaled
     by the Frobenius norm of each A') become 0.  In a form whose other
     eigenvalues share one sign they are then lifted to that sign's
-    +/-eps; a mixed-sign form keeps its zeros.
+    +/-LIFT_EPS; a mixed-sign form keeps its zeros.
     """
-    if eps <= 0.0:
-        raise DomainError(f"eps must be > 0, got {eps}")
     gamma, p = np.linalg.eigh(a)
     flat = a.reshape(a.shape[:-2] + (-1,))
     pos, neg, zero = classify_signs(gamma, np.sqrt(row_dot(flat, flat)))
     has_pos = pos.any(axis=-1, keepdims=True)
     has_neg = neg.any(axis=-1, keepdims=True)
-    lift = np.where(has_pos & has_neg, 0.0, np.where(has_pos, eps, np.where(has_neg, -eps, 0.0)))
+    lift = np.where(has_pos & has_neg, 0.0,
+                    np.where(has_pos, LIFT_EPS, np.where(has_neg, -LIFT_EPS, 0.0)))
     return np.where(zero, lift, gamma), p
 
 
@@ -254,11 +248,11 @@ def spectral_in_basis(gamma: np.ndarray, p: np.ndarray, k, c) -> SpectralForm:
     return SpectralForm(gamma=gamma, kbar=kbar, cprime=c, m=moment_sums(gamma, kbar))
 
 
-def spectral(qn: QuadraticForm, eps: float = DEFAULT_EPS) -> SpectralForm:
+def spectral(qn: QuadraticForm) -> SpectralForm:
     """Eigen-decompose A', rotate k' and evaluate the moment sums.
 
-    When all eigenvalues share one sign, zeros are replaced by +/-eps
+    When all eigenvalues share one sign, zeros are replaced by +/-LIFT_EPS
     before the moments are computed; the mixed-sign branch keeps them.
     """
-    gamma, p = eigenbasis(qn.a, eps)
+    gamma, p = eigenbasis(qn.a)
     return spectral_in_basis(gamma, p, qn.k, qn.c)

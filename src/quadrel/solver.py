@@ -229,7 +229,7 @@ def _default_plan(n: int, box: DoeBox, scheme: Scheme = None):
 
 def doe_plan(problem: RbdoProblem, mu_full, beta_d: float, scheme: Scheme = None):
     """Sampling plan around the stacked means ``mu_full``, sized by ``beta_d``."""
-    box = doe_box(problem.variables_at(mu_full), problem.corr, beta_d, mu_full,
+    box = doe_box(problem.variables_at(mu_full), beta_d, mu_full,
                   halfwidth_overrides=problem.doe_halfwidth_overrides,
                   c_r_design=problem.doe_c_r_design,
                   c_r_parameter=problem.doe_c_r_parameter)
@@ -289,7 +289,7 @@ def probabilistic_constraint(surrogates: list, problem: RbdoProblem,
 
     def transform(mu_full):
         """(M', eigenbasis of every A', mu_eq) under the map at ``mu_full``."""
-        m, mu_eq = standard_normal_map(problem.variables_at(mu_full), problem.corr, mu_full)
+        m, mu_eq = standard_normal_map(problem.variables_at(mu_full), problem.corr)
         a_n = np.matmul(np.matmul(m.T, a), m)
         a_n = 0.5 * (a_n + np.swapaxes(a_n, -1, -2))  # as QuadraticForm symmetrizes A
         require_finite(a_n)
@@ -327,14 +327,14 @@ def _constrained_minimize(objective, gstar, scales, x0, bounds, trace):
                     options={"maxiter": 400, "ftol": 1e-12})
 
 
-def rssl_solve(problem: RbdoProblem, start=None, extra_starts: int = 4) -> RbdoResult:
+def rssl_solve(problem: RbdoProblem, start=None) -> RbdoResult:
     """Response-surface single-loop solve.
 
     Deterministic solve, one DOE batch, quadratic fits, then a single
-    constrained optimization over analytic probabilistic constraints.
-    ``extra_starts`` deterministic perturbations of the deterministic
-    solution guard against poor local minima of the single loop; each
-    start runs one SLSQP pass.
+    SLSQP pass over the analytic probabilistic constraints, started at the
+    deterministic optimum.  A pass that fails, or ends with a closed-form
+    violation above ``FEASIBILITY_SLACK``, raises ``SolverFailureError``
+    with SLSQP's message and the violation.
     """
     counters = EvalCounters()
     mu_det = solve_deterministic(problem, start=start, counters=counters)
@@ -350,42 +350,29 @@ def rssl_solve(problem: RbdoProblem, start=None, extra_starts: int = 4) -> RbdoR
     objective = _counted_objective(problem, counters)
 
     trace = []
-    lo, hi = np.array(problem.bounds).T
-    starts = [np.asarray(mu_det, dtype=float)]
-    rng = np.random.default_rng(0)
-    for _ in range(extra_starts):
-        jitter = rng.uniform(-0.25, 0.25, size=mu_det.size) * (hi - lo)
-        starts.append(np.clip(mu_det + jitter, lo, hi))
-
-    best = None
-    for x0 in starts:
-        res = _constrained_minimize(objective, gstar, scales, x0, problem.bounds, trace)
-        # success already bounds the summed scaled violation by ftol; this is the safety net
-        if not res.success or float(np.max(-gstar(res.x))) > FEASIBILITY_SLACK:
-            continue
-        if best is None or res.fun < best.fun:
-            best = res
-
-    if best is None:
-        raise SolverFailureError("single-loop optimization failed", phase="single-loop",
-                                 trace=trace)
+    res = _constrained_minimize(objective, gstar, scales, mu_det, problem.bounds, trace)
+    # success already bounds the summed scaled violation by ftol; this is the safety net
+    violation = float(np.max(-gstar(res.x)))
+    if not res.success or violation > FEASIBILITY_SLACK:
+        raise SolverFailureError(f"single-loop optimization failed: {res.message} "
+                                 f"(max violation {violation:.3g})",
+                                 phase="single-loop", trace=trace)
     if counters.deterministic_g_evals != frozen_evals:
         raise SolverFailureError("black-box limit state called during the single loop",
                                  phase="single-loop", trace=trace)
 
-    mu_opt = np.asarray(best.x, dtype=float)
-    mu_full = problem.full_mean(mu_opt)
-    snmap = standard_normal_map(problem.variables_at(mu_full), problem.corr, mu_full)
+    mu_opt = np.asarray(res.x, dtype=float)
+    snmap = standard_normal_map(problem.variables_at(problem.full_mean(mu_opt)), problem.corr)
     pf_cf = [pf_quadratic(to_standard_normal(q, snmap))[0] for q in surrogates]
     return RbdoResult(
-        method="rssl", mu_opt=mu_opt, objective_value=float(best.fun),
+        method="rssl", mu_opt=mu_opt, objective_value=float(res.fun),
         pf_closed_form=pf_cf, counters=counters, trace=trace, success=True,
-        message=str(best.message), mu_det=mu_det, doe_evals=doe_evals,
+        message=str(res.message), mu_det=mu_det, doe_evals=doe_evals,
     )
 
 
-def _cannot_fail(spec: ConstraintSpec, variables: list, corr, mu_full) -> bool:
-    """Whether Prob[g(z) < 0] is provably 0 at the means ``mu_full``.
+def _cannot_fail(spec: ConstraintSpec, variables: list, corr) -> bool:
+    """Whether Prob[g(z) < 0] is provably 0 at the variables' means.
 
     Only for an explicit quadratic in normal or deterministic variables,
     where the standard-normal form is exact: its failure set is empty when
@@ -394,7 +381,7 @@ def _cannot_fail(spec: ConstraintSpec, variables: list, corr, mu_full) -> bool:
     if spec.quadratic is None or not all(
             v.is_deterministic or v.kind is Kind.NORMAL for v in variables):
         return False
-    qn = to_standard_normal(spec.quadratic, standard_normal_map(variables, corr, mu_full))
+    qn = to_standard_normal(spec.quadratic, standard_normal_map(variables, corr))
     return pf_quadratic(qn)[1].kappa == -math.inf
 
 
@@ -429,14 +416,13 @@ class FormMargins:
         key = mu.tobytes()
         if key not in self._cache:
             problem = self.problem
-            mu_full = problem.full_mean(mu)
-            vars_at = problem.variables_at(mu_full)
+            vars_at = problem.variables_at(problem.full_mean(mu))
             mpps = []
             for spec, g in zip(problem.constraints, self._limit_states):
                 try:
                     mpps.append(form_mpp(g, vars_at, problem.corr)[:2])
                 except ConvergenceError:
-                    if not _cannot_fail(spec, vars_at, problem.corr, mu_full):
+                    if not _cannot_fail(spec, vars_at, problem.corr):
                         raise
                     mpps.append(None)
             betas = np.array([math.inf if m is None else m[0] for m in mpps])

@@ -44,7 +44,7 @@ def ellipse_qn(mu_x1):
     problem = demo_ellipse(mu_x1=float(mu_x1))
     mu_full = problem.full_mean(np.array([mu_x1], dtype=float))
     return to_standard_normal(ellipse_form(),
-                              standard_normal_map(problem.variables_at(mu_full), None, mu_full))
+                              standard_normal_map(problem.variables_at(mu_full), None))
 
 
 @functools.lru_cache(maxsize=None)
@@ -261,7 +261,7 @@ def test_criterion_09_randomized_closed_form_vs_form():
 
 def test_criterion_10_crashworthiness_end_to_end():
     problem = crashworthiness(CRASH_CSV)
-    result = rssl_solve(problem, extra_starts=0)
+    result = rssl_solve(problem)
     lo = np.asarray(CRASH_LOWER)
     hi = np.asarray(CRASH_UPPER)
     ok = (result.success

@@ -95,7 +95,7 @@ class TestDoeBoxSizing:
             param("p1", 3.4, 0.3),
             RandomVariable("d1", Kind.DETERMINISTIC, Role.DETERMINISTIC_DESIGN, 2.0),
         ]
-        box = doe_box(variables, None, beta_d=3.0, det_solution=[5.0, 3.4, 2.0])
+        box = doe_box(variables, beta_d=3.0, det_solution=[5.0, 3.4, 2.0])
         assert box.halfwidths[0] == pytest.approx(1.4 * 3.0 * 0.3)  # 1.26
         assert box.halfwidths[1] == pytest.approx(3.0 * 0.3)        # 0.90
         assert box.halfwidths[2] == pytest.approx(1.4 * 3.0 * 2.0 / 10.0)  # 0.84
@@ -103,32 +103,32 @@ class TestDoeBoxSizing:
     def test_zero_deterministic_value_errors(self):
         variables = [RandomVariable("d1", Kind.DETERMINISTIC, Role.DETERMINISTIC_DESIGN, 0.0)]
         with pytest.raises(ZeroHalfwidthError):
-            doe_box(variables, None, beta_d=3.0, det_solution=[0.0])
+            doe_box(variables, beta_d=3.0, det_solution=[0.0])
 
     def test_override_wins(self):
         variables = [design("x1", 5.0, 0.3)]
-        box = doe_box(variables, None, beta_d=3.0, det_solution=[5.0],
+        box = doe_box(variables, beta_d=3.0, det_solution=[5.0],
                       halfwidth_overrides={"x1": 0.2})
         assert box.halfwidths[0] == 0.2
 
     def test_override_must_be_positive(self):
         variables = [design("x1", 5.0, 0.3)]
         with pytest.raises(ZeroHalfwidthError):
-            doe_box(variables, None, beta_d=3.0, det_solution=[5.0],
+            doe_box(variables, beta_d=3.0, det_solution=[5.0],
                     halfwidth_overrides={"x1": 0.0})
 
     def test_rescaling_constants_override(self):
         variables = [design("x1", 5.0, 0.3), param("p1", 3.4, 0.3)]
-        box = doe_box(variables, None, beta_d=2.0, det_solution=[5.0, 3.4],
+        box = doe_box(variables, beta_d=2.0, det_solution=[5.0, 3.4],
                       c_r_design=2.0, c_r_parameter=0.5)
         assert box.halfwidths[0] == pytest.approx(2.0 * 2.0 * 0.3)
         assert box.halfwidths[1] == pytest.approx(0.5 * 2.0 * 0.3)
         with pytest.raises(DomainError):
-            doe_box(variables, None, beta_d=2.0, det_solution=[5.0, 3.4], c_r_design=-1.0)
+            doe_box(variables, beta_d=2.0, det_solution=[5.0, 3.4], c_r_design=-1.0)
 
     def test_lognormal_uses_equivalent_sigma(self):
         v = RandomVariable("x", Kind.LOGNORMAL, Role.PARAMETER, 1.0, 0.3)
-        box = doe_box([v], None, beta_d=3.0, det_solution=[1.0])
+        box = doe_box([v], beta_d=3.0, det_solution=[1.0])
         assert box.halfwidths[0] > 0.0
         # equivalent sigma at the mean of a skewed marginal is not the
         # nominal std
@@ -136,7 +136,7 @@ class TestDoeBoxSizing:
 
     def test_beta_d_validation(self):
         with pytest.raises(DomainError):
-            doe_box([design("x1", 1.0, 0.1)], None, beta_d=0.0, det_solution=[1.0])
+            doe_box([design("x1", 1.0, 0.1)], beta_d=0.0, det_solution=[1.0])
 
 
 class TestFitQuadratic:

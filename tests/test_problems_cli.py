@@ -110,7 +110,7 @@ class TestCrashworthiness:
 
     def test_solves_end_to_end(self):
         problem = crashworthiness(CRASH_CSV)
-        result = rssl_solve(problem, extra_starts=0)
+        result = rssl_solve(problem)
         assert result.success
         assert result.doe_evals == 0
         lo = np.array([b[0] for b in problem.bounds])
@@ -195,6 +195,33 @@ class TestProblemDocuments:
         (lambda d: d.update(doe={"scheme": "latin"}), "doe.scheme"),
         (lambda d: d.update(doe={"halfwidth_overrides": {"zz": 1.0}}),
          "doe.halfwidth_overrides.zz"),
+        # fields that must be JSON numbers (or booleans), not strings or true
+        pytest.param(lambda d: d["constraints"][0]["quadratic"].__setitem__(0, "x"),
+                     "constraints[0].quadratic", id="quadratic-string"),
+        pytest.param(lambda d: d.update(correlation=[[1.0, "a"], ["a", 1.0]]),
+                     "correlation", id="correlation-string"),
+        pytest.param(lambda d: d.update(objective={"linear": ["a"]}),
+                     "objective.linear", id="linear-string"),
+        pytest.param(lambda d: d.update(solver={"proportional_t": ["a"]}),
+                     "solver.proportional_t", id="proportional-t-string"),
+        pytest.param(lambda d: d.update(solver={"proportional_t": [0.1, 0.1]}),
+                     "solver.proportional_t", id="proportional-t-length"),
+        pytest.param(lambda d: d.update(objective={"linear": [1.0], "constant": "1"}),
+                     "objective.constant", id="constant-string"),
+        pytest.param(lambda d: d.update(doe={"c_r_design": "1"}),
+                     "doe.c_r_design", id="c-r-design-string"),
+        pytest.param(lambda d: d.update(doe={"c_r_parameter": "1"}),
+                     "doe.c_r_parameter", id="c-r-parameter-string"),
+        pytest.param(lambda d: d.update(doe={"halfwidth_overrides": {"x1": "1"}}),
+                     "doe.halfwidth_overrides.x1", id="halfwidth-string"),
+        pytest.param(lambda d: d.update(shared_evaluations="no"),
+                     "shared_evaluations", id="shared-evaluations-string"),
+        pytest.param(lambda d: d.update(targets={"beta_d": "3"}),
+                     "targets.beta_d", id="beta-d-string"),
+        pytest.param(lambda d: d.update(doe={"c_r_design": True}),
+                     "doe.c_r_design", id="c-r-design-bool"),
+        pytest.param(lambda d: d.update(targets={"beta_d": float("nan")}),
+                     "targets.beta_d", id="beta-d-nan"),
     ])
     def test_validation_reports_json_path(self, mutate, path):
         doc = ellipse_doc()
@@ -360,6 +387,14 @@ class TestCli:
         path.write_text("{\"variables\": []}")
         assert main(["solve", str(path)]) == 2
         assert "input error" in capsys.readouterr().err
+
+    def test_non_number_field_is_input_error(self, tmp_path, capsys):
+        doc = ellipse_doc()
+        doc["constraints"][0]["quadratic"][0] = "x"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path)]) == 2
+        assert "constraints[0].quadratic" in capsys.readouterr().err
 
     def test_crash_without_file_is_input_error(self, capsys):
         assert main(["solve", "crashworthiness"]) == 2

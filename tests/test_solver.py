@@ -10,7 +10,7 @@ import pytest
 from scipy.optimize import brentq
 
 import quadrel.solver
-from quadrel.errors import ConvergenceError, DomainError
+from quadrel.errors import ConvergenceError, DomainError, SolverFailureError
 from quadrel.form import fd_gradient
 from quadrel.pf import pf_quadratic
 from quadrel.problems import (
@@ -198,7 +198,7 @@ class TestProbabilisticConstraint:
         for frac in (0.0, 0.3, 0.5, 0.9):
             mu = lo + frac * (hi - lo)
             mu_full = problem.full_mean(mu)
-            snmap = standard_normal_map(problem.variables_at(mu_full), problem.corr, mu_full)
+            snmap = standard_normal_map(problem.variables_at(mu_full), problem.corr)
             expected = [spec.pf_target - pf_quadratic(to_standard_normal(q, snmap))[0]
                         for q, spec in zip(surrogates, problem.constraints)]
             assert gstar(mu).tolist() == expected
@@ -331,25 +331,50 @@ class TestRsslSolve:
     @pytest.mark.parametrize("name", sorted(builtin_problems()) + ["bench-quad4 beta=3"])
     def test_one_slsqp_pass_per_start_ends_feasible(self, name, monkeypatch):
         # SLSQP reports success only when its summed scaled violation is
-        # below ftol = 1e-12, far inside FEASIBILITY_SLACK, so one pass per
-        # start is enough
+        # below ftol = 1e-12, far inside FEASIBILITY_SLACK, so one pass from
+        # the deterministic optimum is the whole single loop
         problem = bench_quad4(beta_d=3.0) if name == "bench-quad4 beta=3" else builtin(name)
         passes = []
         one_pass = quadrel.solver._constrained_minimize
 
-        def recorded(objective, gstar, *args):
-            res = one_pass(objective, gstar, *args)
-            passes.append((res.success, float(np.max(-gstar(res.x)))))
+        def recorded(objective, gstar, scales, x0, *args):
+            res = one_pass(objective, gstar, scales, x0, *args)
+            passes.append((np.array(x0), res.success, float(np.max(-gstar(res.x)))))
             return res
 
         monkeypatch.setattr(quadrel.solver, "_constrained_minimize", recorded)
         lo, hi = bounds_of(problem)
         rng = np.random.default_rng(0)
-        for extra_starts in (4, 2):
+        for _ in range(2):
             passes.clear()
-            rssl_solve(problem, start=rng.uniform(lo, hi), extra_starts=extra_starts)
-            assert len(passes) == 1 + extra_starts
-            assert all(viol <= FEASIBILITY_SLACK for ok, viol in passes if ok)
+            result = rssl_solve(problem, start=rng.uniform(lo, hi))
+            assert len(passes) == 1
+            x0, ok, violation = passes[0]
+            assert np.array_equal(x0, result.mu_det)
+            assert ok and violation <= FEASIBILITY_SLACK
+
+    @pytest.mark.parametrize("failure", ["failed", "infeasible"])
+    def test_failed_pass_raises(self, failure, monkeypatch):
+        # a pass that fails, or "succeeds" at an infeasible point, ends the
+        # solve with SLSQP's own message and the pass's trace
+        one_pass = quadrel.solver._constrained_minimize
+        messages = []
+
+        def broken(objective, gstar, scales, x0, bounds, trace):
+            res = one_pass(objective, gstar, scales, x0, bounds, trace)
+            if failure == "failed":
+                res.success, res.message = False, "Iteration limit reached"
+            else:  # pf(x1 = 5) is about 4.2e-3, above the target 1.35e-3
+                res.x, res.fun = np.array([5.0]), 5.0
+            messages.append(str(res.message))
+            return res
+
+        monkeypatch.setattr(quadrel.solver, "_constrained_minimize", broken)
+        with pytest.raises(SolverFailureError) as err:
+            rssl_solve(demo_ellipse())
+        assert err.value.phase == "single-loop"
+        assert messages[0] in str(err.value) and "max violation" in str(err.value)
+        assert err.value.trace
 
     def test_result_reports_pf_within_target(self):
         result = rssl_solve(demo_ellipse(beta_d=3.0))
