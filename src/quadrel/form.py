@@ -7,6 +7,8 @@ curvature correction evaluated on a quadratic limit state at the MPP.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.optimize import minimize
 
@@ -51,7 +53,8 @@ def fd_gradient(f, x, rel_step=1e-6):
 def form_mpp(g, variables: list[RandomVariable], corr: CorrelationModel | None, start=None):
     """Find the most probable point of Prob[g(z) < 0].
 
-    Returns (beta_hl, mpp_zN, mpp_z).  The search runs a damped HLRF
+    Returns (beta_hl, mpp_zN, mpp_z), with beta_hl = +/-||mpp_zN|| signed as
+    g at the means (negative where they fail).  The search runs a damped HLRF
     iteration in uncorrelated standard-normal space and falls back to
     direct constrained minimization of ||z_N|| subject to g = 0 on stall.
     """
@@ -80,7 +83,7 @@ def form_mpp(g, variables: list[RandomVariable], corr: CorrelationModel | None, 
         gnorm = np.linalg.norm(grad)
         trace.append((it, float(np.linalg.norm(z)), float(gval)))
         if converged(z, gval, grad):
-            beta = float(np.linalg.norm(z))
+            beta = math.copysign(np.linalg.norm(z), g0)
             mpp_z = transform_samples(z[None, :], variables, corr)[0]
             return beta, z, mpp_z
         if gnorm == 0.0:
@@ -120,7 +123,7 @@ def form_mpp(g, variables: list[RandomVariable], corr: CorrelationModel | None, 
     if best is None:
         raise ConvergenceError("MPP search did not converge", trace=trace)
     z = best.x
-    beta = float(np.linalg.norm(z))
+    beta = math.copysign(np.linalg.norm(z), g0)
     mpp_z = transform_samples(z[None, :], variables, corr)[0]
     return beta, z, mpp_z
 
@@ -145,7 +148,7 @@ def beta_sensitivity(g, beta: float, mpp_zN, variables: list[RandomVariable],
     g_moved = np.asarray(g(images), dtype=float)
     dg = (g_moved[0::2] - g_moved[1::2]) / (2.0 * np.asarray(steps, dtype=float))
     grad_sq = grad @ grad
-    scale = -(u @ grad) / (beta * grad_sq) if beta > 0.0 else 1.0 / np.sqrt(grad_sq)
+    scale = -(u @ grad) / (beta * grad_sq) if beta != 0.0 else 1.0 / np.sqrt(grad_sq)
     return scale * dg
 
 

@@ -45,13 +45,22 @@ def _is_number(val) -> bool:
     return isinstance(val, (int, float)) and not isinstance(val, bool) and val == val
 
 
-def _get_number(obj, key, path, default=None, required=False):
+def _get_number(obj, key, path, default=None, required=False, above=None, below=None):
+    """``obj[key]`` as a float, optionally strictly between ``above`` and ``below``."""
     if key not in obj:
         _require(not required, f"missing required field {key!r}", path)
         return default
     val = obj[key]
     _require(_is_number(val), f"{key!r} must be a number, got {val!r}", f"{path}.{key}")
+    _require(above is None or val > above, f"{key!r} must be > {above}, got {val!r}",
+             f"{path}.{key}")
+    _require(below is None or val < below, f"{key!r} must be < {below}, got {val!r}",
+             f"{path}.{key}")
     return float(val)
+
+
+# beta_d > 0 and 0 < pf_all < 0.5 each say target beta > 0, the domain the DOE box assumes.
+_TARGET_RANGES = {"beta_d": {"above": 0.0}, "pf_all": {"above": 0.0, "below": 0.5}}
 
 
 def _get_array(val, shape: tuple, path: str) -> np.ndarray:
@@ -172,10 +181,10 @@ def _build_constraint(con, i: int, names: list[str], targets: dict) -> Constrain
              "give at most one of beta_d / pf_all", p)
     # the constraint's own target wins over the global default
     for source, path in ((con, p), (targets, "targets")):
-        for key in ("beta_d", "pf_all"):
+        for key, bounds in _TARGET_RANGES.items():
             if key in source:
                 return ConstraintSpec(name=con.get("name", f"g{i+1}"), **limit_state,
-                                      **{key: _get_number(source, key, path)})
+                                      **{key: _get_number(source, key, path, **bounds)})
     raise ProblemFormatError("constraint has no target and no global targets section", path=p)
 
 
@@ -208,6 +217,8 @@ def build_problem(doc: dict) -> RbdoProblem:
     _require(isinstance(targets, dict), "'targets' must be an object", "targets")
     _require(not ("beta_d" in targets and "pf_all" in targets),
              "give at most one of targets.beta_d / targets.pf_all", "targets")
+    for key, bounds in _TARGET_RANGES.items():  # checked even where no constraint uses it
+        _get_number(targets, key, "targets", **bounds)
     specs = [_build_constraint(con, i, names, targets) for i, con in enumerate(constraints)]
 
     solver = doc.get("solver", {})
@@ -231,7 +242,7 @@ def build_problem(doc: dict) -> RbdoProblem:
     for key in overrides:
         _require(key in names, f"unknown variable {key!r}",
                  f"doe.halfwidth_overrides.{key}")
-        halfwidths[key] = _get_number(overrides, key, "doe.halfwidth_overrides")
+        halfwidths[key] = _get_number(overrides, key, "doe.halfwidth_overrides", above=0.0)
     shared = doc.get("shared_evaluations", False)
     _require(isinstance(shared, bool), "'shared_evaluations' must be true or false",
              "shared_evaluations")
@@ -245,8 +256,8 @@ def build_problem(doc: dict) -> RbdoProblem:
         shared_evaluations=shared,
         doe_scheme=scheme,
         doe_halfwidth_overrides=halfwidths,
-        doe_c_r_design=_get_number(doe, "c_r_design", "doe"),
-        doe_c_r_parameter=_get_number(doe, "c_r_parameter", "doe"),
+        doe_c_r_design=_get_number(doe, "c_r_design", "doe", above=0.0),
+        doe_c_r_parameter=_get_number(doe, "c_r_parameter", "doe", above=0.0),
     )
 
 

@@ -173,32 +173,42 @@ class RbdoResult:
 def _counted_limit_states(problem: RbdoProblem, counters: EvalCounters):
     """Every constraint's limit state over a batch (m, n), as an (n_con, m) array.
 
-    Each call counts its black-box evaluations, one per row and black-box
-    constraint.  With shared evaluations one system call serves every
-    constraint, so each distinct point evaluated through this function
-    counts once.
+    Each row counts one black-box evaluation per black-box constraint.  With
+    shared evaluations one system call serves every constraint, so a row
+    counts once.  No point comes twice: the deterministic phase memoizes its
+    points (``_once_per_point``) and a DOE plan's rows are distinct.
     """
     n_blackbox = sum(spec.quadratic is None for spec in problem.constraints)
-    seen = set()
+    per_row = min(n_blackbox, 1) if problem.shared_evaluations else n_blackbox
 
     def evaluate(z_batch):
         z_batch = np.atleast_2d(np.asarray(z_batch, dtype=float))
-        if not problem.shared_evaluations:
-            counters.deterministic_g_evals += n_blackbox * z_batch.shape[0]
-        elif n_blackbox:
-            fresh = {row.tobytes() for row in z_batch} - seen
-            seen.update(fresh)
-            counters.deterministic_g_evals += len(fresh)
+        counters.deterministic_g_evals += per_row * z_batch.shape[0]
         return np.array([spec.evaluate(z_batch) for spec in problem.constraints], dtype=float)
 
     return evaluate
 
 
+def _once_per_point(fn):
+    """``fn`` run once per distinct design point; ``.values`` maps mu.tobytes() to results."""
+    values = {}
+
+    def memo(mu):
+        mu = np.asarray(mu, dtype=float)
+        key = mu.tobytes()
+        if key not in values:
+            values[key] = fn(mu)
+        return values[key]
+
+    memo.values = values
+    return memo
+
+
 def _counted_objective(problem: RbdoProblem, counters: EvalCounters):
     def objective(mu):
         counters.objective_evals += 1
-        return float(problem.objective(np.asarray(mu, dtype=float)))
-    return objective
+        return float(problem.objective(mu))
+    return _once_per_point(objective)
 
 
 def solve_deterministic(problem: RbdoProblem, start=None,
@@ -208,9 +218,18 @@ def solve_deterministic(problem: RbdoProblem, start=None,
     limit_states = _counted_limit_states(problem, counters)
     x0 = np.asarray(start, dtype=float) if start is not None else problem.design_start()
     objective = _counted_objective(problem, counters)
-    con = {"type": "ineq", "fun": lambda mu: limit_states(problem.full_mean(mu))[:, 0]}
-    res = minimize(objective, x0, method="SLSQP", bounds=problem.bounds,
-                   constraints=[con], options={"maxiter": 500, "ftol": 1e-10})
+    g = _once_per_point(lambda mu: limit_states(problem.full_mean(mu))[:, 0])
+
+    def run(x):
+        return minimize(objective, x, method="SLSQP", bounds=problem.bounds,
+                        constraints=[{"type": "ineq", "fun": g}],
+                        options={"maxiter": 500, "ftol": 1e-10})
+
+    res = run(x0)
+    if not res.success:  # e.g. stuck at a corner where a limit state's gradient is 0
+        feasible = [k for k, v in g.values.items() if k in objective.values and np.all(v >= 0)]
+        if feasible:  # restart once, from the lowest-objective point seen with every g_i >= 0
+            res = run(np.frombuffer(min(feasible, key=objective.values.get)))
     if not res.success:
         raise SolverFailureError(
             f"deterministic solve failed: {res.message}", phase="deterministic"
@@ -280,6 +299,7 @@ def probabilistic_constraint(surrogates: list, problem: RbdoProblem,
     every A' = M'AM with its eigenbasis, then k' and c'.  A fixed map
     (``_map_is_constant``) is built once, here; otherwise each evaluation
     builds it at its design point.  No evaluation calls a black-box limit state.
+    Each design point is evaluated and counted once; ``gstar.batch(mu)`` is its ``PfBatch``.
     """
     targets = np.array([spec.pf_target for spec in problem.constraints])
     a = np.stack([q.a for q in surrogates])
@@ -299,7 +319,8 @@ def probabilistic_constraint(surrogates: list, problem: RbdoProblem,
     if _map_is_constant(problem):  # every variable keeps its own mean: mu_eq = mu
         fixed = transform(problem.full_mean(problem.design_start()))[:2]
 
-    def gstar(mu_design):
+    @_once_per_point
+    def batch(mu_design):
         if counters is not None:
             counters.gstar_evals += len(surrogates)
         mu_full = problem.full_mean(mu_design)
@@ -308,8 +329,12 @@ def probabilistic_constraint(surrogates: list, problem: RbdoProblem,
         k_n = np.matmul(m_t, (k + np.matmul(two_a, mu_eq))[..., None])[..., 0]
         c_n = c + row_dot(np.matmul(mu_eq, a), mu_eq) + row_dot(k, mu_eq)
         require_finite(k_n, c_n)
-        return targets - pf_batch(spectral_in_basis(gamma, p, k_n, c_n), k_n).pf
+        return pf_batch(spectral_in_basis(gamma, p, k_n, c_n), k_n)
 
+    def gstar(mu_design):
+        return targets - batch(mu_design).pf
+
+    gstar.batch = batch
     return gstar
 
 
@@ -362,12 +387,10 @@ def rssl_solve(problem: RbdoProblem, start=None) -> RbdoResult:
                                  phase="single-loop", trace=trace)
 
     mu_opt = np.asarray(res.x, dtype=float)
-    snmap = standard_normal_map(problem.variables_at(problem.full_mean(mu_opt)), problem.corr)
-    pf_cf = [pf_quadratic(to_standard_normal(q, snmap))[0] for q in surrogates]
     return RbdoResult(
         method="rssl", mu_opt=mu_opt, objective_value=float(res.fun),
-        pf_closed_form=pf_cf, counters=counters, trace=trace, success=True,
-        message=str(res.message), mu_det=mu_det, doe_evals=doe_evals,
+        pf_closed_form=gstar.batch(mu_opt).pf.tolist(), counters=counters, trace=trace,
+        success=True, message=str(res.message), mu_det=mu_det, doe_evals=doe_evals,
     )
 
 
@@ -389,8 +412,8 @@ class FormMargins:
     """FORM constraints beta_HL_i(mu) - beta_d_i over ``problem.constraints``
     as a function of the design means, and their Jacobian.
 
-    Each new design point runs one MPP search per constraint, cached by
-    the bytes of mu.  ``jacobian`` takes d beta / d mu from the cached MPPs
+    Each distinct design point runs one MPP search per constraint, once.
+    ``jacobian`` takes d beta / d mu from those MPPs
     (``form.beta_sensitivity``), so it starts no search at a point the
     margins were evaluated at.  A constraint whose failure set is provably
     empty there (``_cannot_fail``) has beta = +inf and a zero row.  Every
@@ -400,7 +423,7 @@ class FormMargins:
     def __init__(self, problem: RbdoProblem, counters: EvalCounters):
         self.problem = problem
         self.targets = np.array([spec.beta_target for spec in problem.constraints])
-        self._cache = {}
+        self._mpps = _once_per_point(self._search)
 
         def counted(spec):
             def g(z):
@@ -410,32 +433,23 @@ class FormMargins:
 
         self._limit_states = [counted(spec) for spec in problem.constraints]
 
-    def _mpps(self, mu):
+    def _search(self, mu):
         """(margins, [(beta, u*) or None per constraint]) at ``mu``."""
-        mu = np.asarray(mu, dtype=float)
-        key = mu.tobytes()
-        if key not in self._cache:
-            problem = self.problem
-            vars_at = problem.variables_at(problem.full_mean(mu))
-            mpps = []
-            for spec, g in zip(problem.constraints, self._limit_states):
-                try:
-                    mpps.append(form_mpp(g, vars_at, problem.corr)[:2])
-                except ConvergenceError:
-                    if not _cannot_fail(spec, vars_at, problem.corr):
-                        raise
-                    mpps.append(None)
-            betas = np.array([math.inf if m is None else m[0] for m in mpps])
-            self._cache[key] = (betas - self.targets, mpps)
-        return self._cache[key]
+        problem = self.problem
+        vars_at = problem.variables_at(problem.full_mean(mu))
+        mpps = []
+        for spec, g in zip(problem.constraints, self._limit_states):
+            try:
+                mpps.append(form_mpp(g, vars_at, problem.corr)[:2])
+            except ConvergenceError:
+                if not _cannot_fail(spec, vars_at, problem.corr):
+                    raise
+                mpps.append(None)
+        betas = np.array([math.inf if m is None else m[0] for m in mpps])
+        return betas - self.targets, mpps
 
     def __call__(self, mu) -> np.ndarray:
         return self._mpps(mu)[0]
-
-    def cached(self, mu):
-        """The margins at ``mu`` if they were evaluated there, else None."""
-        entry = self._cache.get(np.asarray(mu, dtype=float).tobytes())
-        return None if entry is None else entry[0]
 
     def jacobian(self, mu) -> np.ndarray:
         """(n_con, n_design) d beta_i / d mu_j at the MPPs found at ``mu``."""
@@ -472,9 +486,7 @@ def rbdo_double_loop_form(problem: RbdoProblem, start=None) -> RbdoResult:
     trace = []
 
     def record(xk):
-        done = margins.cached(xk)
-        trace.append((len(trace), np.array(xk), float(objective(xk)),
-                      np.nan if done is None else float(done.min())))
+        trace.append((len(trace), np.array(xk), float(objective(xk)), float(margins(xk).min())))
 
     # beta = +inf reaches SLSQP as a finite margin: with its zero Jacobian
     # row any positive value is inactive, while +inf makes the QP fail

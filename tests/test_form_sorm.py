@@ -99,11 +99,23 @@ class TestFormMpp:
         beta_hl, _, _ = form_mpp(g, [snv("z1"), snv("z2")], corr)
         assert beta_hl == pytest.approx(b / np.sqrt(2.0 * (1.0 - rho)), rel=1e-6)
 
+    def test_beta_is_negative_where_the_means_fail(self):
+        # g = k.z - 2.5 with ||k|| = 1 is -2.5 at the means: pf = Phi(2.5) and
+        # beta_HL = -2.5, with the MPP at +2.5 k
+        k = np.array([0.6, -0.8])
+
+        def g(z):
+            return z @ k - 2.5
+
+        beta_hl, z_n, _ = form_mpp(g, [snv("z1"), snv("z2")], None)
+        assert beta_hl == pytest.approx(-2.5, abs=1e-8)
+        assert z_n == pytest.approx(2.5 * k, abs=1e-6)
+
 
 class TestBetaSensitivity:
-    # g = a.x - b over independent normals x with means theta: beta_HL is
-    # |a.theta - b| / s with s = ||a sigma||, so d beta / d theta = +/- a / s,
-    # alpha_j / sigma_j up to the sign of g at the means
+    # g = a.x - b over independent normals x with means theta: the signed
+    # beta_HL is (a.theta - b) / s with s = ||a sigma||, negative where the
+    # means fail, so d beta / d theta = a / s = alpha_j / sigma_j on both sides
     a = np.array([1.5, -0.7])
     sigma = np.array([0.3, 0.5])
 
@@ -122,7 +134,7 @@ class TestBetaSensitivity:
                 moved.append(self.variables(shifted))
         return beta_sensitivity(g, beta, u, self.variables(theta), None, moved, steps)
 
-    @pytest.mark.parametrize("theta,sign", [([2.0, 1.0], 1.0), ([-1.0, 1.0], -1.0)])
+    @pytest.mark.parametrize("theta,sign", [([2.0, 1.0], 1.0), ([-1.0, 1.0], 1.0)])
     def test_linear_state_is_alpha_over_sigma(self, theta, sign):
         theta = np.array(theta)
         g = lambda z: z @ self.a - 1.0

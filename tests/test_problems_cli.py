@@ -222,6 +222,24 @@ class TestProblemDocuments:
                      "doe.c_r_design", id="c-r-design-bool"),
         pytest.param(lambda d: d.update(targets={"beta_d": float("nan")}),
                      "targets.beta_d", id="beta-d-nan"),
+        # range checks, each at its own field
+        pytest.param(lambda d: d.update(doe={"c_r_design": -1}),
+                     "doe.c_r_design", id="c-r-design-negative"),
+        pytest.param(lambda d: d.update(doe={"c_r_parameter": 0}),
+                     "doe.c_r_parameter", id="c-r-parameter-zero"),
+        pytest.param(lambda d: d.update(doe={"halfwidth_overrides": {"x1": -0.5}}),
+                     "doe.halfwidth_overrides.x1", id="halfwidth-negative"),
+        pytest.param(lambda d: d.update(targets={"pf_all": 2.0}),
+                     "targets.pf_all", id="pf-all-above-one"),
+        pytest.param(lambda d: d.update(targets={"pf_all": 0.5}),
+                     "targets.pf_all", id="pf-all-half"),
+        pytest.param(lambda d: d.update(targets={"beta_d": 0},
+                                        constraints=[{"expression": "x1 - p1"}]),
+                     "targets.beta_d", id="beta-d-zero-black-box"),
+        pytest.param(lambda d: d.update(targets={"beta_d": -1}),
+                     "targets.beta_d", id="beta-d-negative-quadratic"),
+        pytest.param(lambda d: d["constraints"][0].update(pf_all=0.0),
+                     "constraints[0].pf_all", id="constraint-pf-all-zero"),
     ])
     def test_validation_reports_json_path(self, mutate, path):
         doc = ellipse_doc()

@@ -12,7 +12,7 @@ from scipy.optimize import brentq
 import quadrel.solver
 from quadrel.errors import ConvergenceError, DomainError, SolverFailureError
 from quadrel.form import fd_gradient
-from quadrel.pf import pf_quadratic
+from quadrel.pf import pf_batch, pf_quadratic
 from quadrel.problems import (
     bench_3g,
     bench_quad4,
@@ -115,6 +115,51 @@ class TestDeterministicPhase:
         for spec in problem.constraints:
             assert spec.evaluate(z)[0] >= -1e-7
 
+    @pytest.mark.parametrize("start", [
+        [8.747157060899472, 7.680656182251676],
+        [9.706235709310157, 3.8932148298375955],
+        [6.28829198410258, 4.051509812546245],
+        [6.037764732972446, 8.042059976242157],
+        [9.894808795661376, 6.873337680759337],
+        [0.03631681647305984, 7.199107365104391],
+        [4.541481523470619, 8.460788958981007],
+    ])
+    def test_restart_after_stalled_pass(self, start, monkeypatch):
+        # with BLAS at one thread SLSQP ends these starts at the corner mu = 0,
+        # where g1 = x1^2 x2 / 20 - 1 = -1 has a zero gradient and its
+        # linearization has no solution; one restart from the best feasible
+        # point already evaluated reaches the optimum, and no point is
+        # evaluated or counted twice
+        rows = []
+        counted = quadrel.solver._counted_limit_states
+
+        def recording(problem, counters):
+            evaluate = counted(problem, counters)
+
+            def recorded(z):
+                rows.extend(row.tobytes() for row in np.atleast_2d(z))
+                return evaluate(z)
+            return recorded
+
+        problem = bench_3g()
+        reference = solve_deterministic(problem)
+        monkeypatch.setattr(quadrel.solver, "_counted_limit_states", recording)
+        counters = EvalCounters()
+        mu = solve_deterministic(problem, start=np.array(start), counters=counters)
+        assert mu == pytest.approx(reference, abs=1e-6)
+        assert len(set(rows)) == len(rows) == counters.deterministic_g_evals  # shared system
+
+    def test_no_feasible_point_raises(self):
+        # g = -1 - x^2 is negative everywhere: no evaluated point can seed a restart
+        problem = RbdoProblem(
+            variables=[design("x", 1.0, 0.1, -5.0, 5.0)],
+            objective=lambda mu: float(mu[0]),
+            constraints=[ConstraintSpec(name="g", g=lambda z: -1.0 - z[:, 0] ** 2, beta_d=3.0)],
+        )
+        with pytest.raises(SolverFailureError) as err:
+            solve_deterministic(problem)
+        assert err.value.phase == "deterministic"
+
 
 class TestSurrogates:
     def test_explicit_quadratic_costs_nothing(self):
@@ -187,6 +232,25 @@ class TestProbabilisticConstraint:
         gstar(np.array([4.0]))
         gstar(np.array([5.0]))
         assert counters.gstar_evals == 2
+
+    def test_repeated_point_counts_once(self):
+        # a point already evaluated is read back, for g* and for its PfBatch
+        problem = demo_ellipse()
+        counters = EvalCounters()
+        gstar = probabilistic_constraint([problem.constraints[0].quadratic], problem,
+                                         counters=counters)
+        first = gstar(np.array([4.0])).tolist()
+        assert gstar(np.array([4.0])).tolist() == first
+        pf = gstar.batch(np.array([4.0])).pf
+        assert (problem.constraints[0].pf_target - pf).tolist() == first
+        assert counters.gstar_evals == 1
+
+    def test_objective_counts_each_point_once(self):
+        counters = EvalCounters()
+        objective = quadrel.solver._counted_objective(demo_ellipse(), counters)
+        assert objective(np.array([4.0])) == objective(np.array([4.0])) == 4.0
+        assert objective(np.array([5.0])) == 5.0
+        assert counters.objective_evals == 2
 
     @pytest.mark.parametrize("name", ["crashworthiness", "demo-ellipse-lognormal",
                                       "demo-ellipse-varstd", "demo-ellipse-det"])
@@ -376,6 +440,60 @@ class TestRsslSolve:
         assert messages[0] in str(err.value) and "max violation" in str(err.value)
         assert err.value.trace
 
+    @pytest.mark.parametrize("name", sorted(builtin_problems()))
+    def test_one_kernel_pass_per_point(self, name, monkeypatch):
+        # each closed-form pass is a distinct point SLSQP evaluated; the trace,
+        # the feasibility check and the report read the stored results
+        batches, points, in_callback = [], set(), []
+        monkeypatch.setattr(quadrel.solver, "pf_batch",
+                            lambda *args: batches.append(1) or pf_batch(*args))
+        minimize = quadrel.solver.minimize
+
+        def flag_callback(*args, callback=None, **kwargs):
+            def flagged(xk):
+                in_callback.append(1)
+                try:
+                    return callback(xk)
+                finally:
+                    in_callback.pop()
+            return minimize(*args, callback=callback and flagged, **kwargs)
+
+        one_pass = quadrel.solver._constrained_minimize
+
+        def recorded(objective, gstar, *args):
+            def from_slsqp(mu):
+                if not in_callback:
+                    points.add(np.asarray(mu, dtype=float).tobytes())
+                return gstar(mu)
+            return one_pass(objective, from_slsqp, *args)
+
+        monkeypatch.setattr(quadrel.solver, "minimize", flag_callback)
+        monkeypatch.setattr(quadrel.solver, "_constrained_minimize", recorded)
+        problem = builtin(name)
+        result = rssl_solve(problem)
+        assert result.trace
+        assert len(batches) == len(points)
+        assert result.counters.gstar_evals == len(points) * len(problem.constraints)
+
+    @pytest.mark.parametrize("name", sorted(builtin_problems()))
+    def test_report_matches_each_constraint(self, name, monkeypatch):
+        # the report reads the kernel's PfBatch: the same floats as the
+        # per-constraint reference path
+        built = []
+        factory = quadrel.solver.probabilistic_constraint
+
+        def recorded(surrogates, *args, **kwargs):
+            built.append(surrogates)
+            return factory(surrogates, *args, **kwargs)
+
+        monkeypatch.setattr(quadrel.solver, "probabilistic_constraint", recorded)
+        problem = builtin(name)
+        result = rssl_solve(problem)
+        snmap = standard_normal_map(problem.variables_at(problem.full_mean(result.mu_opt)),
+                                    problem.corr)
+        assert result.pf_closed_form == [pf_quadratic(to_standard_normal(q, snmap))[0]
+                                         for q in built[0]]
+
     def test_result_reports_pf_within_target(self):
         result = rssl_solve(demo_ellipse(beta_d=3.0))
         pf = result.pf_closed_form[0]
@@ -436,7 +554,8 @@ class TestFormDoubleLoop:
         ("bench-quad4 beta=3", lambda: bench_quad4(beta_d=3.0), 0.910632, 25607),
         ("demo-ellipse", demo_ellipse, 0.0, 2751),
         ("demo-ellipse-lognormal", demo_ellipse_lognormal, 0.1, 3566),
-        ("demo-ellipse-det", demo_ellipse_det, 2.436275, 2680),
+        # the rssl optimum; the unsigned beta ended at 2.436275, where MC gives pf 0.9985
+        ("demo-ellipse-det", demo_ellipse_det, 0.1, 2680),
         # lower-bound corner; at most a tenth of the outer-difference loop's calls
         ("crashworthiness", lambda: builtin("crashworthiness"), 3.8675, 51386),
     ])
@@ -448,6 +567,15 @@ class TestFormDoubleLoop:
         assert result.counters.deterministic_g_evals < parent_evals
         for pf, spec in zip(result.pf_closed_form, problem.constraints):
             assert pf <= spec.pf_target + 1e-9
+
+    def test_optimum_with_deterministic_design_passes_mc(self):
+        # the signed beta keeps the optimum out of the failure set; the
+        # unsigned one ended at d1 = 2.436, x1 = 0, where MC gives pf 0.9985
+        problem = demo_ellipse_det()
+        result = rbdo_double_loop_form(problem)
+        target = problem.constraints[0].pf_target
+        est = mc_audit(problem, result.mu_opt, n=200_000, seed=7)[0]
+        assert est.pf_hat <= target + 6.0 * math.sqrt(target * (1.0 - target) / est.n)
 
     def test_limit_state_that_cannot_fail(self):
         # at mu = 0 x1's std is 0 and the ellipse is positive for every p1
