@@ -9,9 +9,9 @@ the path of a JSON problem file.  Exit codes: 0 ok, 2 input error,
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .errors import (
     SolverFailureError,
 )
 from .pf import beta_generalized, pf_quadratic
-from .problem_io import build_problem, load_document, save_result, trace_to_csv
+from .problem_io import build_problem, load_document, save_result, target_value, trace_to_csv
 from .problems import builtin_problems
 from .quadratic import standard_normal_map, to_standard_normal
 from .solver import (
@@ -35,29 +35,28 @@ from .solver import (
     rssl_solve,
     solve_deterministic,
 )
-from .variables import std_normal_inv
 
 
 def _load_problem(args):
     """Resolve the positional problem argument into an RbdoProblem.
 
-    ``--pf`` / ``--beta`` replace every constraint's target.
+    ``--pf`` / ``--beta`` replace every constraint's target; each must lie in
+    the range a problem file's ``targets`` has.
     """
     if args.pf is not None:
-        target = {"pf_all": args.pf}
+        target = {"pf_all": target_value("pf_all", args.pf, "--pf")}
     elif args.beta is not None:
-        target = {"beta_d": args.beta}
+        target = {"beta_d": target_value("beta_d", args.beta, "--beta")}
     else:
         target = {}
     builders = builtin_problems()
     if args.problem in builders:
         builder = builders[args.problem]
-        params = inspect.signature(builder).parameters
-        if "pf_all" in target and "pf_all" not in params:
-            target = {"beta_d": -std_normal_inv(args.pf)}
-        if args.coeff_file is not None and "coefficient_file" in params:
-            target["coefficient_file"] = args.coeff_file
-        return builder(**target)
+        problem = builder(args.coeff_file) if args.problem == "crashworthiness" else builder()
+        if target:
+            target = {"beta_d": None, "pf_all": None} | target
+            problem.constraints = [replace(spec, **target) for spec in problem.constraints]
+        return problem
     doc = load_document(args.problem)
     if target:
         doc["targets"] = target

@@ -13,7 +13,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, SingularFitError, UnsupportedDesignError, ZeroHalfwidthError
-from .quadratic import QuadraticForm
+from .quadratic import QuadraticForm, n_quadratic_coefficients
 from .variables import RandomVariable, Role, equivalent_normal
 
 # Rescaling constant applied to design-variable box halfwidths so the
@@ -186,10 +186,6 @@ def inscribed_ccd_2(box: DoeBox) -> DoePlan:
         [-s, -s], [-s, s], [s, -s], [s, s],
     ])
     return DoePlan(scheme=Scheme.INSCRIBED_CCD2, points=_scale(coded, box))
-
-
-def n_quadratic_coefficients(n: int) -> int:
-    return (n + 1) * (n + 2) // 2
 
 
 def _basis_names(n: int):

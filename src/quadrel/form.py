@@ -3,6 +3,7 @@
 Most-probable-point search via a damped Hasofer-Lind-Rackwitz-Fiessler
 iteration with a constrained-minimization fallback, and the Breitung
 curvature correction evaluated on a quadratic limit state at the MPP.
+Also the per-point memo that the MPP search and the solver's phases share.
 """
 
 from __future__ import annotations
@@ -14,13 +15,31 @@ from scipy.optimize import minimize
 
 from .errors import BreitungSingularityError, ConvergenceError, DomainError
 from .montecarlo import transform_samples
-from .quadratic import CorrelationModel, QuadraticForm, identity_correlation
+from .quadratic import CorrelationModel, QuadraticForm
 from .variables import RandomVariable, std_normal
 
 # HLRF convergence: |g| and the MPP's tangential part (relative), and the step limit.
 MPP_TOL = 1e-8
 MPP_OPT_TOL = 1e-6
 MPP_MAX_ITER = 200
+
+
+def once_per_point(fn):
+    """``fn`` run once per distinct point; ``.values`` maps the point's bytes to results.
+
+    A point is an array of any shape (a design-mean vector, a (1, n) row).
+    """
+    values = {}
+
+    def memo(x):
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        if key not in values:
+            values[key] = fn(x)
+        return values[key]
+
+    memo.values = values
+    return memo
 
 
 def _g_in_standard_space(g, variables, corr):
@@ -57,38 +76,28 @@ def form_mpp(g, variables: list[RandomVariable], corr: CorrelationModel | None, 
     g at the means (negative where they fail).  The search runs a damped HLRF
     iteration in uncorrelated standard-normal space and falls back to
     direct constrained minimization of ||z_N|| subject to g = 0 on stall.
+    It calls ``g`` once per distinct original-space row.
     """
     n = len(variables)
-    if corr is None:
-        corr = identity_correlation(n)
-    g_n = _g_in_standard_space(g, variables, corr)
-    z = np.zeros(n) if start is None else np.asarray(start, dtype=float).copy()
-
+    g_n = _g_in_standard_space(once_per_point(g), variables, corr)
+    z = np.zeros(n) if start is None else np.array(start, dtype=float)
     g0 = g_n(np.zeros(n))
     scale = max(abs(g0), 1.0)
     trace = []
-
-    def converged(z, gval, grad):
-        gnorm = np.linalg.norm(grad)
-        if gnorm == 0.0:
-            return False
-        u = grad / gnorm
-        tangential = z - (z @ u) * u
-        return (abs(gval) <= MPP_TOL * scale
-                and np.linalg.norm(tangential) <= MPP_OPT_TOL * max(1.0, np.linalg.norm(z)))
-
-    gval = g_n(z)
+    converged = False
     for it in range(MPP_MAX_ITER):
+        gval = g_n(z)
         grad = fd_gradient(g_n, z)
         gnorm = np.linalg.norm(grad)
         trace.append((it, float(np.linalg.norm(z)), float(gval)))
-        if converged(z, gval, grad):
-            beta = math.copysign(np.linalg.norm(z), g0)
-            mpp_z = transform_samples(z[None, :], variables, corr)[0]
-            return beta, z, mpp_z
         if gnorm == 0.0:
             break
         alpha = grad / gnorm
+        tangential = z - (z @ alpha) * alpha
+        converged = (abs(gval) <= MPP_TOL * scale
+                     and np.linalg.norm(tangential) <= MPP_OPT_TOL * max(1.0, np.linalg.norm(z)))
+        if converged:
+            break
         z_new = (grad @ z - gval) / gnorm * alpha
         d = z_new - z
         # merit line search: m(z) = 0.5||z||^2 + c_m |g(z)|
@@ -97,35 +106,27 @@ def form_mpp(g, variables: list[RandomVariable], corr: CorrelationModel | None, 
         step = 1.0
         for _ in range(8):
             z_try = z + step * d
-            g_try = g_n(z_try)
-            if 0.5 * z_try @ z_try + c_m * abs(g_try) < m0:
+            if 0.5 * z_try @ z_try + c_m * abs(g_n(z_try)) < m0:
                 break
             step *= 0.5
         else:
             break  # stalled; switch to the fallback solver
-        z = z + step * d
-        gval = g_n(z)
+        z = z_try
 
-    # Fallback: minimize ||z||^2 subject to g_N = 0.
-    best = None
-    for z0 in (z, np.full(n, 0.1)):
-        res = minimize(
-            lambda u: u @ u,
-            z0,
-            jac=lambda u: 2.0 * u,
-            method="SLSQP",
-            constraints=[{"type": "eq", "fun": lambda u: g_n(u) / scale}],
-            options={"maxiter": 300, "ftol": 1e-12},
-        )
-        if res.success and abs(g_n(res.x)) <= 1e-6 * scale:
-            if best is None or res.fun < best.fun:
+    if not converged:  # minimize ||z||^2 subject to g_N = 0
+        best = None
+        for z0 in (z, np.full(n, 0.1)):
+            res = minimize(lambda u: u @ u, z0, jac=lambda u: 2.0 * u, method="SLSQP",
+                           constraints=[{"type": "eq", "fun": lambda u: g_n(u) / scale}],
+                           options={"maxiter": 300, "ftol": 1e-12})
+            if (res.success and abs(g_n(res.x)) <= 1e-6 * scale
+                    and (best is None or res.fun < best.fun)):
                 best = res
-    if best is None:
-        raise ConvergenceError("MPP search did not converge", trace=trace)
-    z = best.x
+        if best is None:
+            raise ConvergenceError("MPP search did not converge", trace=trace)
+        z = best.x
     beta = math.copysign(np.linalg.norm(z), g0)
-    mpp_z = transform_samples(z[None, :], variables, corr)[0]
-    return beta, z, mpp_z
+    return beta, z, transform_samples(z[None, :], variables, corr)[0]
 
 
 def beta_sensitivity(g, beta: float, mpp_zN, variables: list[RandomVariable],

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .quadratic import CorrelationModel, identity_correlation
+from .quadratic import CorrelationModel
 from .variables import Kind, RandomVariable
 
 DEFAULT_CHUNK = 1_000_000
@@ -60,8 +60,6 @@ def mc_pf(g, variables: list[RandomVariable], corr: CorrelationModel | None,
         raise DomainError(f"mc_pf requires n >= 1000, got {n}")
     if chunk_size < 1:
         raise DomainError(f"mc_pf requires chunk_size >= 1, got {chunk_size}")
-    if corr is None:
-        corr = identity_correlation(len(variables))
     rng = np.random.default_rng(seed)
     nvar = len(variables)
     failures = 0

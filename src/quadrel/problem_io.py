@@ -19,7 +19,7 @@ from .doe import Scheme
 from .errors import ProblemFormatError
 from .montecarlo import McEstimate
 from .pf import beta_generalized
-from .quadratic import QuadraticForm, correlation_decompose
+from .quadratic import QuadraticForm, correlation_decompose, n_quadratic_coefficients
 from .solver import ConstraintSpec, RbdoProblem, RbdoResult, StdMode
 from .variables import Kind, RandomVariable, Role
 
@@ -45,22 +45,29 @@ def _is_number(val) -> bool:
     return isinstance(val, (int, float)) and not isinstance(val, bool) and val == val
 
 
-def _get_number(obj, key, path, default=None, required=False, above=None, below=None):
-    """``obj[key]`` as a float, optionally strictly between ``above`` and ``below``."""
+def _number(val, key, path, above=None, below=None):
+    """``val`` as a float, optionally strictly between ``above`` and ``below``."""
+    _require(_is_number(val), f"{key!r} must be a number, got {val!r}", path)
+    _require(above is None or val > above, f"{key!r} must be > {above}, got {val!r}", path)
+    _require(below is None or val < below, f"{key!r} must be < {below}, got {val!r}", path)
+    return float(val)
+
+
+def _get_number(obj, key, path, default=None, required=False, **bounds):
+    """``obj[key]`` checked by ``_number``, reported at ``path.key``."""
     if key not in obj:
         _require(not required, f"missing required field {key!r}", path)
         return default
-    val = obj[key]
-    _require(_is_number(val), f"{key!r} must be a number, got {val!r}", f"{path}.{key}")
-    _require(above is None or val > above, f"{key!r} must be > {above}, got {val!r}",
-             f"{path}.{key}")
-    _require(below is None or val < below, f"{key!r} must be < {below}, got {val!r}",
-             f"{path}.{key}")
-    return float(val)
+    return _number(obj[key], key, f"{path}.{key}", **bounds)
 
 
 # beta_d > 0 and 0 < pf_all < 0.5 each say target beta > 0, the domain the DOE box assumes.
 _TARGET_RANGES = {"beta_d": {"above": 0.0}, "pf_all": {"above": 0.0, "below": 0.5}}
+
+
+def target_value(key: str, val, path: str) -> float:
+    """``val`` as the target ``key`` (beta_d or pf_all), in range or an error at ``path``."""
+    return _number(val, key, path, **_TARGET_RANGES[key])
 
 
 def _get_array(val, shape: tuple, path: str) -> np.ndarray:
@@ -69,11 +76,6 @@ def _get_array(val, shape: tuple, path: str) -> np.ndarray:
     _require(arr.shape == shape and all(map(_is_number, arr.flat)),
              f"must be a numeric array of shape {shape}", path)
     return arr.astype(float)
-
-
-def _flat_size(n: int) -> int:
-    """Coefficients of a flat quadratic over n variables (c, k, upper triangle of A)."""
-    return 1 + n + n * (n + 1) // 2
 
 
 def load_document(path) -> dict:
@@ -158,7 +160,8 @@ def _build_objective(spec, design_names: list[str]):
         const = _get_number(spec, "constant", "objective", default=0.0)
         return lambda mu: float(coeffs @ np.asarray(mu, dtype=float) + const)
     if "quadratic" in spec:
-        coeffs = _get_array(spec["quadratic"], (_flat_size(nd),), "objective.quadratic")
+        coeffs = _get_array(spec["quadratic"], (n_quadratic_coefficients(nd),),
+                            "objective.quadratic")
         q = QuadraticForm.from_flat(coeffs, nd)
         return lambda mu: float(q(np.asarray(mu, dtype=float)))
     g = _compile_expression(spec["expression"], design_names, "objective.expression")
@@ -171,7 +174,8 @@ def _build_constraint(con, i: int, names: list[str], targets: dict) -> Constrain
     _require(len({"quadratic", "expression"} & set(con)) == 1,
              "constraint needs exactly one of 'quadratic' / 'expression'", p)
     if "quadratic" in con:
-        coeffs = _get_array(con["quadratic"], (_flat_size(len(names)),), f"{p}.quadratic")
+        coeffs = _get_array(con["quadratic"], (n_quadratic_coefficients(len(names)),),
+                            f"{p}.quadratic")
         limit_state = {"quadratic": QuadraticForm.from_flat(coeffs, len(names))}
     else:
         _require(isinstance(con["expression"], str),

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, ProblemFormatError
-from .quadratic import QuadraticForm, correlation_decompose
+from .quadratic import QuadraticForm, correlation_decompose, n_quadratic_coefficients
 from .solver import ConstraintSpec, RbdoProblem, StdMode
 from .variables import Kind, RandomVariable, Role
 
@@ -186,7 +186,7 @@ def load_crash_coefficients(path):
     A row named ``objective`` is required and must be linear (zero A).
     Returns (objective_form, {name: QuadraticForm}).
     """
-    n_flat = 1 + CRASH_NZ + CRASH_NZ * (CRASH_NZ + 1) // 2
+    n_flat = n_quadratic_coefficients(CRASH_NZ)
     forms = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

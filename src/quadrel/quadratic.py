@@ -24,6 +24,11 @@ LIFT_EPS = 1e-7
 SIGN_ZERO_TOL = 1e-12
 
 
+def n_quadratic_coefficients(n: int) -> int:
+    """Coefficients of a full quadratic over n variables: c, k and the upper triangle of A."""
+    return (n + 1) * (n + 2) // 2
+
+
 @dataclass(frozen=True)
 class QuadraticForm:
     """Q(z) = z'Az + k'z + c with A symmetrized on construction."""
@@ -66,8 +71,7 @@ class QuadraticForm:
     @classmethod
     def from_flat(cls, coeffs, dim: int) -> "QuadraticForm":
         coeffs = np.asarray(coeffs, dtype=float)
-        n_upper = dim * (dim + 1) // 2
-        expected = 1 + dim + n_upper
+        expected = n_quadratic_coefficients(dim)
         if coeffs.shape != (expected,):
             raise DomainError(
                 f"flat quadratic for dim {dim} needs {expected} coefficients, got {coeffs.shape}"

@@ -17,7 +17,7 @@ from scipy.optimize import minimize
 
 from .doe import DoeBox, Scheme, bbd_points, ccd_points, doe_box, fit_quadratic, inscribed_ccd_2
 from .errors import ConvergenceError, DomainError, SolverFailureError
-from .form import beta_sensitivity, fd_gradient, form_mpp
+from .form import beta_sensitivity, fd_gradient, form_mpp, once_per_point
 from .montecarlo import mc_pf
 from .pf import pf_batch, pf_quadratic, require_finite
 from .quadratic import (
@@ -176,7 +176,7 @@ def _counted_limit_states(problem: RbdoProblem, counters: EvalCounters):
     Each row counts one black-box evaluation per black-box constraint.  With
     shared evaluations one system call serves every constraint, so a row
     counts once.  No point comes twice: the deterministic phase memoizes its
-    points (``_once_per_point``) and a DOE plan's rows are distinct.
+    points (``once_per_point``) and a DOE plan's rows are distinct.
     """
     n_blackbox = sum(spec.quadratic is None for spec in problem.constraints)
     per_row = min(n_blackbox, 1) if problem.shared_evaluations else n_blackbox
@@ -189,26 +189,11 @@ def _counted_limit_states(problem: RbdoProblem, counters: EvalCounters):
     return evaluate
 
 
-def _once_per_point(fn):
-    """``fn`` run once per distinct design point; ``.values`` maps mu.tobytes() to results."""
-    values = {}
-
-    def memo(mu):
-        mu = np.asarray(mu, dtype=float)
-        key = mu.tobytes()
-        if key not in values:
-            values[key] = fn(mu)
-        return values[key]
-
-    memo.values = values
-    return memo
-
-
 def _counted_objective(problem: RbdoProblem, counters: EvalCounters):
     def objective(mu):
         counters.objective_evals += 1
         return float(problem.objective(mu))
-    return _once_per_point(objective)
+    return once_per_point(objective)
 
 
 def solve_deterministic(problem: RbdoProblem, start=None,
@@ -218,7 +203,7 @@ def solve_deterministic(problem: RbdoProblem, start=None,
     limit_states = _counted_limit_states(problem, counters)
     x0 = np.asarray(start, dtype=float) if start is not None else problem.design_start()
     objective = _counted_objective(problem, counters)
-    g = _once_per_point(lambda mu: limit_states(problem.full_mean(mu))[:, 0])
+    g = once_per_point(lambda mu: limit_states(problem.full_mean(mu))[:, 0])
 
     def run(x):
         return minimize(objective, x, method="SLSQP", bounds=problem.bounds,
@@ -319,7 +304,7 @@ def probabilistic_constraint(surrogates: list, problem: RbdoProblem,
     if _map_is_constant(problem):  # every variable keeps its own mean: mu_eq = mu
         fixed = transform(problem.full_mean(problem.design_start()))[:2]
 
-    @_once_per_point
+    @once_per_point
     def batch(mu_design):
         if counters is not None:
             counters.gstar_evals += len(surrogates)
@@ -423,7 +408,7 @@ class FormMargins:
     def __init__(self, problem: RbdoProblem, counters: EvalCounters):
         self.problem = problem
         self.targets = np.array([spec.beta_target for spec in problem.constraints])
-        self._mpps = _once_per_point(self._search)
+        self._mpps = once_per_point(self._search)
 
         def counted(spec):
             def g(z):

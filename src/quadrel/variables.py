@@ -154,16 +154,6 @@ def variable_pdf_cdf(v: RandomVariable, x: float):
     raise DomainError(f"{v.name}: pdf/cdf undefined for deterministic variables")
 
 
-def variable_inv_cdf(v: RandomVariable, p):
-    """Marginal inverse CDF; accepts scalars or arrays of probabilities."""
-    if v.kind is Kind.NORMAL:
-        return v.mean + v.std * std_normal_inv(p)
-    if v.kind is Kind.LOGNORMAL:
-        lam, zeta = v.log_params()
-        return np.exp(lam + zeta * std_normal_inv(p))
-    raise DomainError(f"{v.name}: inverse CDF undefined for deterministic variables")
-
-
 def equivalent_normal(v: RandomVariable, x: float) -> EquivalentNormal:
     """Equivalent normal parameters of ``v`` at the point ``x``.
 

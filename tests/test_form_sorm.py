@@ -112,6 +112,21 @@ class TestFormMpp:
         assert z_n == pytest.approx(2.5 * k, abs=1e-6)
 
 
+    def test_origin_evaluated_once(self):
+        # g at the means sets beta's sign and the tolerance scale, and it is
+        # the first HLRF iterate: one call serves both
+        k = np.array([0.6, -0.8])
+        rows = []
+
+        def g(z):
+            rows.extend(map(tuple, z))
+            return z @ k + 2.5
+
+        form_mpp(g, [snv("z1"), snv("z2")], None)
+        assert rows.count((0.0, 0.0)) == 1
+        assert len(set(rows)) == len(rows)
+
+
 class TestBetaSensitivity:
     # g = a.x - b over independent normals x with means theta: the signed
     # beta_HL is (a.theta - b) / s with s = ||a sigma||, negative where the

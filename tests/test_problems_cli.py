@@ -317,6 +317,28 @@ class TestCli:
         res = json.loads(out.read_text())
         assert res["success"]
 
+    @pytest.mark.parametrize("flag,value", [("--beta", "-1"), ("--beta", "0"), ("--pf", "0"),
+                                            ("--pf", "0.6"), ("--pf", "1.5")])
+    @pytest.mark.parametrize("source", ["demo-ellipse", "bench-3g", "file"])
+    def test_target_flag_out_of_range_is_input_error(self, source, flag, value, tmp_path,
+                                                     capsys):
+        # the range targets.* has in a problem file holds for the flags on every source
+        if source == "file":
+            source = str(tmp_path / "ellipse.json")
+            save_document(ellipse_doc(), source)
+        assert main(["solve", source, flag, value]) == 2
+        assert f"(at {flag})" in capsys.readouterr().err
+
+    def test_pf_flag_on_builtin_sets_pf_target(self, tmp_path, capsys):
+        pf = std_normal(-3.0)[1]
+        out_pf = tmp_path / "pf.json"
+        out_beta = tmp_path / "beta.json"
+        assert main(["solve", "demo-ellipse", "--pf", repr(pf), "--out", str(out_pf)]) == 0
+        assert main(["solve", "demo-ellipse", "--beta", "3", "--out", str(out_beta)]) == 0
+        a = json.loads(out_pf.read_text())
+        b = json.loads(out_beta.read_text())
+        assert a["mu_opt"] == pytest.approx(b["mu_opt"], abs=1e-8)
+
     @pytest.mark.parametrize("flag,value", [("--beta", "3.0"),
                                             ("--pf", repr(std_normal(-3.0)[1]))])
     def test_target_override_on_document_without_targets(self, flag, value, tmp_path,

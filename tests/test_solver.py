@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import quadrel.form
 import quadrel.solver
 from quadrel.errors import ConvergenceError, DomainError, SolverFailureError
 from quadrel.form import fd_gradient
@@ -596,6 +597,37 @@ class TestFormDoubleLoop:
         problem.constraints = [ConstraintSpec(name="g", g=q, beta_d=3.0)]
         with pytest.raises(ConvergenceError):
             FormMargins(problem, EvalCounters())(np.array([0.0]))
+
+    @pytest.mark.parametrize("build,fallback", [
+        (demo_ellipse_det, False),        # steps along the deterministic d1 repeat rows
+        (bench_3g, False),
+        (demo_ellipse_lognormal, True),   # one search ends in the SLSQP fallback
+    ])
+    def test_each_search_evaluates_a_row_once(self, build, fallback, monkeypatch):
+        searches = []
+        search = quadrel.solver.form_mpp
+
+        def logged(g, *args, **kwargs):
+            rows = []
+            searches.append(rows)
+
+            def g_logged(z):
+                rows.extend(map(bytes, np.atleast_2d(z)))
+                return g(z)
+            return search(g_logged, *args, **kwargs)
+
+        monkeypatch.setattr(quadrel.solver, "form_mpp", logged)
+        fallbacks = []
+        minimize = quadrel.form.minimize
+
+        def counted_minimize(*args, **kwargs):
+            fallbacks.append(1)
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(quadrel.form, "minimize", counted_minimize)
+        rbdo_double_loop_form(build())
+        assert bool(fallbacks) == fallback
+        assert searches and all(len(set(rows)) == len(rows) for rows in searches)
 
     def test_trace_records_cached_min_margin(self):
         # every iterate SLSQP reports was evaluated, so each trace row reads
