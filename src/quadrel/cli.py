@@ -41,8 +41,12 @@ def _load_problem(args):
     """Resolve the positional problem argument into an RbdoProblem.
 
     ``--pf`` / ``--beta`` replace every constraint's target; each must lie in
-    the range a problem file's ``targets`` has.
+    the range a problem file's ``targets`` has.  ``--coeff-file`` is for the
+    crashworthiness builtin only.
     """
+    if args.coeff_file is not None and args.problem != "crashworthiness":
+        raise ProblemFormatError("--coeff-file applies only to the crashworthiness builtin",
+                                 path="--coeff-file")
     if args.pf is not None:
         target = {"pf_all": target_value("pf_all", args.pf, "--pf")}
     elif args.beta is not None:
@@ -52,7 +56,7 @@ def _load_problem(args):
     builders = builtin_problems()
     if args.problem in builders:
         builder = builders[args.problem]
-        problem = builder(args.coeff_file) if args.problem == "crashworthiness" else builder()
+        problem = builder(args.coeff_file) if args.coeff_file else builder()
         if target:
             target = {"beta_d": None, "pf_all": None} | target
             problem.constraints = [replace(spec, **target) for spec in problem.constraints]

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import BreitungSingularityError, ConvergenceError, DomainError
-from .montecarlo import transform_samples
+from .montecarlo import marginal_map, transform_samples
 from .quadratic import CorrelationModel, QuadraticForm
 from .variables import RandomVariable, std_normal
 
@@ -43,11 +43,11 @@ def once_per_point(fn):
 
 
 def _g_in_standard_space(g, variables, corr):
-    """Wrap g(z) as g_N(z_N) through the exact marginal transform."""
+    """Wrap g(z) as g_N(z_N) through the exact marginal transform, built once."""
+    to_z = marginal_map(variables, corr)
 
     def g_n(z_n):
-        z = transform_samples(np.atleast_2d(np.asarray(z_n, dtype=float)), variables, corr)
-        out = np.asarray(g(z), dtype=float)
+        out = np.asarray(g(to_z(np.atleast_2d(z_n))), dtype=float)
         return float(out[0]) if out.shape == (1,) else out
 
     return g_n

@@ -8,6 +8,7 @@ so the estimator is a valid independent oracle for the closed forms
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,11 @@ from .variables import Kind, RandomVariable
 
 DEFAULT_CHUNK = 1_000_000
 
+# Elements per block of the marginal map's affine step.  A block is whole
+# rows against a (shift, scale) tiled to the same shape, so numpy's inner
+# loop runs over the block, not over one row, whatever the number of variables.
+BLOCK_SIZE = 16_384
+
 
 @dataclass(frozen=True)
 class McEstimate:
@@ -27,47 +33,99 @@ class McEstimate:
     seed: int
 
 
-def transform_samples(z_n: np.ndarray, variables: list[RandomVariable],
-                      corr: CorrelationModel | None) -> np.ndarray:
-    """Map standard normal draws (m, n) to the original variable space."""
-    if corr is not None:
-        y = z_n @ corr.l.T
-    else:
-        y = z_n
-    z = np.empty_like(y)
+def marginal_map(variables: list[RandomVariable], corr: CorrelationModel | None):
+    """The map ``apply(z_n, out=None)`` from standard normal draws (m, n) to
+    the original variable space, built once for repeated use.
+
+    Each variable is shift + scale * y of its mixed draw y: (mean, std) for a
+    normal, (lambda, zeta) followed by exp for a lognormal, (value, 0) for a
+    deterministic one, whose column is then set to the value.  The result is
+    written to ``out`` when given (which may be ``z_n`` itself), else to a new
+    array; with a correlation, the mixed array is transformed in place.
+    """
+    n = len(variables)
+    shift = np.empty(n)
+    scale = np.empty(n)
+    fixed, lognormal = [], []
     for i, v in enumerate(variables):
         if v.is_deterministic:
-            z[:, i] = v.mean
+            shift[i], scale[i] = v.mean, 0.0
+            fixed.append((i, v.mean))
         elif v.kind is Kind.NORMAL:
-            z[:, i] = v.mean + v.std * y[:, i]
+            shift[i], scale[i] = v.mean, v.std
         elif v.kind is Kind.LOGNORMAL:
-            lam, zeta = v.log_params()
-            z[:, i] = np.exp(lam + zeta * y[:, i])
+            shift[i], scale[i] = v.log_params()
+            lognormal.append(i)
         else:
             raise DomainError(f"{v.name}: cannot sample kind {v.kind}")
-    return z
+    mix = None if corr is None else corr.l.T
+    block_rows = max(1, BLOCK_SIZE // max(n, 1))
+    tiles = [shift[None, :], scale[None, :]]  # (rows, n) shift and scale, grown on demand
+
+    def apply(z_n: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        z_n = np.asarray(z_n, dtype=float)
+        if z_n.ndim != 2 or z_n.shape[1] != n:
+            raise DomainError(f"draws of shape {z_n.shape} need {n} columns, one per variable")
+        if mix is not None:
+            z_n = out = np.matmul(z_n, mix, out=out)
+        elif out is None:
+            out = np.empty(z_n.shape)
+        m = z_n.shape[0]
+        rows = max(1, min(m, block_rows))
+        if len(tiles[0]) < rows:
+            tiles[:] = [shift[None, :].repeat(rows, axis=0), scale[None, :].repeat(rows, axis=0)]
+        shifts, scales = tiles
+        for start in range(0, m, rows):
+            block = out[start:start + rows]
+            np.multiply(z_n[start:start + rows], scales[:len(block)], out=block)
+            block += shifts[:len(block)]
+        for i, value in fixed:
+            out[:, i] = value
+        for i in lognormal:  # exp on a contiguous copy, the loop a per-column map runs
+            col = out[:, i].copy()
+            out[:, i] = np.exp(col, out=col)
+        return out
+
+    return apply
+
+
+def transform_samples(z_n: np.ndarray, variables: list[RandomVariable],
+                      corr: CorrelationModel | None, out: np.ndarray | None = None) -> np.ndarray:
+    """Map standard normal draws (m, n) to the original variable space.
+
+    The result is written to ``out`` when given (``out=z_n`` transforms in
+    place); see ``marginal_map``.
+    """
+    return marginal_map(variables, corr)(z_n, out)
+
+
+def _require_count(name: str, value, least: int):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"mc_pf requires an integer {name}, got {value!r}")
+    if value < least:
+        raise DomainError(f"mc_pf requires {name} >= {least}, got {value}")
 
 
 def mc_pf(g, variables: list[RandomVariable], corr: CorrelationModel | None,
           n: int, seed: int, chunk_size: int = DEFAULT_CHUNK) -> McEstimate:
     """Estimate Prob[g(z) < 0] with ``n`` samples.
 
-    ``g`` must accept an (m, nvar) array and return (m,) values.  The
-    draw is chunked; results are bit-reproducible for fixed
+    ``g`` must accept an (m, nvar) array and return (m,) values.  The draw
+    is chunked: one call holds one buffer of min(chunk_size, n) x nvar
+    floats, which each chunk's draws fill and ``transform_samples`` then
+    maps in place.  Results are bit-reproducible for fixed
     (seed, n, chunk_size).
     """
-    if n < 1_000:
-        raise DomainError(f"mc_pf requires n >= 1000, got {n}")
-    if chunk_size < 1:
-        raise DomainError(f"mc_pf requires chunk_size >= 1, got {chunk_size}")
+    _require_count("n", n, 1_000)
+    _require_count("chunk_size", chunk_size, 1)
     rng = np.random.default_rng(seed)
-    nvar = len(variables)
+    buffer = np.empty((min(chunk_size, n), len(variables)))
     failures = 0
     remaining = n
     while remaining > 0:
         m = min(chunk_size, remaining)
-        z_n = rng.standard_normal((m, nvar))
-        z = transform_samples(z_n, variables, corr)
+        z_n = rng.standard_normal(out=buffer[:m])
+        z = transform_samples(z_n, variables, corr, out=z_n)
         failures += int(np.count_nonzero(np.asarray(g(z)) < 0.0))
         remaining -= m
     pf_hat = failures / n

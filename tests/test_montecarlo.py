@@ -1,16 +1,54 @@
 """Chunked Monte Carlo failure-probability estimation."""
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quadrel import problems
 from quadrel.errors import DomainError
-from quadrel.montecarlo import mc_pf, transform_samples
+from quadrel.montecarlo import BLOCK_SIZE, mc_pf, transform_samples
 from quadrel.quadratic import QuadraticForm, correlation_decompose
+from quadrel.solver import mc_audit
 from quadrel.variables import Kind, RandomVariable, Role
+
+CRASH_CSV = os.path.join(os.path.dirname(__file__), "data", "crash_coefficients.csv")
 
 
 def snv(name):
     return RandomVariable(name, Kind.NORMAL, Role.PARAMETER, 0.0, 1.0)
+
+
+def reference_transform(z_n, variables, corr):
+    """The marginal map one column at a time: the loop the blocked kernel replaced."""
+    y = z_n @ corr.l.T if corr is not None else z_n
+    z = np.empty_like(y)
+    for i, v in enumerate(variables):
+        if v.is_deterministic:
+            z[:, i] = v.mean
+        elif v.kind is Kind.NORMAL:
+            z[:, i] = v.mean + v.std * y[:, i]
+        else:
+            lam, zeta = v.log_params()
+            z[:, i] = np.exp(lam + zeta * y[:, i])
+    return z
+
+
+@st.composite
+def variable_lists(draw):
+    variables = []
+    for i in range(draw(st.integers(min_value=1, max_value=6))):
+        kind = draw(st.sampled_from(list(Kind)))
+        mean = draw(st.floats(min_value=0.1, max_value=10.0))
+        if kind is Kind.DETERMINISTIC:
+            variables.append(RandomVariable(f"d{i}", kind, Role.DETERMINISTIC_DESIGN, mean))
+        else:
+            std = draw(st.floats(min_value=0.0 if kind is Kind.NORMAL else 1e-3,
+                                 max_value=3.0))
+            variables.append(RandomVariable(f"x{i}", kind, Role.PARAMETER, mean, std))
+    return variables
 
 
 class TestReproducibility:
@@ -99,6 +137,48 @@ class TestTransformSamples:
         assert np.all(x[:, 0] == 4.0)
 
 
+class TestBlockedKernel:
+    """The blocked marginal map equals the per-column loop bit for bit."""
+
+    @given(variable_lists(), st.booleans(), st.sampled_from(["one", "below", "on", "above"]),
+           st.booleans(), st.booleans(), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_column_reference(self, variables, correlated, rows, in_place,
+                                          infinite, seed):
+        n = len(variables)
+        block_rows = BLOCK_SIZE // n
+        m = {"one": 1, "below": block_rows - 1, "on": block_rows, "above": block_rows + 1}[rows]
+        rng = np.random.default_rng(seed)
+        corr = None
+        if correlated:
+            a = rng.standard_normal((n, n + 1))
+            cov = a @ a.T
+            s = 1.0 / np.sqrt(np.diag(cov))
+            corr = correlation_decompose(s[:, None] * cov * s[None, :])
+        z_n = rng.standard_normal((m, n))
+        if infinite:  # a deterministic column keeps its value, not mean + 0 * inf
+            z_n[0] = np.inf
+        with np.errstate(invalid="ignore"):  # 0 * inf and inf - inf are nan on both sides
+            expected = reference_transform(z_n, variables, corr)
+            got = transform_samples(z_n, variables, corr, out=z_n if in_place else None)
+        assert got is z_n or not in_place
+        assert np.array_equal(got, expected, equal_nan=True)
+
+    def test_mc_audit_pinned_at_benchmark_points(self):
+        # pf_hat at perfbench's three mc-audit design points, n = 20 000,
+        # seed 5: any change to the draw, its order or the transform moves them
+        n = 20_000
+        cases = [
+            (problems.crashworthiness(CRASH_CSV), [1.0, 0.9, 1.0, 1.0, 1.75, 0.8, 0.8],
+             [199, 0, 10, 1, 0, 0, 0, 74, 102, 17]),
+            (problems.bench_3g(), [3.4368, 3.2681], [32, 37, 0]),
+            (problems.demo_ellipse_lognormal(), [5.0], [90]),
+        ]
+        for problem, point, failures in cases:
+            est = mc_audit(problem, np.array(point), n=n, seed=5)
+            assert [e.pf_hat for e in est] == [k / n for k in failures]
+
+
 class TestValidation:
     def test_n_too_small(self):
         qn = QuadraticForm(a=np.zeros((1, 1)), k=np.array([1.0]), c=1.0)
@@ -109,3 +189,22 @@ class TestValidation:
         qn = QuadraticForm(a=np.zeros((1, 1)), k=np.array([1.0]), c=1.0)
         with pytest.raises(DomainError):
             mc_pf(qn, [snv("z")], None, n=10_000, seed=0, chunk_size=0)
+
+    def test_n_not_integer(self):
+        qn = QuadraticForm(a=np.zeros((1, 1)), k=np.array([1.0]), c=1.0)
+        with pytest.raises(DomainError, match="integer n"):
+            mc_pf(qn, [snv("z")], None, n=2e3, seed=0)
+
+    def test_chunk_not_integer(self):
+        qn = QuadraticForm(a=np.zeros((1, 1)), k=np.array([1.0]), c=1.0)
+        with pytest.raises(DomainError, match="integer chunk_size"):
+            mc_pf(qn, [snv("z")], None, n=10_000, seed=0, chunk_size=1.5)
+
+    def test_more_columns_than_variables(self):
+        # the extra column would be returned uninitialized
+        with pytest.raises(DomainError, match=r"\(2, 3\) need 2 columns"):
+            transform_samples(np.ones((2, 3)), [snv("z1"), snv("z2")], None)
+
+    def test_fewer_columns_than_variables(self):
+        with pytest.raises(DomainError, match=r"\(2, 1\) need 2 columns"):
+            transform_samples(np.ones((2, 1)), [snv("z1"), snv("z2")], None)

@@ -436,6 +436,19 @@ class TestCli:
         assert main(["solve", str(path)]) == 2
         assert "constraints[0].quadratic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["demo-ellipse", "bench-3g", "file"])
+    def test_coeff_file_off_crashworthiness_is_input_error(self, source, tmp_path, capsys):
+        # the flag would otherwise be ignored and the solve reported as if it applied
+        if source == "file":
+            source = str(tmp_path / "ellipse.json")
+            save_document(ellipse_doc(), source)
+        assert main(["solve", source, "--coeff-file", CRASH_CSV]) == 2
+        assert "(at --coeff-file)" in capsys.readouterr().err
+
+    def test_coeff_file_on_crashworthiness(self, capsys):
+        assert main(["solve", "crashworthiness", "--coeff-file", CRASH_CSV,
+                     "--method", "deterministic"]) == 0
+
     def test_crash_without_file_is_input_error(self, capsys):
         assert main(["solve", "crashworthiness"]) == 2
         assert "coefficient file" in capsys.readouterr().err
