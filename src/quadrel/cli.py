@@ -83,6 +83,8 @@ def _design_point(args, problem):
         raise ProblemFormatError("--at must be comma-separated numbers", path="--at") from exc
     if vals.size != n:
         raise ProblemFormatError(f"--at needs {n} components, got {vals.size}", path="--at")
+    if not np.isfinite(vals).all():
+        raise ProblemFormatError(f"--at components must be finite, got {args.at}", path="--at")
     return vals
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import BreitungSingularityError, ConvergenceError, DomainError
-from .montecarlo import marginal_map, transform_samples
+from .montecarlo import marginal_map
 from .quadratic import CorrelationModel, QuadraticForm
 from .variables import RandomVariable, std_normal
 
@@ -72,11 +72,13 @@ def fd_gradient(f, x, rel_step=1e-6):
 def form_mpp(g, variables: list[RandomVariable], corr: CorrelationModel | None, start=None):
     """Find the most probable point of Prob[g(z) < 0].
 
-    Returns (beta_hl, mpp_zN, mpp_z), with beta_hl = +/-||mpp_zN|| signed as
-    g at the means (negative where they fail).  The search runs a damped HLRF
-    iteration in uncorrelated standard-normal space and falls back to
-    direct constrained minimization of ||z_N|| subject to g = 0 on stall.
-    It calls ``g`` once per distinct original-space row.
+    Returns (beta_hl, u*, grad): beta_hl = +/-||u*|| signed as g at the means
+    (negative where they fail), u* the MPP in standard-normal space and grad
+    the limit state's standard-space gradient there (``fd_gradient``).  The
+    search runs a damped HLRF iteration in uncorrelated standard-normal
+    space and falls back to direct constrained minimization of ||u||
+    subject to g = 0 on stall.  It calls ``g`` once per distinct
+    original-space row.
     """
     n = len(variables)
     g_n = _g_in_standard_space(once_per_point(g), variables, corr)
@@ -125,32 +127,20 @@ def form_mpp(g, variables: list[RandomVariable], corr: CorrelationModel | None, 
         if best is None:
             raise ConvergenceError("MPP search did not converge", trace=trace)
         z = best.x
-    beta = math.copysign(np.linalg.norm(z), g0)
-    return beta, z, transform_samples(z[None, :], variables, corr)[0]
+        grad = fd_gradient(g_n, z)
+    return math.copysign(np.linalg.norm(z), g0), z, grad
 
 
-def beta_sensitivity(g, beta: float, mpp_zN, variables: list[RandomVariable],
-                     corr: CorrelationModel | None, moved: list, steps) -> np.ndarray:
-    """Gradient of beta_HL over parameters theta of the transform, from a known MPP.
+def beta_scale(beta: float, u, grad) -> float:
+    """d beta / d G at a known MPP u* with standard-space gradient ``grad``.
 
-    Hohenbichler & Rackwitz (1986): with u* the MPP and grad_u G the limit
-    state's gradient there in standard-normal space,
-    d beta / d theta_j = -(u* . grad_u G) / (beta ||grad_u G||^2) dG/dtheta_j,
-    and the signed form (dG/dtheta_j) / ||grad_u G|| at beta = 0.
-    ``variables`` are the variables at theta and ``moved`` the lists at
-    theta + h_j e_j and theta - h_j e_j for j = 0, 1, ... in turn, with
-    h_j = ``steps[j]``.  u* stays fixed while the transform moves with
-    theta, so dG/dtheta comes from one call of ``g`` on the moved images
-    of u*, whatever the marginals, correlation or roles.
+    Hohenbichler & Rackwitz (1986): a parameter theta of the transform
+    moves beta_HL by d beta / d theta = beta_scale * dG/dtheta, with
+    dG/dtheta taken at fixed u*; the scale is -(u* . grad) / (beta ||grad||^2),
+    and 1 / ||grad|| (the signed form) at beta = 0.
     """
-    u = np.asarray(mpp_zN, dtype=float)
-    grad = fd_gradient(_g_in_standard_space(g, variables, corr), u)
-    images = np.vstack([transform_samples(u[None, :], v, corr) for v in moved])
-    g_moved = np.asarray(g(images), dtype=float)
-    dg = (g_moved[0::2] - g_moved[1::2]) / (2.0 * np.asarray(steps, dtype=float))
     grad_sq = grad @ grad
-    scale = -(u @ grad) / (beta * grad_sq) if beta != 0.0 else 1.0 / np.sqrt(grad_sq)
-    return scale * dg
+    return -(u @ grad) / (beta * grad_sq) if beta != 0.0 else 1.0 / np.sqrt(grad_sq)
 
 
 def _tangent_basis(alpha: np.ndarray) -> np.ndarray:

@@ -17,8 +17,8 @@ from scipy.optimize import minimize
 
 from .doe import DoeBox, Scheme, bbd_points, ccd_points, doe_box, fit_quadratic, inscribed_ccd_2
 from .errors import ConvergenceError, DomainError, SolverFailureError
-from .form import beta_sensitivity, fd_gradient, form_mpp, once_per_point
-from .montecarlo import mc_pf
+from .form import beta_scale, fd_gradient, form_mpp, once_per_point
+from .montecarlo import marginal_map, mc_pf
 from .pf import pf_batch, pf_quadratic, require_finite
 from .quadratic import (
     CorrelationModel,
@@ -379,18 +379,20 @@ def rssl_solve(problem: RbdoProblem, start=None) -> RbdoResult:
     )
 
 
-def _cannot_fail(spec: ConstraintSpec, variables: list, corr) -> bool:
-    """Whether Prob[g(z) < 0] is provably 0 at the variables' means.
+def _exact_pf(spec: ConstraintSpec, variables: list, corr) -> float | None:
+    """Prob[g(z) < 0] at the variables' means where it is exactly 0 or 1, else None.
 
     Only for an explicit quadratic in normal or deterministic variables,
-    where the standard-normal form is exact: its failure set is empty when
-    the closed form takes its exact zero (Q_N can never drop below 0).
+    where the standard-normal form is exact: the closed form's kappa is
+    -inf where Q_N can never drop below 0 and +inf where it can never
+    rise above it.
     """
     if spec.quadratic is None or not all(
             v.is_deterministic or v.kind is Kind.NORMAL for v in variables):
-        return False
+        return None
     qn = to_standard_normal(spec.quadratic, standard_normal_map(variables, corr))
-    return pf_quadratic(qn)[1].kappa == -math.inf
+    pf, diag = pf_quadratic(qn)
+    return pf if math.isinf(diag.kappa) else None
 
 
 class FormMargins:
@@ -398,11 +400,12 @@ class FormMargins:
     as a function of the design means, and their Jacobian.
 
     Each distinct design point runs one MPP search per constraint, once.
-    ``jacobian`` takes d beta / d mu from those MPPs
-    (``form.beta_sensitivity``), so it starts no search at a point the
-    margins were evaluated at.  A constraint whose failure set is provably
-    empty there (``_cannot_fail``) has beta = +inf and a zero row.  Every
-    limit-state row evaluated counts in ``counters.deterministic_g_evals``.
+    ``jacobian`` takes d beta / d mu from those MPPs (``form.beta_scale``),
+    so it starts no search at a point the margins were evaluated at.  A
+    constraint whose failure set is provably empty there (``_exact_pf``
+    is 0) has beta = +inf and a zero row; one that provably always fails
+    raises ``SolverFailureError``.  Every limit-state row evaluated counts
+    in ``counters.deterministic_g_evals``.
     """
 
     def __init__(self, problem: RbdoProblem, counters: EvalCounters):
@@ -419,16 +422,21 @@ class FormMargins:
         self._limit_states = [counted(spec) for spec in problem.constraints]
 
     def _search(self, mu):
-        """(margins, [(beta, u*) or None per constraint]) at ``mu``."""
+        """(margins, [(beta, u*, grad) or None per constraint]) at ``mu``."""
         problem = self.problem
         vars_at = problem.variables_at(problem.full_mean(mu))
         mpps = []
         for spec, g in zip(problem.constraints, self._limit_states):
             try:
-                mpps.append(form_mpp(g, vars_at, problem.corr)[:2])
-            except ConvergenceError:
-                if not _cannot_fail(spec, vars_at, problem.corr):
-                    raise
+                mpps.append(form_mpp(g, vars_at, problem.corr))
+            except ConvergenceError as exc:
+                pf = _exact_pf(spec, vars_at, problem.corr)
+                where = f"constraint {spec.name} at mu = {mu.tolist()}"
+                if pf == 1.0:
+                    raise SolverFailureError(f"{where} fails with probability 1",
+                                             phase="double-loop") from exc
+                if pf != 0.0:
+                    raise ConvergenceError(f"{exc} ({where})", trace=exc.trace) from exc
                 mpps.append(None)
         betas = np.array([math.inf if m is None else m[0] for m in mpps])
         return betas - self.targets, mpps
@@ -437,24 +445,22 @@ class FormMargins:
         return self._mpps(mu)[0]
 
     def jacobian(self, mu) -> np.ndarray:
-        """(n_con, n_design) d beta_i / d mu_j at the MPPs found at ``mu``."""
-        mu = np.asarray(mu, dtype=float)
+        """(n_con, n_design) d beta_i / d mu_j at the MPPs found at ``mu``.
+
+        dG_i/d mu is the central difference of each limit state at its own
+        fixed u*, mapped through the transform at the moved means: one
+        marginal map per stencil point, shared by every constraint.
+        """
         _, mpps = self._mpps(mu)
         problem = self.problem
-        # fd_gradient's default step; u* is fixed, so no solver noise enters
-        steps = 1e-6 * np.maximum(1.0, np.abs(mu))
-        moved = []
-        for j, h in enumerate(steps):
-            for sign in (1.0, -1.0):
-                shifted = mu.copy()
-                shifted[j] += sign * h
-                moved.append(problem.variables_at(problem.full_mean(shifted)))
-        vars_at = problem.variables_at(problem.full_mean(mu))
-        return np.array([
-            np.zeros(mu.size) if m is None
-            else beta_sensitivity(g, m[0], m[1], vars_at, problem.corr, moved, steps)
-            for g, m in zip(self._limit_states, mpps)
-        ])
+        scales = np.array([0.0 if m is None else beta_scale(*m) for m in mpps])
+
+        def at_mpps(m):
+            to_z = marginal_map(problem.variables_at(problem.full_mean(m)), problem.corr)
+            return np.array([0.0 if mpp is None else g(to_z(mpp[1][None, :]))[0]
+                             for g, mpp in zip(self._limit_states, mpps)])
+
+        return scales[:, None] * fd_gradient(at_mpps, mu)
 
 
 def rbdo_double_loop_form(problem: RbdoProblem, start=None) -> RbdoResult:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from quadrel.errors import BreitungSingularityError, DomainError
-from quadrel.form import beta_sensitivity, fd_gradient, form_mpp, sorm_breitung
-from quadrel.montecarlo import mc_pf
+from quadrel.form import beta_scale, fd_gradient, form_mpp, sorm_breitung
+from quadrel.montecarlo import mc_pf, transform_samples
 from quadrel.quadratic import QuadraticForm, correlation_decompose
 from quadrel.variables import Kind, RandomVariable, Role, std_normal, variable_pdf_cdf
 
@@ -44,7 +44,7 @@ class TestFormMpp:
         def g(z):
             return z @ k + beta
 
-        beta_hl, z_n, z = form_mpp(g, [snv("z1"), snv("z2")], None)
+        beta_hl, z_n, _ = form_mpp(g, [snv("z1"), snv("z2")], None)
         assert beta_hl == pytest.approx(beta, abs=1e-8)
         assert z_n == pytest.approx(-beta * k, abs=1e-6)
 
@@ -57,7 +57,8 @@ class TestFormMpp:
         def g(z):
             return z[:, 0] ** 2 * z[:, 1] / 20.0 - 1.0
 
-        beta_hl, z_n, z = form_mpp(g, variables, None)
+        beta_hl, z_n, _ = form_mpp(g, variables, None)
+        z = transform_samples(z_n[None, :], variables, None)[0]
         # at the MPP: g = 0 and z_n is antiparallel to the gradient scaled
         # by beta (first-order optimality of the norm minimization)
         assert abs(g(z[None, :])[0]) <= 1e-6
@@ -81,7 +82,8 @@ class TestFormMpp:
         def g(z):
             return z[:, 0] - q
 
-        beta_hl, _, z = form_mpp(g, [v], None)
+        beta_hl, z_n, _ = form_mpp(g, [v], None)
+        z = transform_samples(z_n[None, :], [v], None)[0]
         _, cdf = variable_pdf_cdf(v, q)
         pf_form = std_normal(-beta_hl)[1]
         assert pf_form == pytest.approx(cdf, rel=1e-6)
@@ -134,36 +136,32 @@ class TestBetaSensitivity:
     a = np.array([1.5, -0.7])
     sigma = np.array([0.3, 0.5])
 
+    def g(self, z):
+        return z @ self.a - 1.0
+
     def variables(self, theta):
         return [RandomVariable(f"x{j}", Kind.NORMAL, Role.DESIGN_VARIABLE, t, s, -10.0, 10.0)
                 for j, (t, s) in enumerate(zip(theta, self.sigma))]
 
-    def sensitivity(self, theta, beta, u):
-        g = lambda z: z @ self.a - 1.0
-        steps = 1e-6 * np.maximum(1.0, np.abs(theta))
-        moved = []
-        for j, h in enumerate(steps):
-            for sign in (1.0, -1.0):
-                shifted = theta.copy()
-                shifted[j] += sign * h
-                moved.append(self.variables(shifted))
-        return beta_sensitivity(g, beta, u, self.variables(theta), None, moved, steps)
+    def sensitivity(self, theta, beta, u, grad):
+        # dG/d theta at fixed u*, through the transform at the moved means
+        at_u = lambda t: float(self.g(transform_samples(u[None, :], self.variables(t), None))[0])
+        return beta_scale(beta, u, grad) * fd_gradient(at_u, theta)
 
     @pytest.mark.parametrize("theta,sign", [([2.0, 1.0], 1.0), ([-1.0, 1.0], 1.0)])
     def test_linear_state_is_alpha_over_sigma(self, theta, sign):
         theta = np.array(theta)
-        g = lambda z: z @ self.a - 1.0
-        beta, u, _ = form_mpp(g, self.variables(theta), None)
+        beta, u, grad = form_mpp(self.g, self.variables(theta), None)
         s = np.linalg.norm(self.a * self.sigma)
-        np.testing.assert_allclose(self.sensitivity(theta, beta, u), sign * self.a / s,
+        np.testing.assert_allclose(self.sensitivity(theta, beta, u, grad), sign * self.a / s,
                                    rtol=1e-6)
 
     def test_signed_form_at_zero_beta(self):
         # the means lie on g = 0: u* = 0 and beta grows along +a
         theta = np.array([1.0, 0.5 / 0.7])
         s = np.linalg.norm(self.a * self.sigma)
-        np.testing.assert_allclose(self.sensitivity(theta, 0.0, np.zeros(2)), self.a / s,
-                                   rtol=1e-6)
+        np.testing.assert_allclose(self.sensitivity(theta, 0.0, np.zeros(2), self.a * self.sigma),
+                                   self.a / s, rtol=1e-6)
 
 
 class TestSormBreitung:

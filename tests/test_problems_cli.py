@@ -456,6 +456,27 @@ class TestCli:
     def test_bad_at_vector(self, capsys):
         assert main(["pf", "demo-ellipse", "--at", "1,2,3"]) == 2
 
+    @pytest.mark.parametrize("command", [
+        ["pf", "demo-ellipse"],
+        ["mc-check", "demo-ellipse", "--mc-n", "1000"],
+        ["doe", "demo-ellipse", "--out", "plan.csv"],
+    ], ids=["pf", "mc-check", "doe"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_at_is_input_error(self, command, value, tmp_path, monkeypatch, capsys):
+        # mc-check would report pf 0 +- 0 and doe would write rows of inf
+        monkeypatch.chdir(tmp_path)
+        assert main(command + [f"--at={value}"]) == 2
+        assert "(at --at)" in capsys.readouterr().err
+        assert not (tmp_path / "plan.csv").exists()
+
+    def test_form_on_a_constraint_that_always_fails(self, tmp_path, capsys):
+        doc = ellipse_doc()
+        doc["constraints"] = [{"name": "g_never_safe", "quadratic": [-1, 0, 0, -1, 0, -1]}]
+        path = tmp_path / "fail.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path), "--method", "form-double-loop"]) == 3
+        assert "g_never_safe" in capsys.readouterr().err
+
     def test_trace_csv(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         assert main(["solve", "demo-ellipse", "--trace", str(trace)]) == 0

@@ -12,7 +12,8 @@ from scipy.optimize import brentq
 import quadrel.form
 import quadrel.solver
 from quadrel.errors import ConvergenceError, DomainError, SolverFailureError
-from quadrel.form import fd_gradient
+from quadrel.form import fd_gradient, form_mpp
+from quadrel.montecarlo import marginal_map
 from quadrel.pf import pf_batch, pf_quadratic
 from quadrel.problems import (
     bench_3g,
@@ -514,6 +515,19 @@ def counted_mpp_searches(monkeypatch):
     return calls
 
 
+def counted_fallbacks(monkeypatch):
+    """Patch the MPP search's fallback minimizer to count its calls; returns the count list."""
+    calls = []
+    minimize = quadrel.form.minimize
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(quadrel.form, "minimize", counted)
+    return calls
+
+
 class TestFormDoubleLoop:
     @pytest.mark.parametrize("build,mu", [
         (bench_3g, [3.4, 3.3]),
@@ -544,10 +558,24 @@ class TestFormDoubleLoop:
         assert searches == len(problem.constraints)
         jac = margins.jacobian(mu)
         assert len(calls) == searches
-        # per constraint: the gradient at u* (2 rows per variable) and the
-        # batch of moved images of u* (2 rows per design variable)
-        assert counters.deterministic_g_evals - evals == len(problem.constraints) * 2 * (
-            problem.n_z + jac.shape[1])
+        # per constraint: u* mapped through the transform at each of the
+        # 2 stencil points per design variable; the search supplied grad_u G
+        assert counters.deterministic_g_evals - evals == len(problem.constraints) * 2 * jac.shape[1]
+
+    @pytest.mark.parametrize("name,index,fallback", [
+        ("bench-3g", 0, False),          # g1 converges in HLRF
+        ("crashworthiness", 1, True),    # g02 ends in the SLSQP fallback
+    ])
+    def test_search_gradient_is_a_fresh_fd_gradient(self, name, index, fallback, monkeypatch):
+        problem = builtin(name)
+        spec = problem.constraints[index]
+        variables = problem.variables_at(problem.full_mean(problem.design_start()))
+        fallbacks = counted_fallbacks(monkeypatch)
+        _, u, grad = form_mpp(spec.evaluate, variables, problem.corr)
+        assert bool(fallbacks) == fallback
+        to_z = marginal_map(variables, problem.corr)
+        fresh = fd_gradient(lambda v: float(spec.evaluate(to_z(v[None, :]))[0]), u)
+        assert np.array_equal(grad, fresh)
 
     @pytest.mark.parametrize("name,build,objective,parent_evals", [
         ("bench-3g", bench_3g, 6.725659, 6210),
@@ -595,8 +623,23 @@ class TestFormDoubleLoop:
         problem = demo_ellipse_varstd()
         q = problem.constraints[0].quadratic
         problem.constraints = [ConstraintSpec(name="g", g=q, beta_d=3.0)]
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError) as err:
             FormMargins(problem, EvalCounters())(np.array([0.0]))
+        # the search's own error, naming the constraint and the design point
+        assert str(err.value) == "MPP search did not converge (constraint g at mu = [0.0])"
+        assert err.value.trace
+
+    def test_limit_state_that_always_fails(self):
+        # -1 - x1^2 - p1^2 < 0 everywhere: beta = -inf, and no margin or
+        # Jacobian row can lead SLSQP out of it
+        problem = demo_ellipse()
+        problem.constraints = [ConstraintSpec(
+            name="g_never_safe", quadratic=QuadraticForm(-np.eye(2), np.zeros(2), -1.0),
+            beta_d=3.0)]
+        with pytest.raises(SolverFailureError) as err:
+            rbdo_double_loop_form(problem)
+        assert err.value.phase == "double-loop"
+        assert str(err.value) == "constraint g_never_safe at mu = [2.0] fails with probability 1"
 
     @pytest.mark.parametrize("build,fallback", [
         (demo_ellipse_det, False),        # steps along the deterministic d1 repeat rows
@@ -617,14 +660,7 @@ class TestFormDoubleLoop:
             return search(g_logged, *args, **kwargs)
 
         monkeypatch.setattr(quadrel.solver, "form_mpp", logged)
-        fallbacks = []
-        minimize = quadrel.form.minimize
-
-        def counted_minimize(*args, **kwargs):
-            fallbacks.append(1)
-            return minimize(*args, **kwargs)
-
-        monkeypatch.setattr(quadrel.form, "minimize", counted_minimize)
+        fallbacks = counted_fallbacks(monkeypatch)
         rbdo_double_loop_form(build())
         assert bool(fallbacks) == fallback
         assert searches and all(len(set(rows)) == len(rows) for rows in searches)
