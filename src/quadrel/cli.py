@@ -298,8 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # bind the token after --at to the flag, so argparse does not read a
+    # value such as -0.4,-0.5 as an option
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--at":
+            argv[i:i + 2] = [f"--at={argv[i + 1]}"]
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (SolverFailureError, ConvergenceError) as exc:

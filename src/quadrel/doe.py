@@ -124,15 +124,15 @@ def _scale(coded: np.ndarray, box: DoeBox) -> np.ndarray:
     return box.center + coded * box.halfwidths
 
 
-def bbd_points(n: int, box: DoeBox) -> DoePlan:
+def bbd_points(box: DoeBox) -> DoePlan:
     """Box-Behnken plan: all pairwise edge midpoints plus one center.
 
-    4*C(n,2) + 1 points; matches the reference counts for n = 3..5.
+    4*C(n,2) + 1 points for n = ``box.dim``; matches the reference counts
+    for n = 3..5.
     """
+    n = box.dim
     if n < 3:
         raise UnsupportedDesignError(f"Box-Behnken is undefined for n = {n} (< 3)")
-    if box.dim != n:
-        raise DomainError(f"box dim {box.dim} != n = {n}")
     rows = [np.zeros(n)]
     for i, j in itertools.combinations(range(n), 2):
         for si, sj in itertools.product((-1.0, 1.0), repeat=2):
@@ -155,12 +155,11 @@ def _fractional_factorial(n: int, f: int) -> np.ndarray:
     return np.hstack(cols)
 
 
-def ccd_points(n: int, box: DoeBox) -> DoePlan:
-    """Central composite plan: center + 2n axis points + 2^(n-f) corners."""
+def ccd_points(box: DoeBox) -> DoePlan:
+    """Central composite plan: center + 2n axis points + 2^(n-f) corners, n = ``box.dim``."""
+    n = box.dim
     if n < 2 or n > 12:
         raise UnsupportedDesignError(f"CCD supported for 2 <= n <= 12, got {n}")
-    if box.dim != n:
-        raise DomainError(f"box dim {box.dim} != n = {n}")
     rows = [np.zeros(n)]
     for i in range(n):
         for s in (-1.0, 1.0):

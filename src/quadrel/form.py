@@ -69,7 +69,7 @@ def fd_gradient(f, x, rel_step=1e-6):
     return jac.T
 
 
-def form_mpp(g, variables: list[RandomVariable], corr: CorrelationModel | None, start=None):
+def form_mpp(g, variables: list[RandomVariable], corr: CorrelationModel | None):
     """Find the most probable point of Prob[g(z) < 0].
 
     Returns (beta_hl, u*, grad): beta_hl = +/-||u*|| signed as g at the means
@@ -82,8 +82,8 @@ def form_mpp(g, variables: list[RandomVariable], corr: CorrelationModel | None, 
     """
     n = len(variables)
     g_n = _g_in_standard_space(once_per_point(g), variables, corr)
-    z = np.zeros(n) if start is None else np.array(start, dtype=float)
-    g0 = g_n(np.zeros(n))
+    z = np.zeros(n)
+    g0 = g_n(z)
     scale = max(abs(g0), 1.0)
     trace = []
     converged = False

@@ -8,7 +8,7 @@ eigenvalues share one sign (elliptic limit states).  A purely linear
 form reduces to the exact FORM result.
 
 Every formula runs on a stack of forms at once (one row per form);
-``pf_quadratic`` is the batch of one.
+``pf_quadratic`` enters with a stack of one.
 """
 
 from __future__ import annotations
@@ -81,14 +81,6 @@ class PfBatch:
 _pow = np.float_power
 
 
-def _batched(s: SpectralForm) -> SpectralForm:
-    """``s`` with a leading batch axis: a 1-D form becomes a batch of one."""
-    if s.gamma.ndim > 1:
-        return s
-    return SpectralForm(gamma=s.gamma[None], kbar=s.kbar[None], cprime=np.atleast_1d(s.cprime),
-                        m=tuple(np.atleast_1d(m) for m in s.m))
-
-
 def _select(s: SpectralForm, rows):
     """(index, forms) of the rows of ``s`` in mask ``rows``, or None if there are none."""
     count = np.count_nonzero(rows)
@@ -103,9 +95,8 @@ def _select(s: SpectralForm, rows):
 def pf_mixed(s: SpectralForm):
     """Closed form for eigenvalues of differing signs (saddle limit states).
 
-    Returns (pf_raw, kappa1), one entry per form.
+    Returns (pf_raw, kappa1), one entry per form of the stack ``s``.
     """
-    s = _batched(s)
     gamma, kbar, cprime, (_, m2, m3, m4) = s.gamma, s.kbar, s.cprime, s.m
     bad = m2 <= 0.0
     if bad.any():
@@ -128,12 +119,11 @@ def pf_mixed(s: SpectralForm):
 def pf_same_sign(s: SpectralForm):
     """Closed form for eigenvalues all of one sign (elliptic limit states).
 
-    Returns (pf_raw, kappa2, h, q0, flipped), one entry per form, where
-    ``flipped`` records whether the 1 - P side of the dispatch was taken.
-    When Q_N cannot change sign the answer is exact: pf is 0 or 1, kappa2
-    is -inf or +inf and h is NaN.
+    Returns (pf_raw, kappa2, h, q0, flipped), one entry per form of the
+    stack ``s``, where ``flipped`` records whether the 1 - P side of the
+    dispatch was taken.  When Q_N cannot change sign the answer is exact:
+    pf is 0 or 1, kappa2 is -inf or +inf and h is NaN.
     """
-    s = _batched(s)
     gamma, kbar, cprime, (m1, m2, m3, m4) = s.gamma, s.kbar, s.cprime, s.m
     if (m1 == 0.0).any():
         raise DivisionGuardError("same-sign branch requires m1 != 0")
@@ -180,7 +170,6 @@ def pf_batch(s: SpectralForm, k) -> PfBatch:
     ``k`` holds the unrotated linear terms (m, n); rows with no nonzero
     eigenvalue take the exact linear result from their norm.
     """
-    s = _batched(s)
     n = s.gamma.shape[0]
     pos = (s.gamma > 0.0).any(axis=-1)
     neg = (s.gamma < 0.0).any(axis=-1)
@@ -204,7 +193,7 @@ def pf_batch(s: SpectralForm, k) -> PfBatch:
     if linear:
         rows, sub = linear
         c = sub.cprime
-        k_lin = np.atleast_2d(k)[rows]
+        k_lin = k[rows]
         k_norm = np.sqrt(row_dot(k_lin, k_lin))
         # a degenerate constant limit state fails everywhere or nowhere
         deg = k_norm == 0.0
@@ -230,7 +219,7 @@ def pf_quadratic(qn: QuadraticForm):
     kept in the diagnostics.  This is ``pf_batch`` on a batch of one.
     """
     require_finite(qn.a, qn.k, qn.c)
-    batch = pf_batch(spectral(qn), qn.k)
+    batch = pf_batch(spectral(qn), qn.k[None])
     return float(batch.pf[0]), batch.diagnostics(0)
 
 

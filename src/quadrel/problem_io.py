@@ -230,7 +230,7 @@ def build_problem(doc: dict) -> RbdoProblem:
     std_mode = StdMode()
     if "proportional_t" in solver:
         t = _get_array(solver["proportional_t"], (len(design_names),), "solver.proportional_t")
-        std_mode = StdMode(proportional=True, t=t)
+        std_mode = StdMode(t=t)
 
     doe = doc.get("doe", {})
     _require(isinstance(doe, dict), "'doe' must be an object", "doe")

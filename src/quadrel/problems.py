@@ -110,7 +110,7 @@ def demo_ellipse(beta_d: float = 3.0, mu_x1: float = 2.0, sigma_x1: float = 0.3)
 
 def demo_ellipse_varstd(beta_d: float = 3.0, mu_x1: float = 2.0, t: float = 0.1) -> RbdoProblem:
     p = demo_ellipse(beta_d=beta_d, mu_x1=mu_x1, sigma_x1=t * mu_x1)
-    p.std_mode = StdMode(proportional=True, t=np.array([t]))
+    p.std_mode = StdMode(t=np.array([t]))
     return p
 
 

@@ -94,10 +94,6 @@ class CorrelationModel:
     d: np.ndarray  # square roots of the eigenvalues of C
 
     @property
-    def dim(self) -> int:
-        return self.c.shape[0]
-
-    @property
     def l(self) -> np.ndarray:
         """The mixing matrix T diag(d), mapping uncorrelated scores to correlated ones."""
         return self.t * self.d
@@ -166,12 +162,11 @@ def to_standard_normal(q: QuadraticForm, snmap: tuple[np.ndarray, np.ndarray]) -
 
 @dataclass(frozen=True)
 class SpectralForm:
-    """Eigen-data of standard-normal quadratics plus the moment sums m_1..m_4.
+    """Eigen-data of a stack of m standard-normal quadratics plus the moment sums m_1..m_4.
 
-    ``gamma`` holds the (possibly epsilon-regularized) eigenvalues and
-    ``kbar`` the linear term rotated into the eigenbasis.  A stack of m
-    forms has ``gamma`` and ``kbar`` of shape (m, n) and ``cprime`` and
-    each m_r of shape (m,); a 1-D form is a batch of one.
+    ``gamma`` (m, n) holds the (possibly epsilon-regularized) eigenvalues
+    and ``kbar`` (m, n) the linear terms rotated into the eigenbasis;
+    ``cprime`` and each m_r have one entry per form.
     """
 
     gamma: np.ndarray
@@ -179,30 +174,11 @@ class SpectralForm:
     cprime: np.ndarray
     m: tuple
 
-    @property
-    def dim(self) -> int:
-        return self.gamma.shape[-1]
-
-
-def classify_signs(gamma: np.ndarray, scale):
-    """Split eigenvalues into (positive, negative, zero) masks.
-
-    ``scale`` sets the zero threshold: |gamma| <= SIGN_ZERO_TOL * max(1, scale)
-    counts as zero, so structurally singular forms (deterministic rows)
-    route to the intended branch.  For a stack of forms ``gamma`` is
-    (m, n) and ``scale`` holds one value per form.
-    """
-    tol = (SIGN_ZERO_TOL * np.maximum(1.0, scale))[..., None]
-    pos = gamma > tol
-    neg = gamma < -tol
-    zero = ~(pos | neg)
-    return pos, neg, zero
-
 
 def moment_sums(gamma: np.ndarray, kbar: np.ndarray) -> tuple:
     """m_r = sum_j (gamma_j^r + (r/4) gamma_j^{r-2} kbar_j^2), r = 1..4.
 
-    Sums run over the last axis, one set per form.  For r = 1 a zero
+    ``gamma`` and ``kbar`` are (m, n): one set of sums per form.  For r = 1 a zero
     eigenvalue with a nonzero kbar component yields an infinite term;
     that combination only occurs in the mixed-sign branch, which never
     consumes m_1.
@@ -226,25 +202,28 @@ def row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def eigenbasis(a: np.ndarray):
-    """Eigenvalues and eigenvectors (gamma, P) of symmetric A', one (n, n) or a stack (m, n, n).
+    """Eigenvalues and eigenvectors (gamma, P) of a stack (m, n, n) of symmetric A'.
 
-    Eigenvalues within the zero tolerance of ``classify_signs`` (scaled
-    by the Frobenius norm of each A') become 0.  In a form whose other
-    eigenvalues share one sign they are then lifted to that sign's
-    +/-LIFT_EPS; a mixed-sign form keeps its zeros.
+    Eigenvalues with |gamma| <= SIGN_ZERO_TOL * max(1, ||A'||_F) become 0,
+    so structurally singular forms (deterministic rows) route to the
+    intended branch.  In a form whose other eigenvalues share one sign
+    they are then lifted to that sign's +/-LIFT_EPS; a mixed-sign form
+    keeps its zeros.
     """
     gamma, p = np.linalg.eigh(a)
     flat = a.reshape(a.shape[:-2] + (-1,))
-    pos, neg, zero = classify_signs(gamma, np.sqrt(row_dot(flat, flat)))
+    tol = (SIGN_ZERO_TOL * np.maximum(1.0, np.sqrt(row_dot(flat, flat))))[..., None]
+    pos = gamma > tol
+    neg = gamma < -tol
     has_pos = pos.any(axis=-1, keepdims=True)
     has_neg = neg.any(axis=-1, keepdims=True)
     lift = np.where(has_pos & has_neg, 0.0,
                     np.where(has_pos, LIFT_EPS, np.where(has_neg, -LIFT_EPS, 0.0)))
-    return np.where(zero, lift, gamma), p
+    return np.where(pos | neg, gamma, lift), p
 
 
 def spectral_in_basis(gamma: np.ndarray, p: np.ndarray, k, c) -> SpectralForm:
-    """Rotate the linear terms k, (n,) or (m, n), into the eigenbasis ``P`` and sum moments.
+    """Rotate the linear terms k (m, n) into the eigenbasis ``P`` and sum moments.
 
     ``(gamma, P)`` comes from ``eigenbasis``; ``c`` holds the constants.
     """
@@ -253,10 +232,10 @@ def spectral_in_basis(gamma: np.ndarray, p: np.ndarray, k, c) -> SpectralForm:
 
 
 def spectral(qn: QuadraticForm) -> SpectralForm:
-    """Eigen-decompose A', rotate k' and evaluate the moment sums.
+    """The ``SpectralForm`` of one standard-normal quadratic, as a stack of one.
 
     When all eigenvalues share one sign, zeros are replaced by +/-LIFT_EPS
     before the moments are computed; the mixed-sign branch keeps them.
     """
-    gamma, p = eigenbasis(qn.a)
-    return spectral_in_basis(gamma, p, qn.k, qn.c)
+    gamma, p = eigenbasis(qn.a[None])
+    return spectral_in_basis(gamma, p, qn.k[None], np.array([qn.c]))

@@ -39,9 +39,9 @@ FEASIBILITY_SLACK = 1e-9
 class ConstraintSpec:
     """One probabilistic constraint: Prob[g(z) < 0] <= pf target.
 
-    Exactly one of ``beta_d`` / ``pf_all`` must be given; ``g`` is a
-    black-box evaluator over (m, n) arrays unless ``quadratic`` supplies
-    the limit state explicitly.
+    Exactly one of ``beta_d`` / ``pf_all`` must be given, and exactly one
+    of ``g``, a black-box evaluator over (m, n) arrays, / ``quadratic``,
+    the limit state given explicitly.
     """
 
     name: str
@@ -53,8 +53,8 @@ class ConstraintSpec:
     def __post_init__(self):
         if (self.beta_d is None) == (self.pf_all is None):
             raise DomainError(f"{self.name}: give exactly one of beta_d / pf_all")
-        if self.g is None and self.quadratic is None:
-            raise DomainError(f"{self.name}: need a black-box g or an explicit quadratic")
+        if (self.g is None) == (self.quadratic is None):
+            raise DomainError(f"{self.name}: give exactly one of a black-box g / an explicit quadratic")
 
     @property
     def pf_target(self) -> float:
@@ -76,13 +76,12 @@ class ConstraintSpec:
 
 @dataclass
 class StdMode:
-    """Constant sigma, or proportional sigma = t * mu for design variables."""
+    """Constant sigma (``t`` None), or proportional sigma = t * mu for design variables."""
 
-    proportional: bool = False
     t: np.ndarray = None
 
     def __post_init__(self):
-        if self.proportional:
+        if self.t is not None:
             self.t = np.asarray(self.t, dtype=float)
             if np.any(self.t <= 0.0):
                 raise DomainError("proportional std mode requires t > 0")
@@ -120,7 +119,7 @@ class RbdoProblem:
             v = self.variables[i]
             if not (np.isfinite(v.lower) and np.isfinite(v.upper)):
                 raise DomainError(f"{v.name}: design variables need finite bounds")
-        if self.std_mode.proportional and self.std_mode.t.shape != (len(self.design_indices),):
+        if self.std_mode.t is not None and self.std_mode.t.shape != (len(self.design_indices),):
             raise DomainError("proportional t must have one entry per design variable")
 
     @property
@@ -147,7 +146,7 @@ class RbdoProblem:
         out = []
         design_pos = {idx: j for j, idx in enumerate(self.design_indices)}
         for i, v in enumerate(self.variables):
-            if self.std_mode.proportional and i in design_pos and v.role is Role.DESIGN_VARIABLE:
+            if self.std_mode.t is not None and i in design_pos and v.role is Role.DESIGN_VARIABLE:
                 std = self.std_mode.t[design_pos[i]] * abs(mu_full[i])
                 out.append(v.with_mean(mu_full[i], std))
             else:
@@ -222,13 +221,13 @@ def solve_deterministic(problem: RbdoProblem, start=None,
     return np.asarray(res.x, dtype=float)
 
 
-def _default_plan(n: int, box: DoeBox, scheme: Scheme = None):
-    """Plan of ``scheme``; by default inscribed-ccd2 for n = 2, else BBD."""
+def _default_plan(box: DoeBox, scheme: Scheme = None):
+    """Plan of ``scheme``; by default inscribed-ccd2 for a 2-D box, else BBD."""
     if scheme is None:
-        scheme = Scheme.INSCRIBED_CCD2 if n == 2 else Scheme.BBD
+        scheme = Scheme.INSCRIBED_CCD2 if box.dim == 2 else Scheme.BBD
     if scheme is Scheme.INSCRIBED_CCD2:
         return inscribed_ccd_2(box)
-    return (bbd_points if scheme is Scheme.BBD else ccd_points)(n, box)
+    return (bbd_points if scheme is Scheme.BBD else ccd_points)(box)
 
 
 def doe_plan(problem: RbdoProblem, mu_full, beta_d: float, scheme: Scheme = None):
@@ -237,7 +236,7 @@ def doe_plan(problem: RbdoProblem, mu_full, beta_d: float, scheme: Scheme = None
                   halfwidth_overrides=problem.doe_halfwidth_overrides,
                   c_r_design=problem.doe_c_r_design,
                   c_r_parameter=problem.doe_c_r_parameter)
-    return _default_plan(problem.n_z, box, scheme)
+    return _default_plan(box, scheme)
 
 
 def build_surrogates(problem: RbdoProblem, mu_det, beta_d_max: float,
@@ -269,7 +268,7 @@ def _map_is_constant(problem: RbdoProblem) -> bool:
     deterministic: equivalent normalization then returns each variable's
     own (mean, std), so only mu_eq = mu moves.
     """
-    return not problem.std_mode.proportional and all(
+    return problem.std_mode.t is None and all(
         v.is_deterministic or v.kind is Kind.NORMAL for v in problem.variables
     )
 

@@ -182,8 +182,8 @@ def test_criterion_07_linear_exactness():
 
 def test_criterion_08_design_sizes():
     box = lambda n: DoeBox(center=np.zeros(n), halfwidths=np.ones(n))
-    ok = all(bbd_points(n, box(n)).size == s for n, s in [(3, 13), (4, 25), (5, 41)])
-    ok = ok and all(ccd_points(n, box(n)).size == s
+    ok = all(bbd_points(box(n)).size == s for n, s in [(3, 13), (4, 25), (5, 41)])
+    ok = ok and all(ccd_points(box(n)).size == s
                     for n, s in [(2, 9), (5, 27), (9, 147)])
     b2 = DoeBox(center=np.array([1.0, -2.0]), halfwidths=np.array([0.4, 0.9]))
     plan = inscribed_ccd_2(b2)

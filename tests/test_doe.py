@@ -39,36 +39,32 @@ def param(name, mean, std):
 class TestPlanSizes:
     @pytest.mark.parametrize("n,size", [(3, 13), (4, 25), (5, 41)])
     def test_bbd_counts(self, n, size):
-        plan = bbd_points(n, unit_box(n))
+        plan = bbd_points(unit_box(n))
         assert plan.size == size
         assert plan.scheme is Scheme.BBD
 
     @pytest.mark.parametrize("n,size", [(2, 9), (3, 15), (5, 27), (9, 147)])
     def test_ccd_counts(self, n, size):
-        plan = ccd_points(n, unit_box(n))
+        plan = ccd_points(unit_box(n))
         assert plan.size == size
         assert plan.scheme is Scheme.CCD
 
     def test_center_is_first_row(self):
         box = DoeBox(center=np.array([2.0, -1.0, 0.5]), halfwidths=np.array([1.0, 0.5, 2.0]))
-        for plan in (bbd_points(3, box), ccd_points(3, box)):
+        for plan in (bbd_points(box), ccd_points(box)):
             assert np.allclose(plan.points[0], box.center)
 
     def test_points_unique(self):
-        for plan in (bbd_points(4, unit_box(4)), ccd_points(5, unit_box(5))):
+        for plan in (bbd_points(unit_box(4)), ccd_points(unit_box(5))):
             assert len({tuple(np.round(p, 12)) for p in plan.points}) == plan.size
 
     def test_bbd_too_small(self):
         with pytest.raises(UnsupportedDesignError):
-            bbd_points(2, unit_box(2))
+            bbd_points(unit_box(2))
 
     def test_ccd_out_of_range(self):
         with pytest.raises(UnsupportedDesignError):
-            ccd_points(13, unit_box(13))
-
-    def test_box_dim_mismatch(self):
-        with pytest.raises(DomainError):
-            ccd_points(3, unit_box(2))
+            ccd_points(unit_box(13))
 
 
 class TestInscribedCcd:
@@ -149,7 +145,7 @@ class TestFitQuadratic:
     def test_exact_recovery_on_ccd(self, n):
         q = self.rand_quadratic(n, seed=n)
         box = DoeBox(center=np.full(n, 2.0), halfwidths=np.linspace(0.5, 1.5, n))
-        plan = ccd_points(n, box)
+        plan = ccd_points(box)
         fit = fit_quadratic(plan.points, q(plan.points))
         assert np.allclose(fit.a, q.a, atol=1e-8)
         assert np.allclose(fit.k, q.k, atol=1e-8)
@@ -158,7 +154,7 @@ class TestFitQuadratic:
     @pytest.mark.parametrize("n", [3, 4])
     def test_exact_recovery_on_bbd(self, n):
         q = self.rand_quadratic(n, seed=10 + n)
-        plan = bbd_points(n, unit_box(n))
+        plan = bbd_points(unit_box(n))
         fit = fit_quadratic(plan.points, q(plan.points))
         assert np.allclose(fit.a, q.a, atol=1e-8)
 
@@ -197,7 +193,7 @@ class TestFitQuadratic:
 
 class TestPlanCsv:
     def test_round_trip(self, tmp_path):
-        plan = ccd_points(2, unit_box(2))
+        plan = ccd_points(unit_box(2))
         path = tmp_path / "plan.csv"
         plan_to_csv(plan, ["x1", "p1"], path)
         lines = path.read_text().strip().splitlines()

@@ -111,9 +111,9 @@ class TestBranches:
 
 class TestSameSignKernel:
     def test_m1_guard(self):
-        gamma = np.array([1.0, -1.0])
-        kbar = np.zeros(2)
-        s = SpectralForm(gamma=gamma, kbar=kbar, cprime=1.0,
+        gamma = np.array([[1.0, -1.0]])
+        kbar = np.zeros((1, 2))
+        s = SpectralForm(gamma=gamma, kbar=kbar, cprime=np.array([1.0]),
                          m=moment_sums(gamma, kbar))
         with pytest.raises(DivisionGuardError):
             pf_same_sign(s)

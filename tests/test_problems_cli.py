@@ -456,6 +456,15 @@ class TestCli:
     def test_bad_at_vector(self, capsys):
         assert main(["pf", "demo-ellipse", "--at", "1,2,3"]) == 2
 
+    def test_at_value_with_leading_minus(self, capsys):
+        # bench-quad4's FORM optimum has only negative means; argparse alone
+        # reads "-0.4137,..." as an option and exits 2
+        at = "-0.4137,-0.4965,-0.4965,-0.4965"
+        assert main(["mc-check", "bench-quad4", "--at", at, "--mc-n", "1000"]) == 0
+        out = capsys.readouterr().out
+        assert "mu_design         [-0.4137, -0.4965, -0.4965, -0.4965]" in out
+        assert "pf_mc[g1]" in out and "pf_mc[g2]" in out
+
     @pytest.mark.parametrize("command", [
         ["pf", "demo-ellipse"],
         ["mc-check", "demo-ellipse", "--mc-n", "1000"],

@@ -11,8 +11,8 @@ from quadrel.errors import DomainError, NotACorrelationMatrixError
 from quadrel.quadratic import (
     CorrelationModel,
     QuadraticForm,
-    classify_signs,
     correlation_decompose,
+    eigenbasis,
     identity_correlation,
     moment_sums,
     spectral,
@@ -198,7 +198,7 @@ class TestSpectral:
         a[1:, 1:] = [[0.00375, 0.00225], [0.00225, 0.00375]]
         qn = QuadraticForm(a=a, k=np.array([0.0, 0.1, -0.2]), c=1.0)
         s = spectral(qn)
-        assert sorted(np.round(s.gamma, 10)) == pytest.approx([1e-7, 0.0015, 0.006])
+        assert sorted(np.round(s.gamma[0], 10)) == pytest.approx([1e-7, 0.0015, 0.006])
 
     def test_mixed_sign_keeps_zeros(self):
         qn = QuadraticForm(a=np.diag([0.5, -0.5, 0.0]),
@@ -206,9 +206,8 @@ class TestSpectral:
         s = spectral(qn)
         assert np.count_nonzero(s.gamma == 0.0) == 1
 
-    def test_classify_signs_tolerance(self):
-        gamma = np.array([1.0, -1.0, 1e-18])
-        pos, neg, zero = classify_signs(gamma, scale=1.0)
-        assert pos.tolist() == [True, False, False]
-        assert neg.tolist() == [False, True, False]
-        assert zero.tolist() == [False, False, True]
+    def test_eigenbasis_zero_tolerance(self):
+        # |gamma| <= SIGN_ZERO_TOL * max(1, ||A'||_F) counts as zero; a
+        # mixed-sign form keeps it at 0 rather than lifting it
+        gamma, _ = eigenbasis(np.diag([1.0, -1.0, 1e-18])[None])
+        assert gamma[0].tolist() == [-1.0, 0.0, 1.0]

@@ -70,6 +70,12 @@ class TestConstraintSpec:
         with pytest.raises(DomainError):
             ConstraintSpec(name="g", beta_d=3.0)
 
+    def test_rejects_both_limit_states(self):
+        # evaluate() would run one and ignore the other, and count no black-box call
+        q = QuadraticForm(a=np.zeros((1, 1)), k=np.ones(1), c=0.0)
+        with pytest.raises(DomainError):
+            ConstraintSpec(name="g", g=q, quadratic=q, beta_d=3.0)
+
     def test_target_round_trip(self):
         q = QuadraticForm(a=np.zeros((1, 1)), k=np.ones(1), c=0.0)
         a = ConstraintSpec(name="a", quadratic=q, beta_d=3.0)
@@ -98,7 +104,23 @@ class TestProblemValidation:
         with pytest.raises(DomainError):
             RbdoProblem(variables=[v], objective=lambda mu: 0.0,
                         constraints=[ConstraintSpec(name="g", quadratic=q, beta_d=3.0)],
-                        std_mode=StdMode(proportional=True, t=np.array([0.1, 0.1])))
+                        std_mode=StdMode(t=np.array([0.1, 0.1])))
+
+    def test_std_mode_has_one_value(self):
+        # t = None is constant sigma; any t is proportional sigma = t * mu
+        assert StdMode().t is None
+        assert StdMode(t=[0.1]).t.tolist() == [0.1]
+        with pytest.raises(DomainError):
+            StdMode(t=[0.0])
+        # t alone selects the mode: no flag can disagree with it
+        with pytest.raises(TypeError):
+            StdMode(proportional=False, t=[0.1])
+        v = design("x", 2.0, 0.3, 0.0, 5.0)
+        q = QuadraticForm(a=np.zeros((1, 1)), k=np.ones(1), c=0.0)
+        problem = RbdoProblem(variables=[v], objective=lambda mu: 0.0,
+                              constraints=[ConstraintSpec(name="g", quadratic=q, beta_d=3.0)],
+                              std_mode=StdMode(t=[0.1]))
+        assert problem.variables_at(np.array([4.0]))[0].std == pytest.approx(0.4)
 
 
 class TestDeterministicPhase:
