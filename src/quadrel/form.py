@@ -3,7 +3,8 @@
 Most-probable-point search via a damped Hasofer-Lind-Rackwitz-Fiessler
 iteration with a constrained-minimization fallback, and the Breitung
 curvature correction evaluated on a quadratic limit state at the MPP.
-Also the per-point memo that the MPP search and the solver's phases share.
+Also the per-point memo that the MPP search, phase 1 and the objective share,
+and the one finite-difference helper, which evaluates its stencil as a stack.
 """
 
 from __future__ import annotations
@@ -53,20 +54,30 @@ def _g_in_standard_space(g, variables, corr):
     return g_n
 
 
+def per_point(f):
+    """``f`` of one point lifted to a stack of points: its values at the rows, in order."""
+    return lambda points: np.array([f(x) for x in points])
+
+
 def fd_gradient(f, x, rel_step=1e-6):
     """Central-difference gradient (n,) of a scalar ``f`` at ``x``, or the
-    Jacobian (m, n) of an ``f`` returning an (m,) vector."""
+    Jacobian (m, n) of an ``f`` returning an (m,) vector.
+
+    ``f`` takes the whole stencil in one call: the stack (2n, n) of
+    x + h_i e_i, x - h_i e_i for i = 1..n, in that order, and returns an
+    array of one value (or row) per point.  Wrap an ``f`` of one point in
+    ``per_point``.
+    """
     x = np.asarray(x, dtype=float)
-    jac = None
-    for i in range(x.size):
-        h = rel_step * max(1.0, abs(x[i]))
-        xp = x.copy(); xp[i] += h
-        xm = x.copy(); xm[i] -= h
-        col = (f(xp) - f(xm)) / (2.0 * h)
-        if jac is None:
-            jac = np.empty(x.shape + np.shape(col))
-        jac[i] = col
-    return jac.T
+    n = x.size
+    h = rel_step * np.maximum(1.0, np.abs(x))
+    stencil = np.empty((2 * n, n))
+    stencil[:] = x
+    flat = stencil.reshape(-1)  # entry (2i, i) of the stencil, and (2i + 1, i) n further on
+    flat[::2 * n + 1] = x + h
+    flat[n::2 * n + 1] = x - h
+    values = f(stencil)
+    return (values[0::2] - values[1::2]).T / (2.0 * h)
 
 
 def form_mpp(g, variables: list[RandomVariable], corr: CorrelationModel | None):
@@ -89,7 +100,7 @@ def form_mpp(g, variables: list[RandomVariable], corr: CorrelationModel | None):
     converged = False
     for it in range(MPP_MAX_ITER):
         gval = g_n(z)
-        grad = fd_gradient(g_n, z)
+        grad = fd_gradient(per_point(g_n), z)
         gnorm = np.linalg.norm(grad)
         trace.append((it, float(np.linalg.norm(z)), float(gval)))
         if gnorm == 0.0:
@@ -127,7 +138,7 @@ def form_mpp(g, variables: list[RandomVariable], corr: CorrelationModel | None):
         if best is None:
             raise ConvergenceError("MPP search did not converge", trace=trace)
         z = best.x
-        grad = fd_gradient(g_n, z)
+        grad = fd_gradient(per_point(g_n), z)
     return math.copysign(np.linalg.norm(z), g0), z, grad
 
 

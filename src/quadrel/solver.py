@@ -17,9 +17,9 @@ from scipy.optimize import minimize
 
 from .doe import DoeBox, Scheme, bbd_points, ccd_points, doe_box, fit_quadratic, inscribed_ccd_2
 from .errors import ConvergenceError, DomainError, SolverFailureError
-from .form import beta_scale, fd_gradient, form_mpp, once_per_point
+from .form import beta_scale, fd_gradient, form_mpp, once_per_point, per_point
 from .montecarlo import marginal_map, mc_pf
-from .pf import pf_batch, pf_quadratic, require_finite
+from .pf import PfBatch, pf_batch, pf_quadratic, require_finite
 from .quadratic import (
     CorrelationModel,
     QuadraticForm,
@@ -123,10 +123,6 @@ class RbdoProblem:
             raise DomainError("proportional t must have one entry per design variable")
 
     @property
-    def n_z(self) -> int:
-        return len(self.variables)
-
-    @property
     def bounds(self):
         return [
             (self.variables[i].lower, self.variables[i].upper) for i in self.design_indices
@@ -136,9 +132,12 @@ class RbdoProblem:
         return np.array([self.variables[i].mean for i in self.design_indices])
 
     def full_mean(self, mu_design) -> np.ndarray:
-        """Assemble the stacked mean vector from a design-mean vector."""
-        mu = np.array([v.mean for v in self.variables], dtype=float)
-        mu[self.design_indices] = np.asarray(mu_design, dtype=float)
+        """Assemble the stacked mean vector from a design-mean vector, or
+        one per row of a stack (P, n_design)."""
+        mu_design = np.asarray(mu_design, dtype=float)
+        mu = np.empty(mu_design.shape[:-1] + (len(self.variables),))
+        mu[...] = [v.mean for v in self.variables]
+        mu[..., self.design_indices] = mu_design
         return mu
 
     def variables_at(self, mu_full) -> list:
@@ -195,19 +194,37 @@ def _counted_objective(problem: RbdoProblem, counters: EvalCounters):
     return once_per_point(objective)
 
 
+def quadratic_gradients(problem: RbdoProblem):
+    """z -> (n_con, n_z) exact gradients 2Az + k of every limit state at ``z``,
+    or None when any limit state is a black box."""
+    quadratics = [spec.quadratic for spec in problem.constraints]
+    if any(q is None for q in quadratics):
+        return None
+    return lambda z: np.array([q.gradient(z) for q in quadratics])
+
+
 def solve_deterministic(problem: RbdoProblem, start=None,
                         counters: EvalCounters = None) -> np.ndarray:
-    """Minimize the objective subject to g_i >= 0 at the means and bounds."""
+    """Minimize the objective subject to g_i >= 0 at the means and bounds.
+
+    Explicit quadratics give SLSQP their exact Jacobian (``quadratic_gradients``).
+    The one exception to ``fd_gradient``: the objective, and the limit
+    states of a problem with any black box, keep SLSQP's own one-sided
+    differences, since central ones would double the limit-state calls.
+    """
     counters = counters if counters is not None else EvalCounters()
     limit_states = _counted_limit_states(problem, counters)
     x0 = np.asarray(start, dtype=float) if start is not None else problem.design_start()
     objective = _counted_objective(problem, counters)
     g = once_per_point(lambda mu: limit_states(problem.full_mean(mu))[:, 0])
+    con = {"type": "ineq", "fun": g}
+    gradients = quadratic_gradients(problem)
+    if gradients is not None:
+        con["jac"] = lambda mu: gradients(problem.full_mean(mu))[:, problem.design_indices]
 
     def run(x):
         return minimize(objective, x, method="SLSQP", bounds=problem.bounds,
-                        constraints=[{"type": "ineq", "fun": g}],
-                        options={"maxiter": 500, "ftol": 1e-10})
+                        constraints=[con], options={"maxiter": 500, "ftol": 1e-10})
 
     res = run(x0)
     if not res.success:  # e.g. stuck at a corner where a limit state's gradient is 0
@@ -278,11 +295,13 @@ def probabilistic_constraint(surrogates: list, problem: RbdoProblem,
     """Analytic constraints g*(mu_design) = pf_target - pf_closed_form(mu).
 
     Returns one function of the design means giving the vector over
-    ``problem.constraints`` in one batched pass of the closed form.  One
-    stacked transform through the standard-normal map (M, mu_eq) gives
-    every A' = M'AM with its eigenbasis, then k' and c'.  A fixed map
+    ``problem.constraints``, or of a stack (P, n_design) of them giving
+    one row per point.  The points not seen before run through the closed
+    form in one batched pass over P * n_con rows.  One stacked transform
+    through each point's standard-normal map (M, mu_eq) gives every
+    A' = M'AM with its eigenbasis, then k' and c'.  A fixed map
     (``_map_is_constant``) is built once, here; otherwise each evaluation
-    builds it at its design point.  No evaluation calls a black-box limit state.
+    builds it at each point.  No evaluation calls a black-box limit state.
     Each design point is evaluated and counted once; ``gstar.batch(mu)`` is its ``PfBatch``.
     """
     targets = np.array([spec.pf_target for spec in problem.constraints])
@@ -290,35 +309,55 @@ def probabilistic_constraint(surrogates: list, problem: RbdoProblem,
     two_a = 2.0 * a
     k = np.stack([q.k for q in surrogates])
     c = np.array([q.c for q in surrogates])
+    n_con, n = k.shape
 
     def transform(mu_full):
-        """(M', eigenbasis of every A', mu_eq) under the map at ``mu_full``."""
-        m, mu_eq = standard_normal_map(problem.variables_at(mu_full), problem.corr)
-        a_n = np.matmul(np.matmul(m.T, a), m)
+        """(M', eigenbasis of every A', mu_eq) under the maps at the rows (P, n) of ``mu_full``."""
+        maps = [standard_normal_map(problem.variables_at(mu), problem.corr) for mu in mu_full]
+        m = np.stack([m for m, _ in maps])[:, None]  # (P, 1, n, n) against the n_con forms
+        m_t = np.swapaxes(m, -1, -2)
+        a_n = np.matmul(np.matmul(m_t, a), m)
         a_n = 0.5 * (a_n + np.swapaxes(a_n, -1, -2))  # as QuadraticForm symmetrizes A
         require_finite(a_n)
-        return m.T, eigenbasis(a_n), mu_eq
+        return m_t, eigenbasis(a_n), np.stack([mu_eq for _, mu_eq in maps])
 
     fixed = None
     if _map_is_constant(problem):  # every variable keeps its own mean: mu_eq = mu
-        fixed = transform(problem.full_mean(problem.design_start()))[:2]
+        fixed = transform(problem.full_mean(problem.design_start()[None]))[:2]
 
-    @once_per_point
-    def batch(mu_design):
-        if counters is not None:
-            counters.gstar_evals += len(surrogates)
-        mu_full = problem.full_mean(mu_design)
+    def kernel(points) -> PfBatch:
+        """The closed form at a stack (P, n_design), one row per (point, constraint)."""
+        mu_full = problem.full_mean(points)
         m_t, (gamma, p), mu_eq = transform(mu_full) if fixed is None else (*fixed, mu_full)
+        mu_eq = mu_eq[:, None, :]
         # Q_N(z) = Q(M z + mu_eq) row by row as to_standard_normal associates it, bit for bit
-        k_n = np.matmul(m_t, (k + np.matmul(two_a, mu_eq))[..., None])[..., 0]
-        c_n = c + row_dot(np.matmul(mu_eq, a), mu_eq) + row_dot(k, mu_eq)
+        k_n = np.matmul(m_t, (k + np.matmul(two_a, mu_eq[..., None])[..., 0])[..., None])[..., 0]
+        c_n = c + row_dot(np.matmul(mu_eq[..., None, :], a)[..., 0, :], mu_eq) + row_dot(k, mu_eq)
         require_finite(k_n, c_n)
-        return pf_batch(spectral_in_basis(gamma, p, k_n, c_n), k_n)
+        k_n = k_n.reshape(-1, n)
+        gamma = np.broadcast_to(gamma, (len(points), n_con, n)).reshape(-1, n)
+        p = np.broadcast_to(p, (len(points), n_con, n, n)).reshape(-1, n, n)
+        return pf_batch(spectral_in_basis(gamma, p, k_n, c_n.reshape(-1)), k_n)
+
+    stored = {}
+
+    def batches(points) -> list:
+        """The ``PfBatch`` of each point of a stack; new points take one kernel pass."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        new = {mu.tobytes(): mu for mu in points if mu.tobytes() not in stored}
+        if new:
+            if counters is not None:
+                counters.gstar_evals += n_con * len(new)
+            rows = vars(kernel(np.stack(list(new.values()))))
+            for j, key in enumerate(new):
+                stored[key] = PfBatch(**{f: v[j * n_con:(j + 1) * n_con] for f, v in rows.items()})
+        return [stored[mu.tobytes()] for mu in points]
 
     def gstar(mu_design):
-        return targets - batch(mu_design).pf
+        shape = np.shape(mu_design)[:-1] + (n_con,)
+        return targets - np.reshape([b.pf for b in batches(mu_design)], shape)
 
-    gstar.batch = batch
+    gstar.batch = lambda mu_design: batches(mu_design)[0]
     return gstar
 
 
@@ -331,7 +370,7 @@ def _constrained_minimize(objective, gstar, scales, x0, bounds, trace):
         trace.append((len(trace), np.array(xk), float(objective(xk)), float(gstar(xk).min())))
 
     con = {"type": "ineq", "fun": fun, "jac": partial(fd_gradient, fun)}
-    return minimize(objective, x0, jac=partial(fd_gradient, objective), method="SLSQP",
+    return minimize(objective, x0, jac=partial(fd_gradient, per_point(objective)), method="SLSQP",
                     bounds=bounds, constraints=[con], callback=record,
                     options={"maxiter": 400, "ftol": 1e-12})
 
@@ -343,7 +382,9 @@ def rssl_solve(problem: RbdoProblem, start=None) -> RbdoResult:
     SLSQP pass over the analytic probabilistic constraints, started at the
     deterministic optimum.  A pass that fails, or ends with a closed-form
     violation above ``FEASIBILITY_SLACK``, raises ``SolverFailureError``
-    with SLSQP's message and the violation.
+    with SLSQP's message, the violation and every constraint whose
+    closed-form pf exceeds its target by more than the slack where the
+    pass stopped.
     """
     counters = EvalCounters()
     mu_det = solve_deterministic(problem, start=start, counters=counters)
@@ -363,8 +404,12 @@ def rssl_solve(problem: RbdoProblem, start=None) -> RbdoResult:
     # success already bounds the summed scaled violation by ftol; this is the safety net
     violation = float(np.max(-gstar(res.x)))
     if not res.success or violation > FEASIBILITY_SLACK:
+        over = ", ".join(f"{spec.name} (pf {pf:.3g} > target {spec.pf_target:.3g})"
+                         for spec, pf in zip(problem.constraints, gstar.batch(res.x).pf)
+                         if pf - spec.pf_target > FEASIBILITY_SLACK)
         raise SolverFailureError(f"single-loop optimization failed: {res.message} "
-                                 f"(max violation {violation:.3g})",
+                                 f"(max violation {violation:.3g}); above target at the "
+                                 f"stopping point: {over or 'none'}",
                                  phase="single-loop", trace=trace)
     if counters.deterministic_g_evals != frozen_evals:
         raise SolverFailureError("black-box limit state called during the single loop",
@@ -459,7 +504,7 @@ class FormMargins:
             return np.array([0.0 if mpp is None else g(to_z(mpp[1][None, :]))[0]
                              for g, mpp in zip(self._limit_states, mpps)])
 
-        return scales[:, None] * fd_gradient(at_mpps, mu)
+        return scales[:, None] * fd_gradient(per_point(at_mpps), mu)
 
 
 def rbdo_double_loop_form(problem: RbdoProblem, start=None) -> RbdoResult:
@@ -482,7 +527,7 @@ def rbdo_double_loop_form(problem: RbdoProblem, start=None) -> RbdoResult:
     # row any positive value is inactive, while +inf makes the QP fail
     con = {"type": "ineq", "fun": lambda mu: np.nan_to_num(margins(mu), posinf=1.0),
            "jac": margins.jacobian}
-    res = minimize(objective, x0, jac=partial(fd_gradient, objective),
+    res = minimize(objective, x0, jac=partial(fd_gradient, per_point(objective)),
                    method="SLSQP", bounds=problem.bounds,
                    constraints=[con], callback=record,
                    options={"maxiter": 300, "ftol": 1e-10})

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from quadrel.errors import BreitungSingularityError, DomainError
-from quadrel.form import beta_scale, fd_gradient, form_mpp, sorm_breitung
+from quadrel.form import beta_scale, fd_gradient, form_mpp, per_point, sorm_breitung
 from quadrel.montecarlo import mc_pf, transform_samples
 from quadrel.quadratic import QuadraticForm, correlation_decompose
 from quadrel.variables import Kind, RandomVariable, Role, std_normal, variable_pdf_cdf
@@ -15,7 +15,50 @@ def snv(name="z"):
     return RandomVariable(name, Kind.NORMAL, Role.PARAMETER, 0.0, 1.0)
 
 
+def point_by_point_fd_gradient(f, x, rel_step=1e-6):
+    """The loop ``fd_gradient`` ran before it took the stencil as one stack."""
+    x = np.asarray(x, dtype=float)
+    jac = None
+    for i in range(x.size):
+        h = rel_step * max(1.0, abs(x[i]))
+        xp = x.copy(); xp[i] += h
+        xm = x.copy(); xm[i] -= h
+        col = (f(xp) - f(xm)) / (2.0 * h)
+        if jac is None:
+            jac = np.empty(x.shape + np.shape(col))
+        jac[i] = col
+    return jac.T
+
+
 class TestFdGradient:
+    def test_one_call_on_the_stencil(self):
+        calls = []
+
+        def f(points):
+            calls.append(points.copy())
+            return points @ np.array([1.0, 2.0, 3.0])
+
+        x = np.array([0.5, -4.0, 0.0])
+        fd_gradient(f, x)
+        h = 1e-6 * np.array([1.0, 4.0, 1.0])
+        expected = np.repeat(x[None], 6, axis=0)
+        for i in range(3):
+            expected[2 * i, i] = x[i] + h[i]
+            expected[2 * i + 1, i] = x[i] - h[i]
+        assert len(calls) == 1 and np.array_equal(calls[0], expected)
+
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_per_point_matches_the_point_by_point_loop(self, vector):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(3, 5))
+        if vector:
+            f = lambda x: np.sin(a @ x) * np.exp(x[:3])
+        else:
+            f = lambda x: float(np.cos(x @ x) + x[0] ** 3)
+        for x in (rng.normal(size=5), 40.0 * rng.normal(size=5), np.zeros(5)):
+            assert np.array_equal(fd_gradient(per_point(f), x, rel_step=1e-5),
+                                  point_by_point_fd_gradient(f, x, rel_step=1e-5))
+
     def test_scalar_is_central_difference(self):
         f = lambda x: float(np.exp(x[0]) * x[1] ** 3)
         x = np.array([0.4, -2.5])
@@ -24,15 +67,16 @@ class TestFdGradient:
             step = np.zeros(2)
             step[i] = 1e-6 * max(1.0, abs(x[i]))
             expected[i] = (f(x + step) - f(x - step)) / (2.0 * step[i])
-        assert np.array_equal(fd_gradient(f, x), expected)
+        assert np.array_equal(fd_gradient(per_point(f), x), expected)
 
     def test_vector_jacobian_stacks_scalar_gradients(self):
         rng = np.random.default_rng(7)
         a = rng.normal(size=(3, 4))
         f = lambda x: np.sin(a @ x)
         x = rng.normal(size=4)
-        rows = [fd_gradient(lambda x, i=i: float(f(x)[i]), x, rel_step=1e-5) for i in range(3)]
-        assert np.array_equal(fd_gradient(f, x, rel_step=1e-5), np.stack(rows))
+        rows = [fd_gradient(per_point(lambda x, i=i: float(f(x)[i])), x, rel_step=1e-5)
+                for i in range(3)]
+        assert np.array_equal(fd_gradient(per_point(f), x, rel_step=1e-5), np.stack(rows))
 
 
 class TestFormMpp:
@@ -146,7 +190,7 @@ class TestBetaSensitivity:
     def sensitivity(self, theta, beta, u, grad):
         # dG/d theta at fixed u*, through the transform at the moved means
         at_u = lambda t: float(self.g(transform_samples(u[None, :], self.variables(t), None))[0])
-        return beta_scale(beta, u, grad) * fd_gradient(at_u, theta)
+        return beta_scale(beta, u, grad) * fd_gradient(per_point(at_u), theta)
 
     @pytest.mark.parametrize("theta,sign", [([2.0, 1.0], 1.0), ([-1.0, 1.0], 1.0)])
     def test_linear_state_is_alpha_over_sigma(self, theta, sign):

@@ -407,7 +407,7 @@ class TestCli:
         _, fitted = build_surrogates(problem, mu, beta_d)
         assert fitted.scheme.value == scheme
         written = np.loadtxt(out, delimiter=",", skiprows=1)
-        assert written.shape == (rows, problem.n_z)
+        assert written.shape == (rows, len(problem.variables))
         assert np.array_equal(written, fitted.points)
 
     def test_doe_scheme_option(self, tmp_path, capsys):
@@ -448,6 +448,11 @@ class TestCli:
     def test_coeff_file_on_crashworthiness(self, capsys):
         assert main(["solve", "crashworthiness", "--coeff-file", CRASH_CSV,
                      "--method", "deterministic"]) == 0
+
+    def test_single_loop_failure_names_the_constraint(self, capsys):
+        # g01's closed-form pf exceeds its 2.5-sigma target over the whole box
+        assert main(["solve", "crashworthiness", "--beta", "2.5", "--coeff-file", CRASH_CSV]) == 3
+        assert "g01 (pf" in capsys.readouterr().err
 
     def test_crash_without_file_is_input_error(self, capsys):
         assert main(["solve", "crashworthiness"]) == 2

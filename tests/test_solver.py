@@ -12,13 +12,14 @@ from scipy.optimize import brentq
 import quadrel.form
 import quadrel.solver
 from quadrel.errors import ConvergenceError, DomainError, SolverFailureError
-from quadrel.form import fd_gradient, form_mpp
+from quadrel.form import fd_gradient, form_mpp, per_point
 from quadrel.montecarlo import marginal_map
 from quadrel.pf import pf_batch, pf_quadratic
 from quadrel.problems import (
     bench_3g,
     bench_quad4,
     builtin_problems,
+    crashworthiness,
     demo_ellipse,
     demo_ellipse_det,
     demo_ellipse_lognormal,
@@ -34,6 +35,7 @@ from quadrel.solver import (
     build_surrogates,
     mc_audit,
     probabilistic_constraint,
+    quadratic_gradients,
     rbdo_double_loop_form,
     rssl_solve,
     solve_deterministic,
@@ -56,6 +58,45 @@ def builtin(name):
 def bounds_of(problem):
     return (np.array([b[0] for b in problem.bounds]),
             np.array([b[1] for b in problem.bounds]))
+
+
+def branch_problem(kind=Kind.NORMAL, t=None):
+    """Two design variables under six explicit quadratics that take, over a
+    stack of points in the box, every closed-form branch: mixed signs,
+    same sign on both the p and the 1 - p side, linear, and exact 0 and 1."""
+    def q(a, k, c):
+        return QuadraticForm(a=np.array(a, dtype=float), k=np.array(k, dtype=float), c=c)
+
+    forms = [q([[0.1, 0.0], [0.0, -0.2]], [1.0, 0.5], 3.0),
+             q([[0.05, 0.01], [0.01, 0.08]], [-0.6, -0.3], 1.0),
+             q([[-0.05, -0.01], [-0.01, -0.08]], [0.6, 0.3], 2.0),
+             q(np.zeros((2, 2)), [1.0, -0.5], 4.0),
+             q(np.eye(2), [0.0, 0.0], 1.0),        # never below 0: pf exactly 0
+             q(-np.eye(2), [0.0, 0.0], -1.0)]      # never above 0: pf exactly 1
+    return RbdoProblem(
+        variables=[RandomVariable("x1", kind, Role.DESIGN_VARIABLE, 2.0, 0.3, 0.5, 10.0),
+                   design("x2", 3.0, 0.4, 0.5, 10.0)],
+        objective=lambda mu: float(np.sum(mu)),
+        constraints=[ConstraintSpec(name=f"g{i}", quadratic=f, beta_d=3.0)
+                     for i, f in enumerate(forms)],
+        std_mode=StdMode(t=t),
+    )
+
+
+def stack_problem(name):
+    """(problem, surrogates) for the stacked-g* tests: a builtin with its
+    surrogates fitted around the deterministic optimum, or a branch problem."""
+    if name.startswith("branches"):
+        problem = {"branches": branch_problem(),
+                   "branches-lognormal": branch_problem(kind=Kind.LOGNORMAL),
+                   "branches-varstd": branch_problem(t=[0.1, 0.2])}[name]
+    else:
+        problem = builtin(name)
+    if all(spec.quadratic is not None for spec in problem.constraints):
+        return problem, [spec.quadratic for spec in problem.constraints]
+    mu_det = solve_deterministic(problem)
+    beta = max(spec.beta_target for spec in problem.constraints)
+    return problem, build_surrogates(problem, mu_det, beta)[0]
 
 
 class TestConstraintSpec:
@@ -172,6 +213,40 @@ class TestDeterministicPhase:
         mu = solve_deterministic(problem, start=np.array(start), counters=counters)
         assert mu == pytest.approx(reference, abs=1e-6)
         assert len(set(rows)) == len(rows) == counters.deterministic_g_evals  # shared system
+
+    @pytest.mark.parametrize("name", sorted(builtin_problems()))
+    def test_exact_jacobian_only_for_explicit_quadratics(self, name, monkeypatch):
+        # a black-box problem keeps SLSQP's one-sided differences: central
+        # ones would double its phase-1 limit-state calls
+        constraints = []
+        minimize = quadrel.solver.minimize
+
+        def recorded(*args, **kwargs):
+            constraints.extend(kwargs["constraints"])
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(quadrel.solver, "minimize", recorded)
+        problem = builtin(name)
+        solve_deterministic(problem)
+        explicit = all(spec.quadratic is not None for spec in problem.constraints)
+        assert constraints and all(("jac" in con) == explicit for con in constraints)
+        assert (quadratic_gradients(problem) is None) == (not explicit)
+
+    @pytest.mark.parametrize("name", ["crashworthiness", "demo-ellipse", "demo-ellipse-det",
+                                      "demo-ellipse-lognormal", "demo-ellipse-varstd"])
+    def test_exact_jacobian_matches_fd_gradient(self, name):
+        problem = builtin(name)
+        gradients = quadratic_gradients(problem)
+
+        def limit_states(mu):
+            return np.array([spec.evaluate(problem.full_mean(mu)) for spec in problem.constraints])
+
+        lo, hi = bounds_of(problem)
+        for frac in (0.1, 0.5, 0.8):
+            mu = lo + frac * (hi - lo)
+            exact = gradients(problem.full_mean(mu))[:, problem.design_indices]
+            np.testing.assert_allclose(exact, fd_gradient(per_point(limit_states), mu),
+                                       rtol=1e-6, atol=1e-9)
 
     def test_no_feasible_point_raises(self):
         # g = -1 - x^2 is negative everywhere: no evaluated point can seed a restart
@@ -290,6 +365,48 @@ class TestProbabilisticConstraint:
             expected = [spec.pf_target - pf_quadratic(to_standard_normal(q, snmap))[0]
                         for q, spec in zip(surrogates, problem.constraints)]
             assert gstar(mu).tolist() == expected
+
+    @pytest.mark.parametrize("name", sorted(builtin_problems())
+                             + ["branches", "branches-lognormal", "branches-varstd"])
+    def test_stack_matches_each_point(self, name):
+        # one kernel pass over a stack gives each point the floats it gets alone
+        problem, surrogates = stack_problem(name)
+        lo, hi = bounds_of(problem)
+        rng = np.random.default_rng(11)
+        points = np.vstack([problem.design_start(), lo, hi,
+                            rng.uniform(lo, hi, size=(12, len(lo)))])
+        alone = probabilistic_constraint(surrogates, problem)
+        stacked = probabilistic_constraint(surrogates, problem)
+        assert np.array_equal(stacked(points), np.array([alone(mu) for mu in points]))
+        branches, exact = set(), 0
+        for mu in points:
+            a, b = alone.batch(mu), stacked.batch(mu)
+            for field in ("pf_raw", "kappa", "branch", "h", "q0", "degenerate"):
+                assert np.array_equal(getattr(a, field), getattr(b, field), equal_nan=True)
+            branches.update(b.branch.tolist())
+            exact += np.count_nonzero(np.isinf(b.kappa))
+        if name.startswith("branches"):
+            assert branches == {0, 1, 2, 3} and exact >= 2 * len(points)
+
+    def test_stack_counts_each_new_point_once(self, monkeypatch):
+        rows = []
+        monkeypatch.setattr(quadrel.solver, "pf_batch",
+                            lambda s, k: rows.append(len(k)) or pf_batch(s, k))
+        problem = builtin("crashworthiness")
+        n_con = len(problem.constraints)
+        counters = EvalCounters()
+        gstar = probabilistic_constraint([s.quadratic for s in problem.constraints], problem,
+                                         counters=counters)
+        lo, hi = bounds_of(problem)
+        a, b, c = (lo + frac * (hi - lo) for frac in (0.2, 0.5, 0.7))
+        seen = gstar(a)
+        out = gstar(np.stack([a, b, b, c, a]))
+        assert counters.gstar_evals == 3 * n_con
+        assert rows == [n_con, 2 * n_con]
+        assert np.array_equal(out[0], seen) and np.array_equal(out[4], seen)
+        assert np.array_equal(out[1], out[2])
+        gstar(np.stack([c, b]))
+        assert counters.gstar_evals == 3 * n_con and len(rows) == 2
 
     def test_one_map_per_design_point(self, monkeypatch):
         # every constraint shares the design point's variables and map
@@ -462,15 +579,37 @@ class TestRsslSolve:
             rssl_solve(demo_ellipse())
         assert err.value.phase == "single-loop"
         assert messages[0] in str(err.value) and "max violation" in str(err.value)
+        if failure == "infeasible":
+            assert "above target at the stopping point: g (pf 0.0042" in str(err.value)
         assert err.value.trace
+
+    def test_failure_names_the_violated_constraint(self, monkeypatch):
+        # at beta_d = 2.5 g01's closed-form pf exceeds its target over the
+        # whole box; SLSQP's own message alone does not say so
+        one_pass = quadrel.solver._constrained_minimize
+        messages = []
+
+        def recorded(*args):
+            res = one_pass(*args)
+            messages.append(str(res.message))
+            return res
+
+        monkeypatch.setattr(quadrel.solver, "_constrained_minimize", recorded)
+        with pytest.raises(SolverFailureError) as err:
+            rssl_solve(crashworthiness(CRASH_CSV, beta_d=2.5))
+        message = str(err.value)
+        assert messages[0] in message
+        assert "above target at the stopping point: g01 (pf 0.00985 > target 0.00621)" in message
+        assert "infeasible" not in message
 
     @pytest.mark.parametrize("name", sorted(builtin_problems()))
     def test_one_kernel_pass_per_point(self, name, monkeypatch):
-        # each closed-form pass is a distinct point SLSQP evaluated; the trace,
-        # the feasibility check and the report read the stored results
-        batches, points, in_callback = [], set(), []
+        # every distinct point SLSQP passes, alone or inside a stencil stack,
+        # runs through the closed form exactly once; the trace, the
+        # feasibility check and the report read the stored results
+        rows, points, in_callback = [], set(), []
         monkeypatch.setattr(quadrel.solver, "pf_batch",
-                            lambda *args: batches.append(1) or pf_batch(*args))
+                            lambda s, k: rows.append(len(k)) or pf_batch(s, k))
         minimize = quadrel.solver.minimize
 
         def flag_callback(*args, callback=None, **kwargs):
@@ -487,7 +626,7 @@ class TestRsslSolve:
         def recorded(objective, gstar, *args):
             def from_slsqp(mu):
                 if not in_callback:
-                    points.add(np.asarray(mu, dtype=float).tobytes())
+                    points.update(x.tobytes() for x in np.atleast_2d(np.asarray(mu, dtype=float)))
                 return gstar(mu)
             return one_pass(objective, from_slsqp, *args)
 
@@ -496,8 +635,9 @@ class TestRsslSolve:
         problem = builtin(name)
         result = rssl_solve(problem)
         assert result.trace
-        assert len(batches) == len(points)
-        assert result.counters.gstar_evals == len(points) * len(problem.constraints)
+        n_con = len(problem.constraints)
+        assert sum(rows) == len(points) * n_con
+        assert result.counters.gstar_evals == len(points) * n_con
 
     @pytest.mark.parametrize("name", sorted(builtin_problems()))
     def test_report_matches_each_constraint(self, name, monkeypatch):
@@ -566,7 +706,7 @@ class TestFormDoubleLoop:
     def test_jacobian_matches_outer_differences(self, build, mu):
         margins = FormMargins(build(), EvalCounters())
         mu = np.array(mu)
-        reference = fd_gradient(margins, mu, rel_step=1e-5)
+        reference = fd_gradient(per_point(margins), mu, rel_step=1e-5)
         np.testing.assert_allclose(margins.jacobian(mu), reference, rtol=1e-4)
 
     def test_jacobian_at_cached_point_starts_no_search(self, monkeypatch):
@@ -596,7 +736,7 @@ class TestFormDoubleLoop:
         _, u, grad = form_mpp(spec.evaluate, variables, problem.corr)
         assert bool(fallbacks) == fallback
         to_z = marginal_map(variables, problem.corr)
-        fresh = fd_gradient(lambda v: float(spec.evaluate(to_z(v[None, :]))[0]), u)
+        fresh = fd_gradient(per_point(lambda v: float(spec.evaluate(to_z(v[None, :]))[0])), u)
         assert np.array_equal(grad, fresh)
 
     @pytest.mark.parametrize("name,build,objective,parent_evals", [
