@@ -3,7 +3,7 @@
 Most-probable-point search via a damped Hasofer-Lind-Rackwitz-Fiessler
 iteration with a constrained-minimization fallback, and the Breitung
 curvature correction evaluated on a quadratic limit state at the MPP.
-Also the per-point memo that the MPP search, phase 1 and the objective share,
+Also the per-point and per-row memos that the solver and the MPP search share,
 and the one finite-difference helper, which evaluates its stencil as a stack.
 """
 
@@ -26,10 +26,7 @@ MPP_MAX_ITER = 200
 
 
 def once_per_point(fn):
-    """``fn`` run once per distinct point; ``.values`` maps the point's bytes to results.
-
-    A point is an array of any shape (a design-mean vector, a (1, n) row).
-    """
+    """``fn`` run once per distinct point; ``.values`` maps the point's bytes to results."""
     values = {}
 
     def memo(x):
@@ -43,13 +40,31 @@ def once_per_point(fn):
     return memo
 
 
-def _g_in_standard_space(g, variables, corr):
-    """Wrap g(z) as g_N(z_N) through the exact marginal transform, built once."""
-    to_z = marginal_map(variables, corr)
+def once_per_row(fn):
+    """``fn`` of a stack (m, n) run once per distinct row: the memo of a stack
+    sends its rows not seen before to ``fn`` in one call, each once and in
+    order, and returns the list of results at the stack's rows."""
+    values = {}
 
+    def memo(points):
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        keys = [row.tobytes() for row in points]
+        new = {key: row for key, row in zip(keys, points) if key not in values}
+        if len(new) == len(keys):  # all rows new and distinct: the stack as it is
+            values.update(zip(keys, fn(points)))
+        elif new:
+            values.update(zip(new, fn(np.stack(list(new.values())))))
+        return [values[key] for key in keys]
+
+    return memo
+
+
+def _g_in_standard_space(g, to_z):
+    """Wrap g(z) as g_N(z_N) through the exact marginal transform ``to_z``: one
+    point (n,) to a float, or a stack (m, n) to its values in one call of g."""
     def g_n(z_n):
         out = np.asarray(g(to_z(np.atleast_2d(z_n))), dtype=float)
-        return float(out[0]) if out.shape == (1,) else out
+        return out if np.ndim(z_n) == 2 else float(out[0])
 
     return g_n
 
@@ -80,19 +95,30 @@ def fd_gradient(f, x, rel_step=1e-6):
     return (values[0::2] - values[1::2]).T / (2.0 * h)
 
 
-def form_mpp(g, variables: list[RandomVariable], corr: CorrelationModel | None):
+def form_mpp(g, variables: list[RandomVariable], corr: CorrelationModel | None,
+             gradient=None):
     """Find the most probable point of Prob[g(z) < 0].
 
     Returns (beta_hl, u*, grad): beta_hl = +/-||u*|| signed as g at the means
     (negative where they fail), u* the MPP in standard-normal space and grad
-    the limit state's standard-space gradient there (``fd_gradient``).  The
-    search runs a damped HLRF iteration in uncorrelated standard-normal
-    space and falls back to direct constrained minimization of ||u||
-    subject to g = 0 on stall.  It calls ``g`` once per distinct
-    original-space row.
+    the limit state's standard-space gradient there.  The search runs a
+    damped HLRF iteration in uncorrelated standard-normal space and falls
+    back to direct constrained minimization of ||u|| subject to g = 0 on
+    stall.  It calls ``g`` once per stack of distinct original-space rows
+    it has not seen (``once_per_row``).  Each gradient is ``fd_gradient``
+    over one call on its stencil or, given ``gradient`` (z -> dg/dz at one
+    original-space point (n,)), exact through the marginal map's chain rule.
     """
     n = len(variables)
-    g_n = _g_in_standard_space(once_per_point(g), variables, corr)
+    to_z = marginal_map(variables, corr)
+    g_n = _g_in_standard_space(once_per_row(g), to_z)
+
+    def grad_at(u):
+        if gradient is None:
+            return fd_gradient(g_n, u)
+        z = to_z(u[None, :])[0]
+        return to_z.chain_rule(z, gradient(z))
+
     z = np.zeros(n)
     g0 = g_n(z)
     scale = max(abs(g0), 1.0)
@@ -100,7 +126,7 @@ def form_mpp(g, variables: list[RandomVariable], corr: CorrelationModel | None):
     converged = False
     for it in range(MPP_MAX_ITER):
         gval = g_n(z)
-        grad = fd_gradient(per_point(g_n), z)
+        grad = grad_at(z)
         gnorm = np.linalg.norm(grad)
         trace.append((it, float(np.linalg.norm(z)), float(gval)))
         if gnorm == 0.0:
@@ -138,7 +164,7 @@ def form_mpp(g, variables: list[RandomVariable], corr: CorrelationModel | None):
         if best is None:
             raise ConvergenceError("MPP search did not converge", trace=trace)
         z = best.x
-        grad = fd_gradient(per_point(g_n), z)
+        grad = grad_at(z)
     return math.copysign(np.linalg.norm(z), g0), z, grad
 
 

@@ -42,6 +42,7 @@ def marginal_map(variables: list[RandomVariable], corr: CorrelationModel | None)
     deterministic one, whose column is then set to the value.  The result is
     written to ``out`` when given (which may be ``z_n`` itself), else to a new
     array; with a correlation, the mixed array is transformed in place.
+    ``apply.chain_rule`` takes a gradient at a mapped point back through the map.
     """
     n = len(variables)
     shift = np.empty(n)
@@ -86,6 +87,18 @@ def marginal_map(variables: list[RandomVariable], corr: CorrelationModel | None)
             out[:, i] = np.exp(col, out=col)
         return out
 
+    def chain_rule(z: np.ndarray, grad_z: np.ndarray) -> np.ndarray:
+        """The standard-normal gradient L'(d * grad_z) of a function whose
+        gradient at the mapped point ``z`` (n,) is ``grad_z``: d = dz/dy is the
+        std of a normal, zeta * z of a lognormal and 0 of a deterministic
+        variable, and L' = ``mix``.  It holds no reference to ``apply``: a
+        cycle would keep each map's tiles until the garbage collector ran."""
+        d = scale.copy()
+        d[lognormal] *= z[lognormal]
+        grad_y = d * grad_z
+        return grad_y if mix is None else mix @ grad_y
+
+    apply.chain_rule = chain_rule
     return apply
 
 

@@ -17,7 +17,7 @@ from scipy.optimize import minimize
 
 from .doe import DoeBox, Scheme, bbd_points, ccd_points, doe_box, fit_quadratic, inscribed_ccd_2
 from .errors import ConvergenceError, DomainError, SolverFailureError
-from .form import beta_scale, fd_gradient, form_mpp, once_per_point, per_point
+from .form import beta_scale, fd_gradient, form_mpp, once_per_point, once_per_row, per_point
 from .montecarlo import marginal_map, mc_pf
 from .pf import PfBatch, pf_batch, pf_quadratic, require_finite
 from .quadratic import (
@@ -302,7 +302,8 @@ def probabilistic_constraint(surrogates: list, problem: RbdoProblem,
     A' = M'AM with its eigenbasis, then k' and c'.  A fixed map
     (``_map_is_constant``) is built once, here; otherwise each evaluation
     builds it at each point.  No evaluation calls a black-box limit state.
-    Each design point is evaluated and counted once; ``gstar.batch(mu)`` is its ``PfBatch``.
+    Each design point is evaluated and counted once (``once_per_row``);
+    ``gstar.batch(mu)`` is its ``PfBatch``.
     """
     targets = np.array([spec.pf_target for spec in problem.constraints])
     a = np.stack([q.a for q in surrogates])
@@ -325,8 +326,10 @@ def probabilistic_constraint(surrogates: list, problem: RbdoProblem,
     if _map_is_constant(problem):  # every variable keeps its own mean: mu_eq = mu
         fixed = transform(problem.full_mean(problem.design_start()[None]))[:2]
 
-    def kernel(points) -> PfBatch:
-        """The closed form at a stack (P, n_design), one row per (point, constraint)."""
+    def kernel(points) -> list:
+        """The closed form at a stack (P, n_design): one ``PfBatch`` of n_con rows per point."""
+        if counters is not None:
+            counters.gstar_evals += n_con * len(points)
         mu_full = problem.full_mean(points)
         m_t, (gamma, p), mu_eq = transform(mu_full) if fixed is None else (*fixed, mu_full)
         mu_eq = mu_eq[:, None, :]
@@ -337,21 +340,11 @@ def probabilistic_constraint(surrogates: list, problem: RbdoProblem,
         k_n = k_n.reshape(-1, n)
         gamma = np.broadcast_to(gamma, (len(points), n_con, n)).reshape(-1, n)
         p = np.broadcast_to(p, (len(points), n_con, n, n)).reshape(-1, n, n)
-        return pf_batch(spectral_in_basis(gamma, p, k_n, c_n.reshape(-1)), k_n)
+        rows = vars(pf_batch(spectral_in_basis(gamma, p, k_n, c_n.reshape(-1)), k_n))
+        return [PfBatch(**{f: v[j:j + n_con] for f, v in rows.items()})
+                for j in range(0, len(k_n), n_con)]
 
-    stored = {}
-
-    def batches(points) -> list:
-        """The ``PfBatch`` of each point of a stack; new points take one kernel pass."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        new = {mu.tobytes(): mu for mu in points if mu.tobytes() not in stored}
-        if new:
-            if counters is not None:
-                counters.gstar_evals += n_con * len(new)
-            rows = vars(kernel(np.stack(list(new.values()))))
-            for j, key in enumerate(new):
-                stored[key] = PfBatch(**{f: v[j * n_con:(j + 1) * n_con] for f, v in rows.items()})
-        return [stored[mu.tobytes()] for mu in points]
+    batches = once_per_row(kernel)
 
     def gstar(mu_design):
         shape = np.shape(mu_design)[:-1] + (n_con,)
@@ -448,8 +441,10 @@ class FormMargins:
     so it starts no search at a point the margins were evaluated at.  A
     constraint whose failure set is provably empty there (``_exact_pf``
     is 0) has beta = +inf and a zero row; one that provably always fails
-    raises ``SolverFailureError``.  Every limit-state row evaluated counts
-    in ``counters.deterministic_g_evals``.
+    raises ``SolverFailureError``.  An explicit quadratic's search takes its
+    exact gradient 2Az + k in place of a stencil.  Every limit-state row
+    evaluated, and every exact gradient, counts one call in
+    ``counters.deterministic_g_evals``.
     """
 
     def __init__(self, problem: RbdoProblem, counters: EvalCounters):
@@ -457,22 +452,24 @@ class FormMargins:
         self.targets = np.array([spec.beta_target for spec in problem.constraints])
         self._mpps = once_per_point(self._search)
 
-        def counted(spec):
-            def g(z):
+        def counted(f):  # one call per row of z, and per point (n,) a gradient is taken at
+            def call(z):
                 counters.deterministic_g_evals += np.atleast_2d(z).shape[0]
-                return spec.evaluate(z)
-            return g
+                return f(z)
+            return call
 
-        self._limit_states = [counted(spec) for spec in problem.constraints]
+        self._limit_states = [counted(spec.evaluate) for spec in problem.constraints]
+        self._gradients = [None if spec.quadratic is None else counted(spec.quadratic.gradient)
+                           for spec in problem.constraints]
 
     def _search(self, mu):
         """(margins, [(beta, u*, grad) or None per constraint]) at ``mu``."""
         problem = self.problem
         vars_at = problem.variables_at(problem.full_mean(mu))
         mpps = []
-        for spec, g in zip(problem.constraints, self._limit_states):
+        for spec, g, gradient in zip(problem.constraints, self._limit_states, self._gradients):
             try:
-                mpps.append(form_mpp(g, vars_at, problem.corr))
+                mpps.append(form_mpp(g, vars_at, problem.corr, gradient=gradient))
             except ConvergenceError as exc:
                 pf = _exact_pf(spec, vars_at, problem.corr)
                 where = f"constraint {spec.name} at mu = {mu.tolist()}"

@@ -5,8 +5,15 @@ import numpy as np
 import pytest
 
 from quadrel.errors import BreitungSingularityError, DomainError
-from quadrel.form import beta_scale, fd_gradient, form_mpp, per_point, sorm_breitung
-from quadrel.montecarlo import mc_pf, transform_samples
+from quadrel.form import (
+    beta_scale,
+    fd_gradient,
+    form_mpp,
+    once_per_row,
+    per_point,
+    sorm_breitung,
+)
+from quadrel.montecarlo import marginal_map, mc_pf, transform_samples
 from quadrel.quadratic import QuadraticForm, correlation_decompose
 from quadrel.variables import Kind, RandomVariable, Role, std_normal, variable_pdf_cdf
 
@@ -28,6 +35,26 @@ def point_by_point_fd_gradient(f, x, rel_step=1e-6):
             jac = np.empty(x.shape + np.shape(col))
         jac[i] = col
     return jac.T
+
+
+class TestOncePerRow:
+    def test_each_new_row_once_per_stack(self):
+        # one call per stack with unseen rows, holding each of them once and
+        # in order, even where a row repeats inside the stack
+        calls = []
+
+        def fn(points):
+            calls.append(points.tolist())
+            return points.sum(axis=1)
+
+        memo = once_per_row(fn)
+        a, b, c = [1.0, 2.0], [3.0, 4.0], [5.0, 6.0]
+        assert memo(np.array([a, b, a])) == [3.0, 7.0, 3.0]
+        assert memo(np.array([b, c, c, a])) == [7.0, 11.0, 11.0, 3.0]
+        assert memo(np.array(c)) == [11.0]
+        d, e = [7.0, 8.0], [9.0, 1.0]
+        assert memo(np.array([d, e])) == [15.0, 10.0]
+        assert calls == [[a, b], [c], [d, e]]
 
 
 class TestFdGradient:
@@ -111,7 +138,7 @@ class TestFormMpp:
         for i in range(2):
             zp = z_n.copy(); zp[i] += h
             zm = z_n.copy(); zm[i] -= h
-            gp = form_mpp.__globals__["_g_in_standard_space"](g, variables, None)
+            gp = form_mpp.__globals__["_g_in_standard_space"](g, marginal_map(variables, None))
             grad[i] = (gp(zp) - gp(zm)) / (2 * h)
         cosine = z_n @ grad / (np.linalg.norm(z_n) * np.linalg.norm(grad))
         assert abs(abs(cosine) - 1.0) <= 1e-4

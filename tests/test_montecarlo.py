@@ -1,6 +1,8 @@
 """Chunked Monte Carlo failure-probability estimation."""
 
+import gc
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from quadrel import problems
 from quadrel.errors import DomainError
-from quadrel.montecarlo import BLOCK_SIZE, mc_pf, transform_samples
+from quadrel.montecarlo import BLOCK_SIZE, marginal_map, mc_pf, transform_samples
 from quadrel.quadratic import QuadraticForm, correlation_decompose
 from quadrel.solver import mc_audit
 from quadrel.variables import Kind, RandomVariable, Role
@@ -177,6 +179,21 @@ class TestBlockedKernel:
         for problem, point, failures in cases:
             est = mc_audit(problem, np.array(point), n=n, seed=5)
             assert [e.pf_hat for e in est] == [k / n for k in failures]
+
+
+    def test_map_is_freed_without_the_garbage_collector(self):
+        # mc_pf builds a map per chunk: a reference cycle through the map
+        # would hold its tiles until a collection ran, not until it is dropped
+        variables = [snv("z1"), RandomVariable("x", Kind.LOGNORMAL, Role.PARAMETER, 1.0, 0.3)]
+        gc.disable()
+        try:
+            apply = marginal_map(variables, correlation_decompose(np.eye(2)))
+            apply(np.zeros((BLOCK_SIZE, 2)))
+            ref = weakref.ref(apply)
+            del apply
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestValidation:

@@ -12,7 +12,7 @@ from scipy.optimize import brentq
 import quadrel.form
 import quadrel.solver
 from quadrel.errors import ConvergenceError, DomainError, SolverFailureError
-from quadrel.form import fd_gradient, form_mpp, per_point
+from quadrel.form import _g_in_standard_space, fd_gradient, form_mpp, per_point
 from quadrel.montecarlo import marginal_map
 from quadrel.pf import pf_batch, pf_quadratic
 from quadrel.problems import (
@@ -728,34 +728,109 @@ class TestFormDoubleLoop:
         ("bench-3g", 0, False),          # g1 converges in HLRF
         ("crashworthiness", 1, True),    # g02 ends in the SLSQP fallback
     ])
-    def test_search_gradient_is_a_fresh_fd_gradient(self, name, index, fallback, monkeypatch):
+    def test_search_gradient_at_the_mpp(self, name, index, fallback, monkeypatch):
+        # a black box's is a fresh fd_gradient at u*, bit for bit; an explicit
+        # quadratic's is its exact gradient at u*, which FD approximates
         problem = builtin(name)
         spec = problem.constraints[index]
+        q = spec.quadratic
         variables = problem.variables_at(problem.full_mean(problem.design_start()))
         fallbacks = counted_fallbacks(monkeypatch)
-        _, u, grad = form_mpp(spec.evaluate, variables, problem.corr)
+        _, u, grad = form_mpp(spec.evaluate, variables, problem.corr,
+                              gradient=None if q is None else q.gradient)
         assert bool(fallbacks) == fallback
         to_z = marginal_map(variables, problem.corr)
         fresh = fd_gradient(per_point(lambda v: float(spec.evaluate(to_z(v[None, :]))[0])), u)
-        assert np.array_equal(grad, fresh)
+        if q is None:
+            assert np.array_equal(grad, fresh)
+        else:
+            z = to_z(u[None, :])[0]
+            assert np.array_equal(grad, to_z.chain_rule(z, q.gradient(z)))
+            np.testing.assert_allclose(grad, fresh, rtol=1e-6, atol=1e-8)
 
+    @pytest.mark.parametrize("name", [
+        name for name in sorted(builtin_problems())
+        if any(spec.quadratic is None for spec in builtin(name).constraints)])
+    def test_stacked_black_box_matches_each_row(self, name):
+        # the map and the builtin black boxes are elementwise, so one call on
+        # a stencil gives each row the value of its own one-row call
+        problem = builtin(name)
+        rng = np.random.default_rng(11)
+        lo, hi = bounds_of(problem)
+        for frac in (0.2, 0.7):
+            variables = problem.variables_at(problem.full_mean(lo + frac * (hi - lo)))
+            n = len(variables)
+            for spec in problem.constraints:
+                g_n = _g_in_standard_space(spec.g, marginal_map(variables, problem.corr))
+                for m in rng.integers(1, 2 * n + 4, size=50):
+                    stack = 3.0 * rng.standard_normal((m, n))
+                    assert np.array_equal(g_n(stack), [g_n(u) for u in stack])
+
+    @pytest.mark.parametrize("name", ["crashworthiness", "demo-ellipse", "demo-ellipse-det",
+                                      "demo-ellipse-lognormal", "demo-ellipse-varstd"])
+    def test_exact_search_gradient_matches_fd_gradient(self, name):
+        # normal, lognormal and correlated, deterministic and proportional-std maps
+        problem = builtin(name)
+        rng = np.random.default_rng(5)
+        lo, hi = bounds_of(problem)
+        for frac in (0.1, 0.5, 0.8):
+            variables = problem.variables_at(problem.full_mean(lo + frac * (hi - lo)))
+            to_z = marginal_map(variables, problem.corr)
+            for q in (spec.quadratic for spec in problem.constraints):
+                for u in (np.zeros(len(variables)), rng.standard_normal(len(variables))):
+                    z = to_z(u[None, :])[0]
+                    fd = fd_gradient(per_point(lambda v: q(to_z(v[None, :]))[0]), u)
+                    np.testing.assert_allclose(to_z.chain_rule(z, q.gradient(z)), fd,
+                                               rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("name", ["demo-ellipse-lognormal", "crashworthiness"])
+    def test_explicit_quadratic_search_has_no_stencil(self, name, monkeypatch):
+        # every search takes the exact gradient: g sees one row per call, and
+        # each row and each gradient counts one limit-state call
+        rows, gradients = [], []
+        search = quadrel.solver.form_mpp
+
+        def logged(g, *args, gradient=None, **kwargs):
+            assert gradient is not None
+
+            def g_logged(z):
+                rows.append(len(z))
+                return g(z)
+            return search(g_logged, *args,
+                          gradient=lambda z: gradients.append(1) or gradient(z), **kwargs)
+
+        monkeypatch.setattr(quadrel.solver, "form_mpp", logged)
+        problem = builtin(name)
+        counters = EvalCounters()
+        margins = FormMargins(problem, counters)
+        lo, hi = bounds_of(problem)
+        for frac in (0.3, 0.6):
+            margins(lo + frac * (hi - lo))
+        assert gradients and rows and set(rows) == {1}
+        assert counters.deterministic_g_evals == len(rows) + len(gradients)
+
+    # parent_evals: the calls of the FORM loop whose every search gradient was
+    # a stencil of one-row calls; limit-state calls may only go down from there.
+    # Threaded BLAS moves the last bits of bench-3g's outer loop: that loop
+    # made 1107 calls with one BLAS thread and 1267 with two
     @pytest.mark.parametrize("name,build,objective,parent_evals", [
-        ("bench-3g", bench_3g, 6.725659, 6210),
-        ("bench-quad4", bench_quad4, 0.0154656, 11989),
-        ("bench-quad4 beta=3", lambda: bench_quad4(beta_d=3.0), 0.910632, 25607),
-        ("demo-ellipse", demo_ellipse, 0.0, 2751),
-        ("demo-ellipse-lognormal", demo_ellipse_lognormal, 0.1, 3566),
+        ("bench-3g", bench_3g, 6.725659, 1267),
+        ("bench-quad4", bench_quad4, 0.0154656, 1914),
+        ("bench-quad4 beta=3", lambda: bench_quad4(beta_d=3.0), 0.910632, 3174),
+        ("demo-ellipse", demo_ellipse, 0.0, 774),
+        ("demo-ellipse-lognormal", demo_ellipse_lognormal, 0.1, 1321),
         # the rssl optimum; the unsigned beta ended at 2.436275, where MC gives pf 0.9985
-        ("demo-ellipse-det", demo_ellipse_det, 0.1, 2680),
-        # lower-bound corner; at most a tenth of the outer-difference loop's calls
-        ("crashworthiness", lambda: builtin("crashworthiness"), 3.8675, 51386),
+        ("demo-ellipse-det", demo_ellipse_det, 0.1, 900),
+        ("demo-ellipse-varstd", demo_ellipse_varstd, 0.0, 773),
+        # lower-bound corner
+        ("crashworthiness", lambda: builtin("crashworthiness"), 3.8675, 33895),
     ])
     def test_optimum_with_fewer_limit_state_calls(self, name, build, objective, parent_evals):
         problem = build()
         result = rbdo_double_loop_form(problem)
         assert result.success
         assert result.objective_value == pytest.approx(objective, abs=1e-4)
-        assert result.counters.deterministic_g_evals < parent_evals
+        assert result.counters.deterministic_g_evals <= parent_evals
         for pf, spec in zip(result.pf_closed_form, problem.constraints):
             assert pf <= spec.pf_target + 1e-9
 
