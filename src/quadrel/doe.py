@@ -13,8 +13,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, SingularFitError, UnsupportedDesignError, ZeroHalfwidthError
-from .quadratic import QuadraticForm, n_quadratic_coefficients
-from .variables import RandomVariable, Role, equivalent_normal
+from .quadratic import QuadraticForm, n_quadratic_coefficients, standard_normal_map
+from .variables import RandomVariable, Role
 
 # Rescaling constant applied to design-variable box halfwidths so the
 # surrogate stays valid out to the probabilistic optimum.
@@ -97,6 +97,8 @@ def doe_box(variables: list[RandomVariable], beta_d: float, det_solution,
         raise DomainError("rescaling constants must be > 0")
     det_solution = np.asarray(det_solution, dtype=float)
     overrides = halfwidth_overrides or {}
+    at_det = [v.with_mean(d) for v, d in zip(variables, det_solution)]
+    sigma_eq = standard_normal_map(at_det, None)[0].diagonal()
     hw = np.empty(len(variables))
     for i, v in enumerate(variables):
         if v.name in overrides:
@@ -112,11 +114,10 @@ def doe_box(variables: list[RandomVariable], beta_d: float, det_solution,
                 )
             hw[i] = cr_design * beta_d * abs(det_solution[i]) / 10.0
         else:
-            sigma_eq = equivalent_normal(v.with_mean(det_solution[i]), det_solution[i]).sigma_eq
             c_r = cr_design if v.role is Role.DESIGN_VARIABLE else cr_param
-            if sigma_eq <= 0.0:
+            if sigma_eq[i] <= 0.0:
                 raise ZeroHalfwidthError(f"{v.name}: zero equivalent standard deviation")
-            hw[i] = c_r * beta_d * sigma_eq
+            hw[i] = c_r * beta_d * sigma_eq[i]
     return DoeBox(center=det_solution, halfwidths=hw)
 
 

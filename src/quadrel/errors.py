@@ -9,11 +9,6 @@ class DomainError(QuadrelError, ValueError):
     """Argument outside the mathematical domain of an operation."""
 
 
-class DegenerateTailError(QuadrelError):
-    """Equivalent normalization requested at a point where the CDF
-    saturates to 0 or 1 in double precision."""
-
-
 class NotACorrelationMatrixError(QuadrelError, ValueError):
     """Matrix is not symmetric/unit-diagonal/PSD within tolerance."""
 

@@ -3,7 +3,7 @@
 Samples are drawn as iid standard normals, mixed through the correlation
 eigen-decomposition and mapped through the exact marginal inverse CDFs,
 so the estimator is a valid independent oracle for the closed forms
-(which rely on equivalent normalization instead).
+(which use only this map's tangent at the means).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .quadratic import CorrelationModel
 from .variables import Kind, RandomVariable
 
 DEFAULT_CHUNK = 1_000_000
@@ -33,17 +32,11 @@ class McEstimate:
     seed: int
 
 
-def marginal_map(variables: list[RandomVariable], corr: CorrelationModel | None):
-    """The map ``apply(z_n, out=None)`` from standard normal draws (m, n) to
-    the original variable space, built once for repeated use.
-
-    Each variable is shift + scale * y of its mixed draw y: (mean, std) for a
-    normal, (lambda, zeta) followed by exp for a lognormal, (value, 0) for a
-    deterministic one, whose column is then set to the value.  The result is
-    written to ``out`` when given (which may be ``z_n`` itself), else to a new
-    array; with a correlation, the mixed array is transformed in place.
-    ``apply.chain_rule`` takes a gradient at a mapped point back through the map.
-    """
+def marginal_table(variables: list[RandomVariable]):
+    """Each variable's (shift, scale), the deterministic (index, value) pairs
+    and the lognormal indices: a variable is shift + scale * y of its mixed
+    standard-normal draw y, with (mean, std) for a normal, (lambda, zeta) then
+    exp for a lognormal and (value, 0) for a deterministic one."""
     n = len(variables)
     shift = np.empty(n)
     scale = np.empty(n)
@@ -59,6 +52,21 @@ def marginal_map(variables: list[RandomVariable], corr: CorrelationModel | None)
             lognormal.append(i)
         else:
             raise DomainError(f"{v.name}: cannot sample kind {v.kind}")
+    return shift, scale, fixed, lognormal
+
+
+def marginal_map(variables: list[RandomVariable], corr: CorrelationModel | None):
+    """The map ``apply(z_n, out=None)`` from standard normal draws (m, n) to
+    the original variable space, built once for repeated use.
+
+    Each variable maps through its ``marginal_table`` entry, and a
+    deterministic column is then set to its value.  The result is written to
+    ``out`` when given (which may be ``z_n`` itself), else to a new array; with
+    a correlation, the mixed array is transformed in place.
+    ``apply.chain_rule`` takes a gradient at a mapped point back through the map.
+    """
+    n = len(variables)
+    shift, scale, fixed, lognormal = marginal_table(variables)
     mix = None if corr is None else corr.l.T
     block_rows = max(1, BLOCK_SIZE // max(n, 1))
     tiles = [shift[None, :], scale[None, :]]  # (rows, n) shift and scale, grown on demand

@@ -1,6 +1,6 @@
 """Quadratic-form algebra.
 
-Correlation eigen-decomposition, stacking of equivalent-normal marginals
+Correlation eigen-decomposition, the equivalent-normal map at the means
 and the exact affine transformation of a quadratic limit state into
 uncorrelated standard-normal space, plus the spectral preprocessing
 (eigenvalues, rotated linear term, moment sums) consumed by the
@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotACorrelationMatrixError
-from .variables import RandomVariable, equivalent_normal
+from .montecarlo import marginal_table
+from .variables import RandomVariable
 
 # Magnitude that structurally zero eigenvalues of a one-sign form are lifted to.
 LIFT_EPS = 1e-7
@@ -128,21 +129,20 @@ def standard_normal_map(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The affine map (S T D, mu_eq) from uncorrelated standard normals.
 
-    Each variable is equivalently normalized at its own mean;
-    deterministic entries map to (value, 0).  The map depends only on the
-    design point, so every constraint at that point shares it.
+    It is the tangent of the marginal map (``marginal_table``) at the draw
+    that maps to the means: equivalent normalization at each variable's own
+    mean.  Normal and deterministic entries keep (mean, std) and (value, 0);
+    a lognormal's mean sits at y = zeta/2, so sigma_eq = zeta * mean and
+    mu_eq = mean - (zeta/2) * sigma_eq.  The map depends only on the design
+    point, so every constraint at that point shares it.
     """
-    n = len(variables)
-    if corr is None:
-        corr = identity_correlation(n)
-
-    sigma_eq = np.empty(n)
-    mu_eq = np.empty(n)
-    for i, v in enumerate(variables):
-        eq = equivalent_normal(v, v.mean)
-        sigma_eq[i] = eq.sigma_eq
-        mu_eq[i] = eq.mu_eq
-    return sigma_eq[:, None] * corr.l, mu_eq
+    mu_eq, sigma_eq, _, lognormal = marginal_table(variables)
+    for i in lognormal:  # the table holds (lambda, zeta) here
+        mean, zeta = variables[i].mean, sigma_eq[i]
+        sigma_eq[i] = zeta * mean
+        mu_eq[i] = mean - 0.5 * zeta * sigma_eq[i]
+    mix = identity_correlation(len(variables)).l if corr is None else corr.l
+    return sigma_eq[:, None] * mix, mu_eq
 
 
 def to_standard_normal(q: QuadraticForm, snmap: tuple[np.ndarray, np.ndarray]) -> QuadraticForm:

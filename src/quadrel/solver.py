@@ -119,6 +119,9 @@ class RbdoProblem:
             v = self.variables[i]
             if not (np.isfinite(v.lower) and np.isfinite(v.upper)):
                 raise DomainError(f"{v.name}: design variables need finite bounds")
+            if v.kind is Kind.LOGNORMAL and v.lower <= 0.0:
+                raise DomainError(f"{v.name}: lognormal design variables need lower > 0, "
+                                  f"got {v.lower}")
         if self.std_mode.t is not None and self.std_mode.t.shape != (len(self.design_indices),):
             raise DomainError("proportional t must have one entry per design variable")
 

@@ -1,9 +1,7 @@
 """Scalar probability primitives.
 
-Standard normal pdf/cdf/inverse, probabilists' Hermite polynomials,
-per-variable marginal pdf/cdf and the Rackwitz-Fiessler equivalent
-normalization used to map arbitrary marginals onto normal ones at a
-given expansion point.
+Standard normal pdf/cdf/inverse, probabilists' Hermite polynomials and
+per-variable marginal pdf/cdf.
 """
 
 from __future__ import annotations
@@ -15,14 +13,9 @@ from enum import Enum
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import DegenerateTailError, DomainError
+from .errors import DomainError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-# CDF values this close to 0/1 are clamped before inversion so that
-# equivalent normalization stays finite far from the mean.
-_CDF_FLOOR = 1e-300
-_CDF_CEIL = 1.0 - 1e-16
 
 
 class Kind(str, Enum):
@@ -126,18 +119,6 @@ class RandomVariable:
         return lam, math.sqrt(zeta2)
 
 
-@dataclass(frozen=True)
-class EquivalentNormal:
-    """Matched-normal (mu_eq, sigma_eq) at one expansion point."""
-
-    mu_eq: float
-    sigma_eq: float
-
-    def __post_init__(self):
-        if self.sigma_eq < 0.0:
-            raise DomainError(f"sigma_eq must be >= 0, got {self.sigma_eq}")
-
-
 def variable_pdf_cdf(v: RandomVariable, x: float):
     """Marginal (pdf, cdf) of ``v`` at ``x``."""
     if v.kind is Kind.NORMAL:
@@ -153,24 +134,3 @@ def variable_pdf_cdf(v: RandomVariable, x: float):
         return pdf / (x * zeta), cdf
     raise DomainError(f"{v.name}: pdf/cdf undefined for deterministic variables")
 
-
-def equivalent_normal(v: RandomVariable, x: float) -> EquivalentNormal:
-    """Equivalent normal parameters of ``v`` at the point ``x``.
-
-    Normal variables map to themselves; deterministic ones to (value, 0).
-    For other marginals, sigma_eq and mu_eq are chosen so that the normal
-    pdf and cdf match those of ``v`` at ``x``.
-    """
-    if v.is_deterministic:
-        return EquivalentNormal(mu_eq=v.mean, sigma_eq=0.0)
-    if v.kind is Kind.NORMAL:
-        return EquivalentNormal(mu_eq=v.mean, sigma_eq=v.std)
-    pdf, cdf = variable_pdf_cdf(v, x)
-    if cdf <= 0.0 or cdf >= 1.0:
-        raise DegenerateTailError(
-            f"{v.name}: CDF saturated at x={x} (F={cdf}); cannot equivalently normalize"
-        )
-    u = ndtri(np.clip(cdf, _CDF_FLOOR, _CDF_CEIL))
-    sigma_eq = std_normal(u)[0] / pdf
-    mu_eq = x - u * sigma_eq
-    return EquivalentNormal(mu_eq=float(mu_eq), sigma_eq=float(sigma_eq))

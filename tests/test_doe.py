@@ -1,5 +1,7 @@
 """Experimental designs, sampling boxes and quadratic surrogate fitting."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -125,10 +127,9 @@ class TestDoeBoxSizing:
     def test_lognormal_uses_equivalent_sigma(self):
         v = RandomVariable("x", Kind.LOGNORMAL, Role.PARAMETER, 1.0, 0.3)
         box = doe_box([v], beta_d=3.0, det_solution=[1.0])
-        assert box.halfwidths[0] > 0.0
-        # equivalent sigma at the mean of a skewed marginal is not the
-        # nominal std
-        assert box.halfwidths[0] != pytest.approx(3.0 * 0.3)
+        # equivalent sigma at the mean of a lognormal is zeta * mean, not the nominal std
+        zeta = math.sqrt(math.log1p(0.3 ** 2))
+        assert box.halfwidths[0] == pytest.approx(3.0 * zeta * 1.0, rel=1e-15)
 
     def test_beta_d_validation(self):
         with pytest.raises(DomainError):

@@ -436,6 +436,15 @@ class TestCli:
         assert main(["solve", str(path)]) == 2
         assert "constraints[0].quadratic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["rssl", "form-double-loop"])
+    def test_lognormal_lower_zero_is_input_error(self, method, tmp_path, capsys):
+        doc = ellipse_doc()
+        doc["variables"][0]["kind"] = "lognormal"  # lower stays 0.0
+        path = tmp_path / "lognormal.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path), "--method", method]) == 2
+        assert "x1: lognormal design variables need lower > 0, got 0.0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("source", ["demo-ellipse", "bench-3g", "file"])
     def test_coeff_file_off_crashworthiness_is_input_error(self, source, tmp_path, capsys):
         # the flag would otherwise be ignored and the solve reported as if it applied

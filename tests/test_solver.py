@@ -139,6 +139,15 @@ class TestProblemValidation:
             RbdoProblem(variables=[v], objective=lambda mu: 0.0,
                         constraints=[ConstraintSpec(name="g", quadratic=q, beta_d=3.0)])
 
+    @pytest.mark.parametrize("lower", [0.0, -1.0])
+    def test_lognormal_design_needs_positive_lower(self, lower):
+        # a lognormal mean <= 0 has no marginal: the box must exclude it up front
+        v = RandomVariable("x1", Kind.LOGNORMAL, Role.DESIGN_VARIABLE, 2.0, 0.3, lower, 15.0)
+        q = QuadraticForm(a=np.zeros((1, 1)), k=np.ones(1), c=0.0)
+        with pytest.raises(DomainError, match=r"x1: .*lower > 0, got"):
+            RbdoProblem(variables=[v], objective=lambda mu: 0.0,
+                        constraints=[ConstraintSpec(name="g", quadratic=q, beta_d=3.0)])
+
     def test_proportional_t_shape(self):
         v = design("x", 1.0, 0.1, 0.0, 5.0)
         q = QuadraticForm(a=np.zeros((1, 1)), k=np.ones(1), c=0.0)

@@ -9,14 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from quadrel.errors import DegenerateTailError, DomainError
-from quadrel.montecarlo import transform_samples
+from quadrel.errors import DomainError
+from quadrel.form import fd_gradient
+from quadrel.montecarlo import marginal_map, transform_samples
+from quadrel.problems import builtin_problems
+from quadrel.quadratic import standard_normal_map
 from quadrel.variables import (
-    EquivalentNormal,
     Kind,
     RandomVariable,
     Role,
-    equivalent_normal,
     hermite_prob,
     std_normal,
     std_normal_inv,
@@ -168,54 +169,61 @@ class TestMarginals:
 
 
 class TestEquivalentNormal:
+    """The closed form's map is equivalent normalization at the means."""
+
     def test_normal_is_identity(self):
-        eq = equivalent_normal(nv(3.4, 0.3), 5.1)
-        assert eq == EquivalentNormal(mu_eq=3.4, sigma_eq=0.3)
+        m, mu_eq = standard_normal_map([nv(3.4, 0.3)], None)
+        assert (m[0, 0], mu_eq[0]) == (0.3, 3.4)
 
     def test_deterministic(self):
         v = RandomVariable("d1", Kind.DETERMINISTIC, Role.DETERMINISTIC_DESIGN, 2.0)
-        eq = equivalent_normal(v, 2.0)
-        assert eq == EquivalentNormal(mu_eq=2.0, sigma_eq=0.0)
+        m, mu_eq = standard_normal_map([v], None)
+        assert (m[0, 0], mu_eq[0]) == (0.0, 2.0)
 
-    def test_lognormal_at_median(self):
-        # frozen direct-evaluation oracle: at the median the matched normal
-        # is centered there, sigma_eq = phi(0)/pdf(median)
+    def test_lognormal_frozen(self):
+        # frozen oracle: the Rackwitz-Fiessler match at the mean, as first computed
         v = RandomVariable("x", Kind.LOGNORMAL, Role.PARAMETER, 1.0, 0.3)
-        lam, _ = v.log_params()
-        eq = equivalent_normal(v, math.exp(lam))
-        assert eq.mu_eq == pytest.approx(0.957826285221, rel=1e-9)
-        assert eq.sigma_eq == pytest.approx(0.281179847505, rel=1e-9)
+        m, mu_eq = standard_normal_map([v], None)
+        assert mu_eq[0] == pytest.approx(0.9569111518794738, rel=1e-15)
+        assert m[0, 0] == pytest.approx(0.29356037920852385, rel=1e-15)
 
-    def test_matches_pdf_and_cdf(self):
-        # defining property: the equivalent normal reproduces the marginal
-        # pdf and cdf of the variable at the expansion point
-        v = RandomVariable("x", Kind.LOGNORMAL, Role.PARAMETER, 2.0, 0.5)
-        x = 1.7
-        eq = equivalent_normal(v, x)
-        pdf, cdf = variable_pdf_cdf(v, x)
-        u = (x - eq.mu_eq) / eq.sigma_eq
-        n_pdf, n_cdf = std_normal(u)
-        assert n_pdf / eq.sigma_eq == pytest.approx(pdf, rel=1e-10)
-        assert n_cdf == pytest.approx(cdf, rel=1e-10)
-
-    @given(
-        st.floats(min_value=0.2, max_value=5.0),
-        st.floats(min_value=0.05, max_value=1.0),
-        st.floats(min_value=-3.0, max_value=3.0),
-    )
+    @given(st.floats(min_value=0.2, max_value=5.0), st.floats(min_value=0.01, max_value=1.0))
     @settings(max_examples=100)
-    def test_normal_reproduced_exactly(self, mean, std, offset):
-        v = nv(mean, std)
-        eq = equivalent_normal(v, mean + offset * std)
-        assert abs(eq.mu_eq - mean) <= 1e-12
-        assert abs(eq.sigma_eq - std) <= 1e-12
+    def test_matches_pdf_and_cdf(self, mean, cv):
+        # defining property: the equivalent normal reproduces the marginal
+        # pdf and cdf of the variable at its mean
+        v = RandomVariable("x", Kind.LOGNORMAL, Role.PARAMETER, mean, cv * mean)
+        m, mu_eq = standard_normal_map([v], None)
+        sigma_eq = m[0, 0]
+        pdf, cdf = variable_pdf_cdf(v, mean)
+        n_pdf, n_cdf = std_normal((mean - mu_eq[0]) / sigma_eq)
+        assert n_pdf / sigma_eq == pytest.approx(pdf, rel=1e-12)
+        assert n_cdf == pytest.approx(cdf, rel=1e-12)
 
-    def test_degenerate_tail(self):
-        v = RandomVariable("x", Kind.LOGNORMAL, Role.PARAMETER, 1.0, 0.1)
-        with pytest.raises(DegenerateTailError):
-            equivalent_normal(v, 1e-60)
+    @given(st.floats(min_value=0.2, max_value=5.0), st.floats(min_value=0.05, max_value=1.0))
+    @settings(max_examples=100)
+    def test_normal_reproduced_exactly(self, mean, std):
+        m, mu_eq = standard_normal_map([nv(mean, std)], None)
+        assert abs(mu_eq[0] - mean) <= 1e-12
+        assert abs(m[0, 0] - std) <= 1e-12
 
     def test_sigma_positive_interior(self):
-        v = RandomVariable("x", Kind.LOGNORMAL, Role.PARAMETER, 1.0, 0.3)
-        for x in (0.3, 0.9, 1.5, 4.0):
-            assert equivalent_normal(v, x).sigma_eq > 0.0
+        for std in (0.01, 0.3, 1.0, 3.0):
+            v = RandomVariable("x", Kind.LOGNORMAL, Role.PARAMETER, 1.0, std)
+            assert standard_normal_map([v], None)[0][0, 0] > 0.0
+
+    @pytest.mark.parametrize("name", ["demo-ellipse-lognormal", "demo-ellipse-det"])
+    def test_tangent_of_marginal_map(self, name):
+        # the map is the marginal map's Jacobian at the draw that maps to the means
+        problem = builtin_problems()[name]()
+        variables = problem.variables_at(problem.full_mean(problem.design_start()))
+        means = np.array([v.mean for v in variables])
+        y = np.array([0.0 if v.is_deterministic else ndtri(variable_pdf_cdf(v, v.mean)[1])
+                      for v in variables])
+        corr = problem.corr
+        u = y if corr is None else np.linalg.solve(corr.l, y)
+        to_z = marginal_map(variables, corr)
+        np.testing.assert_allclose(to_z(u[None, :])[0], means, rtol=1e-12)
+        m, mu_eq = standard_normal_map(variables, corr)
+        np.testing.assert_allclose(fd_gradient(to_z, u), m, rtol=1e-6)
+        np.testing.assert_allclose(mu_eq + m @ u, means, rtol=1e-12)  # tangent through the means
