@@ -1,7 +1,8 @@
 """First- and second-order reliability methods.
 
 Most-probable-point search via a damped Hasofer-Lind-Rackwitz-Fiessler
-iteration with a constrained-minimization fallback, and the Breitung
+iteration (an SQP step where an explicit quadratic's exact Hessian allows
+one) with a constrained-minimization fallback, and the Breitung
 curvature correction evaluated on a quadratic limit state at the MPP.
 Also the per-point and per-row memos that the solver and the MPP search share,
 and the one finite-difference helper, which evaluates its stencil as a stack.
@@ -95,8 +96,27 @@ def fd_gradient(f, x, rel_step=1e-6):
     return (values[0::2] - values[1::2]).T / (2.0 * h)
 
 
+def _sqp_step(u, gval, grad, h_u):
+    """The SQP iterate u + d for min ||u||^2 / 2 subject to G(u) = 0 (Liu & Der
+    Kiureghian 1991), or None where its Hessian is not positive definite.
+
+    B = I + lambda H_u is the Lagrangian Hessian, with the multiplier
+    lambda = -(u . grad) / ||grad||^2 of the least-squares stationarity
+    u + lambda grad = 0; d = -B^-1 (u + nu grad) with nu such that
+    G + grad . d = 0.  With B = I (lambda = 0, at u = 0) it is the HLRF iterate.
+    """
+    b = np.eye(u.size) - (u @ grad) / (grad @ grad) * h_u
+    try:
+        np.linalg.cholesky(b)  # raises unless B is positive definite
+    except np.linalg.LinAlgError:
+        return None
+    b_u, b_grad = np.linalg.solve(b, np.stack((u, grad), axis=1)).T
+    nu = (gval - grad @ b_u) / (grad @ b_grad)
+    return u - b_u - nu * b_grad
+
+
 def form_mpp(g, variables: list[RandomVariable], corr: CorrelationModel | None,
-             gradient=None):
+             gradient=None, hessian=None):
     """Find the most probable point of Prob[g(z) < 0].
 
     Returns (beta_hl, u*, grad): beta_hl = +/-||u*|| signed as g at the means
@@ -108,16 +128,22 @@ def form_mpp(g, variables: list[RandomVariable], corr: CorrelationModel | None,
     it has not seen (``once_per_row``).  Each gradient is ``fd_gradient``
     over one call on its stencil or, given ``gradient`` (z -> dg/dz at one
     original-space point (n,)), exact through the marginal map's chain rule.
+    Given also ``hessian``, the constant d^2g/dz^2 (n, n) of an explicit
+    quadratic, a step takes the SQP iterate (``_sqp_step``) wherever its
+    Lagrangian Hessian is positive definite, and the HLRF iterate elsewhere.
     """
     n = len(variables)
     to_z = marginal_map(variables, corr)
     g_n = _g_in_standard_space(once_per_row(g), to_z)
 
-    def grad_at(u):
+    def derivatives_at(u):
+        """The gradient of g_N at u, and its Hessian given ``hessian`` (else None)."""
         if gradient is None:
-            return fd_gradient(g_n, u)
+            return fd_gradient(g_n, u), None
         z = to_z(u[None, :])[0]
-        return to_z.chain_rule(z, gradient(z))
+        grad_z = gradient(z)
+        h_u = None if hessian is None else to_z.hessian_chain_rule(z, grad_z, hessian)
+        return to_z.chain_rule(z, grad_z), h_u
 
     z = np.zeros(n)
     g0 = g_n(z)
@@ -126,7 +152,7 @@ def form_mpp(g, variables: list[RandomVariable], corr: CorrelationModel | None,
     converged = False
     for it in range(MPP_MAX_ITER):
         gval = g_n(z)
-        grad = grad_at(z)
+        grad, h_u = derivatives_at(z)
         gnorm = np.linalg.norm(grad)
         trace.append((it, float(np.linalg.norm(z)), float(gval)))
         if gnorm == 0.0:
@@ -137,7 +163,9 @@ def form_mpp(g, variables: list[RandomVariable], corr: CorrelationModel | None,
                      and np.linalg.norm(tangential) <= MPP_OPT_TOL * max(1.0, np.linalg.norm(z)))
         if converged:
             break
-        z_new = (grad @ z - gval) / gnorm * alpha
+        z_new = None if h_u is None else _sqp_step(z, gval, grad, h_u)
+        if z_new is None:
+            z_new = (grad @ z - gval) / gnorm * alpha
         d = z_new - z
         # merit line search: m(z) = 0.5||z||^2 + c_m |g(z)|
         c_m = 2.0 * np.linalg.norm(z_new) / gnorm + 10.0
@@ -164,7 +192,7 @@ def form_mpp(g, variables: list[RandomVariable], corr: CorrelationModel | None,
         if best is None:
             raise ConvergenceError("MPP search did not converge", trace=trace)
         z = best.x
-        grad = grad_at(z)
+        grad = derivatives_at(z)[0]
     return math.copysign(np.linalg.norm(z), g0), z, grad
 
 

@@ -95,18 +95,34 @@ def marginal_map(variables: list[RandomVariable], corr: CorrelationModel | None)
             out[:, i] = np.exp(col, out=col)
         return out
 
-    def chain_rule(z: np.ndarray, grad_z: np.ndarray) -> np.ndarray:
-        """The standard-normal gradient L'(d * grad_z) of a function whose
-        gradient at the mapped point ``z`` (n,) is ``grad_z``: d = dz/dy is the
-        std of a normal, zeta * z of a lognormal and 0 of a deterministic
-        variable, and L' = ``mix``.  It holds no reference to ``apply``: a
-        cycle would keep each map's tiles until the garbage collector ran."""
+    def slope(z: np.ndarray) -> np.ndarray:
+        """d = dz/dy at the mapped point ``z``: the std of a normal, zeta * z of a
+        lognormal and 0 of a deterministic variable."""
         d = scale.copy()
         d[lognormal] *= z[lognormal]
-        grad_y = d * grad_z
+        return d
+
+    def chain_rule(z: np.ndarray, grad_z: np.ndarray) -> np.ndarray:
+        """The standard-normal gradient L'(d * grad_z) of a function whose
+        gradient at the mapped point ``z`` (n,) is ``grad_z``, with d = ``slope(z)``
+        and L' = ``mix``.  It holds no reference to ``apply``: a cycle would
+        keep each map's tiles until the garbage collector ran."""
+        grad_y = slope(z) * grad_z
         return grad_y if mix is None else mix @ grad_y
 
+    def hessian_chain_rule(z: np.ndarray, grad_z: np.ndarray, hess_z: np.ndarray) -> np.ndarray:
+        """The standard-normal Hessian L'(D H_z D + diag(d2 * grad_z))L of a
+        function with gradient ``grad_z`` and Hessian ``hess_z`` (n, n) at the
+        mapped point ``z``: D = diag(``slope(z)``), and d2 = d^2z/dy^2 is
+        zeta^2 * z of a lognormal and 0 otherwise.  Like ``chain_rule`` it
+        holds no reference to ``apply``."""
+        d = slope(z)
+        h_y = d[:, None] * hess_z * d
+        h_y[lognormal, lognormal] += scale[lognormal] * d[lognormal] * grad_z[lognormal]
+        return h_y if mix is None else mix @ h_y @ mix.T
+
     apply.chain_rule = chain_rule
+    apply.hessian_chain_rule = hessian_chain_rule
     return apply
 
 

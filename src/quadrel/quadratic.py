@@ -100,11 +100,6 @@ class CorrelationModel:
         return self.t * self.d
 
 
-def identity_correlation(n: int) -> CorrelationModel:
-    eye = np.eye(n)
-    return CorrelationModel(c=eye, t=eye, d=np.ones(n))
-
-
 def correlation_decompose(c) -> CorrelationModel:
     """Eigen-decompose a correlation matrix into (T, D) with (TD)(TD)' = C."""
     c = np.asarray(c, dtype=float)
@@ -141,8 +136,9 @@ def standard_normal_map(
         mean, zeta = variables[i].mean, sigma_eq[i]
         sigma_eq[i] = zeta * mean
         mu_eq[i] = mean - 0.5 * zeta * sigma_eq[i]
-    mix = identity_correlation(len(variables)).l if corr is None else corr.l
-    return sigma_eq[:, None] * mix, mu_eq
+    if corr is None:  # sigma_eq times an identity, bit for bit
+        return np.diag(sigma_eq), mu_eq
+    return sigma_eq[:, None] * corr.l, mu_eq
 
 
 def to_standard_normal(q: QuadraticForm, snmap: tuple[np.ndarray, np.ndarray]) -> QuadraticForm:

@@ -445,9 +445,10 @@ class FormMargins:
     constraint whose failure set is provably empty there (``_exact_pf``
     is 0) has beta = +inf and a zero row; one that provably always fails
     raises ``SolverFailureError``.  An explicit quadratic's search takes its
-    exact gradient 2Az + k in place of a stencil.  Every limit-state row
-    evaluated, and every exact gradient, counts one call in
-    ``counters.deterministic_g_evals``.
+    exact gradient 2Az + k in place of a stencil, and its Hessian 2A for the
+    SQP step.  Every limit-state row evaluated, and every exact gradient,
+    counts one call in ``counters.deterministic_g_evals``; the Hessian is a
+    coefficient, not an evaluation, and counts none.
     """
 
     def __init__(self, problem: RbdoProblem, counters: EvalCounters):
@@ -471,8 +472,9 @@ class FormMargins:
         vars_at = problem.variables_at(problem.full_mean(mu))
         mpps = []
         for spec, g, gradient in zip(problem.constraints, self._limit_states, self._gradients):
+            hessian = None if spec.quadratic is None else 2.0 * spec.quadratic.a
             try:
-                mpps.append(form_mpp(g, vars_at, problem.corr, gradient=gradient))
+                mpps.append(form_mpp(g, vars_at, problem.corr, gradient=gradient, hessian=hessian))
             except ConvergenceError as exc:
                 pf = _exact_pf(spec, vars_at, problem.corr)
                 where = f"constraint {spec.name} at mu = {mu.tolist()}"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from quadrel import problems
 from quadrel.errors import DomainError
+from quadrel.form import fd_gradient
 from quadrel.montecarlo import BLOCK_SIZE, marginal_map, mc_pf, transform_samples
 from quadrel.quadratic import QuadraticForm, correlation_decompose
 from quadrel.solver import mc_audit
@@ -51,6 +52,14 @@ def variable_lists(draw):
                                  max_value=3.0))
             variables.append(RandomVariable(f"x{i}", kind, Role.PARAMETER, mean, std))
     return variables
+
+
+def random_correlation(rng, n):
+    """The decomposed correlation of a random full-rank covariance."""
+    a = rng.standard_normal((n, n + 1))
+    cov = a @ a.T
+    s = 1.0 / np.sqrt(np.diag(cov))
+    return correlation_decompose(s[:, None] * cov * s[None, :])
 
 
 class TestReproducibility:
@@ -151,12 +160,7 @@ class TestBlockedKernel:
         block_rows = BLOCK_SIZE // n
         m = {"one": 1, "below": block_rows - 1, "on": block_rows, "above": block_rows + 1}[rows]
         rng = np.random.default_rng(seed)
-        corr = None
-        if correlated:
-            a = rng.standard_normal((n, n + 1))
-            cov = a @ a.T
-            s = 1.0 / np.sqrt(np.diag(cov))
-            corr = correlation_decompose(s[:, None] * cov * s[None, :])
+        corr = random_correlation(rng, n) if correlated else None
         z_n = rng.standard_normal((m, n))
         if infinite:  # a deterministic column keeps its value, not mean + 0 * inf
             z_n[0] = np.inf
@@ -180,6 +184,26 @@ class TestBlockedKernel:
             est = mc_audit(problem, np.array(point), n=n, seed=5)
             assert [e.pf_hat for e in est] == [k / n for k in failures]
 
+
+    @given(variable_lists(), st.booleans(), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_hessian_chain_rule_matches_differences_of_chain_rule(self, variables, correlated,
+                                                                  seed):
+        # a quadratic's standard-normal Hessian is the Jacobian of its
+        # standard-normal gradient, over normal, lognormal and deterministic columns
+        n = len(variables)
+        rng = np.random.default_rng(seed)
+        corr = random_correlation(rng, n) if correlated else None
+        q = QuadraticForm(rng.standard_normal((n, n)), rng.standard_normal(n), 0.0)
+        to_z = marginal_map(variables, corr)
+        u = rng.standard_normal(n)
+        z = to_z(u[None, :])[0]
+        hessian = to_z.hessian_chain_rule(z, q.gradient(z), 2.0 * q.a)
+
+        def gradients(points):
+            return np.array([to_z.chain_rule(y, q.gradient(y)) for y in to_z(points)])
+        fd = fd_gradient(gradients, u)
+        np.testing.assert_allclose(hessian, fd, rtol=1e-5, atol=1e-6 * max(1.0, np.abs(fd).max()))
 
     def test_map_is_freed_without_the_garbage_collector(self):
         # mc_pf builds a map per chunk: a reference cycle through the map

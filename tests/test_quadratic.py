@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from quadrel.errors import DomainError, NotACorrelationMatrixError
+from quadrel.problems import demo_ellipse_varstd
 from quadrel.quadratic import (
     CorrelationModel,
     QuadraticForm,
     correlation_decompose,
     eigenbasis,
-    identity_correlation,
     moment_sums,
     spectral,
     standard_normal_map,
@@ -83,10 +83,6 @@ class TestQuadraticForm:
 
 
 class TestCorrelation:
-    def test_identity(self):
-        cm = identity_correlation(3)
-        assert np.allclose(cm.l @ cm.l.T, np.eye(3))
-
     def test_decompose_reconstructs(self):
         c = np.array([[1.0, 0.5], [0.5, 1.0]])
         cm = correlation_decompose(c)
@@ -167,6 +163,17 @@ class TestToStandardNormal:
         qn = to_standard_normal(q, standard_normal_map(variables, None))
         assert np.all(qn.a[0, :] == 0.0) and np.all(qn.a[:, 0] == 0.0)
         assert qn.k[0] == 0.0
+
+    def test_uncorrelated_map_is_the_scaled_identity(self):
+        # diag(sigma_eq) is the product sigma_eq * I it replaced, bit for bit,
+        # at seeded points of the builtin whose stds move with the means
+        problem = demo_ellipse_varstd()
+        (lo, hi), = problem.bounds
+        for mu in np.random.default_rng(3).uniform(lo, hi, size=(20, 1)):
+            variables = problem.variables_at(problem.full_mean(mu))
+            sigma_eq = np.array([v.std for v in variables])
+            m, _ = standard_normal_map(variables, None)
+            assert m.tobytes() == (sigma_eq[:, None] * np.eye(2)).tobytes()
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):

@@ -55,6 +55,15 @@ def builtin(name):
     return builder(CRASH_CSV) if name == "crashworthiness" else builder()
 
 
+def demo_ellipse_lognormal_black_box():
+    """demo-ellipse-lognormal with its limit state as a black box: the MPP
+    search takes stencils and plain HLRF steps, with no Hessian."""
+    problem = demo_ellipse_lognormal()
+    problem.constraints = [ConstraintSpec(name=spec.name, g=spec.quadratic, beta_d=spec.beta_d)
+                           for spec in problem.constraints]
+    return problem
+
+
 def bounds_of(problem):
     return (np.array([b[0] for b in problem.bounds]),
             np.array([b[1] for b in problem.bounds]))
@@ -818,19 +827,66 @@ class TestFormDoubleLoop:
         assert gradients and rows and set(rows) == {1}
         assert counters.deterministic_g_evals == len(rows) + len(gradients)
 
-    # parent_evals: the calls of the FORM loop whose every search gradient was
-    # a stencil of one-row calls; limit-state calls may only go down from there.
-    # Threaded BLAS moves the last bits of bench-3g's outer loop: that loop
-    # made 1107 calls with one BLAS thread and 1267 with two
+    @pytest.mark.parametrize("name,points", [
+        ("demo-ellipse", 20),
+        ("demo-ellipse-det", 20),
+        ("demo-ellipse-lognormal", 20),
+        ("demo-ellipse-varstd", 20),
+        ("crashworthiness", 6),  # its stalled searches take about 0.1 s each
+    ])
+    def test_sqp_step_keeps_the_hlrf_beta(self, name, points, monkeypatch):
+        # at seeded design points each explicit quadratic's beta equals that
+        # of the search with its Hessian withheld (plain HLRF) to rtol 1e-7,
+        # wherever that search succeeds.  The SQP search makes no more
+        # limit-state calls, and fewer in all, except where plain HLRF stalls:
+        # there both end in the SLSQP fallback, whose cost depends on where
+        # the stall left it
+        problem = builtin(name)
+        fallbacks = counted_fallbacks(monkeypatch)
+        lo, hi = bounds_of(problem)
+        totals = np.zeros(2, dtype=int)
+        for mu in lo + np.random.default_rng(20).random((points, lo.size)) * (hi - lo):
+            variables = problem.variables_at(problem.full_mean(mu))
+            for q in (spec.quadratic for spec in problem.constraints):
+                searches = []
+                for hessian in (None, 2.0 * q.a):
+                    calls = []
+
+                    def counted(f):
+                        return lambda z: calls.append(len(np.atleast_2d(z))) or f(z)
+                    fallbacks.clear()
+                    try:
+                        beta = form_mpp(counted(q), variables, problem.corr,
+                                        gradient=counted(q.gradient), hessian=hessian)[0]
+                    except ConvergenceError:
+                        beta = None
+                    searches.append((beta, sum(calls), bool(fallbacks)))
+                (beta_hl, calls_hl, stalled), (beta, calls, _) = searches
+                if beta_hl is None:
+                    continue
+                assert beta == pytest.approx(beta_hl, rel=1e-7)
+                if not stalled:
+                    assert calls <= calls_hl
+                    totals += (calls, calls_hl)
+        assert totals[0] < totals[1]
+
+    # parent_evals: the calls of the FORM loop before the SQP step, whose
+    # explicit quadratics already took their exact gradient; limit-state calls
+    # may only go down from there.  Threaded BLAS moves the last bits of
+    # bench-3g's outer loop: that loop made 1107 calls with one BLAS thread
+    # and 1267 with two.  crashworthiness keeps the bound from before the
+    # exact gradient: nearly all of its calls are SLSQP fallback calls, whose
+    # count moves with the BLAS thread count by more than the SQP step saves
+    # (test_sqp_step_cuts_the_calls_outside_the_fallback)
     @pytest.mark.parametrize("name,build,objective,parent_evals", [
         ("bench-3g", bench_3g, 6.725659, 1267),
         ("bench-quad4", bench_quad4, 0.0154656, 1914),
         ("bench-quad4 beta=3", lambda: bench_quad4(beta_d=3.0), 0.910632, 3174),
-        ("demo-ellipse", demo_ellipse, 0.0, 774),
-        ("demo-ellipse-lognormal", demo_ellipse_lognormal, 0.1, 1321),
+        ("demo-ellipse", demo_ellipse, 0.0, 327),
+        ("demo-ellipse-lognormal", demo_ellipse_lognormal, 0.1, 1016),
         # the rssl optimum; the unsigned beta ended at 2.436275, where MC gives pf 0.9985
-        ("demo-ellipse-det", demo_ellipse_det, 0.1, 900),
-        ("demo-ellipse-varstd", demo_ellipse_varstd, 0.0, 773),
+        ("demo-ellipse-det", demo_ellipse_det, 0.1, 504),
+        ("demo-ellipse-varstd", demo_ellipse_varstd, 0.0, 375),
         # lower-bound corner
         ("crashworthiness", lambda: builtin("crashworthiness"), 3.8675, 33895),
     ])
@@ -842,6 +898,31 @@ class TestFormDoubleLoop:
         assert result.counters.deterministic_g_evals <= parent_evals
         for pf, spec in zip(result.pf_closed_form, problem.constraints):
             assert pf <= spec.pf_target + 1e-9
+
+    def test_sqp_step_cuts_the_calls_outside_the_fallback(self, monkeypatch):
+        # crashworthiness's g02, g06 and g07 (beta 277-921) stall at every
+        # design point, and each ends in the SLSQP fallback.  The fallback's
+        # calls move with the BLAS thread count inside scipy's SLSQP (before
+        # the SQP step the solve made 19230 calls in all with one thread and
+        # 19671 with two); the calls outside it do not: 2574 before the SQP
+        # step at either thread count, and they may only go down from there
+        counters = []
+        monkeypatch.setattr(quadrel.solver, "EvalCounters",
+                            lambda: counters.append(EvalCounters()) or counters[-1])
+        in_fallback = []
+        minimize = quadrel.form.minimize
+
+        def counted(*args, **kwargs):
+            before = counters[0].deterministic_g_evals
+            res = minimize(*args, **kwargs)
+            in_fallback.append(counters[0].deterministic_g_evals - before)
+            return res
+
+        monkeypatch.setattr(quadrel.form, "minimize", counted)
+        result = rbdo_double_loop_form(builtin("crashworthiness"))
+        assert result.objective_value == pytest.approx(3.8675, abs=1e-4)
+        assert in_fallback
+        assert result.counters.deterministic_g_evals - sum(in_fallback) <= 2574
 
     def test_optimum_with_deterministic_design_passes_mc(self):
         # the signed beta keeps the optimum out of the failure set; the
@@ -890,7 +971,8 @@ class TestFormDoubleLoop:
     @pytest.mark.parametrize("build,fallback", [
         (demo_ellipse_det, False),        # steps along the deterministic d1 repeat rows
         (bench_3g, False),
-        (demo_ellipse_lognormal, True),   # one search ends in the SLSQP fallback
+        (demo_ellipse_lognormal, False),  # the SQP step: no search falls back
+        (demo_ellipse_lognormal_black_box, True),  # plain HLRF: one search ends in the fallback
     ])
     def test_each_search_evaluates_a_row_once(self, build, fallback, monkeypatch):
         searches = []
