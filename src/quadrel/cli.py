@@ -201,15 +201,15 @@ def cmd_bench(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    problem = _load_problem(args)  # neither solve mutates it
     rows = {}
     for method in ("rssl", "form-double-loop"):
-        problem = _load_problem(args)
         res = _run_method(problem, method)
         if args.mc_n > 0:
             res.pf_mc = mc_audit(problem, res.mu_opt, n=args.mc_n, seed=args.seed)
-        rows[method] = (problem, res)
+        rows[method] = res
 
-    problem = rows["rssl"][0]
+    nd = len(problem.design_indices)
     labels = [f"mu_{problem.variables[i].name}" for i in problem.design_indices]
     labels.append("objective")
     for spec in problem.constraints:
@@ -218,8 +218,7 @@ def cmd_compare(args) -> int:
     print(f"{'':18s}" + "".join(f"{m:>20s}" for m in rows))
     for j, label in enumerate(labels):
         line = f"{label:18s}"
-        for method, (prob, res) in rows.items():
-            nd = len(prob.design_indices)
+        for res in rows.values():
             if j < nd:
                 val = f"{res.mu_opt[j]:.4f}"
             elif j == nd:

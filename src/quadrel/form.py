@@ -16,14 +16,14 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import BreitungSingularityError, ConvergenceError, DomainError
-from .montecarlo import marginal_map
-from .quadratic import CorrelationModel, QuadraticForm
-from .variables import RandomVariable, std_normal
+from .quadratic import QuadraticForm
+from .variables import std_normal
 
 # HLRF convergence: |g| and the MPP's tangential part (relative), and the step limit.
 MPP_TOL = 1e-8
 MPP_OPT_TOL = 1e-6
 MPP_MAX_ITER = 200
+FD_REL_STEP = 1e-6  # fd_gradient's step, relative to max(1, |x_i|)
 
 
 def once_per_point(fn):
@@ -75,7 +75,7 @@ def per_point(f):
     return lambda points: np.array([f(x) for x in points])
 
 
-def fd_gradient(f, x, rel_step=1e-6):
+def fd_gradient(f, x, rel_step=FD_REL_STEP):
     """Central-difference gradient (n,) of a scalar ``f`` at ``x``, or the
     Jacobian (m, n) of an ``f`` returning an (m,) vector.
 
@@ -115,25 +115,23 @@ def _sqp_step(u, gval, grad, h_u):
     return u - b_u - nu * b_grad
 
 
-def form_mpp(g, variables: list[RandomVariable], corr: CorrelationModel | None,
-             gradient=None, hessian=None):
+def form_mpp(g, to_z, gradient=None, hessian=None):
     """Find the most probable point of Prob[g(z) < 0].
 
-    Returns (beta_hl, u*, grad): beta_hl = +/-||u*|| signed as g at the means
+    ``to_z`` is the design point's ``montecarlo.marginal_map``.  Returns
+    (beta_hl, u*, grad): beta_hl = +/-||u*|| signed as g at the means
     (negative where they fail), u* the MPP in standard-normal space and grad
     the limit state's standard-space gradient there.  The search runs a
-    damped HLRF iteration in uncorrelated standard-normal space and falls
-    back to direct constrained minimization of ||u|| subject to g = 0 on
-    stall.  It calls ``g`` once per stack of distinct original-space rows
-    it has not seen (``once_per_row``).  Each gradient is ``fd_gradient``
+    damped HLRF iteration in uncorrelated standard-normal space and, on
+    stall, one SLSQP run of min ||u|| s.t. g = 0 from where it stopped.  It
+    calls ``g`` once per stack of distinct original-space rows it has not seen
+    (``once_per_row``).  Each gradient is ``fd_gradient``
     over one call on its stencil or, given ``gradient`` (z -> dg/dz at one
     original-space point (n,)), exact through the marginal map's chain rule.
     Given also ``hessian``, the constant d^2g/dz^2 (n, n) of an explicit
     quadratic, a step takes the SQP iterate (``_sqp_step``) wherever its
     Lagrangian Hessian is positive definite, and the HLRF iterate elsewhere.
     """
-    n = len(variables)
-    to_z = marginal_map(variables, corr)
     g_n = _g_in_standard_space(once_per_row(g), to_z)
 
     def derivatives_at(u):
@@ -145,7 +143,7 @@ def form_mpp(g, variables: list[RandomVariable], corr: CorrelationModel | None,
         h_u = None if hessian is None else to_z.hessian_chain_rule(z, grad_z, hessian)
         return to_z.chain_rule(z, grad_z), h_u
 
-    z = np.zeros(n)
+    z = np.zeros(to_z.n)
     g0 = g_n(z)
     scale = max(abs(g0), 1.0)
     trace = []
@@ -180,18 +178,13 @@ def form_mpp(g, variables: list[RandomVariable], corr: CorrelationModel | None,
             break  # stalled; switch to the fallback solver
         z = z_try
 
-    if not converged:  # minimize ||z||^2 subject to g_N = 0
-        best = None
-        for z0 in (z, np.full(n, 0.1)):
-            res = minimize(lambda u: u @ u, z0, jac=lambda u: 2.0 * u, method="SLSQP",
-                           constraints=[{"type": "eq", "fun": lambda u: g_n(u) / scale}],
-                           options={"maxiter": 300, "ftol": 1e-12})
-            if (res.success and abs(g_n(res.x)) <= 1e-6 * scale
-                    and (best is None or res.fun < best.fun)):
-                best = res
-        if best is None:
+    if not converged:  # minimize ||z||^2 subject to g_N = 0 from where the search stopped
+        res = minimize(lambda u: u @ u, z, jac=lambda u: 2.0 * u, method="SLSQP",
+                       constraints=[{"type": "eq", "fun": lambda u: g_n(u) / scale}],
+                       options={"maxiter": 300, "ftol": 1e-12})
+        if not res.success or abs(g_n(res.x)) > 1e-6 * scale:
             raise ConvergenceError("MPP search did not converge", trace=trace)
-        z = best.x
+        z = res.x
         grad = derivatives_at(z)[0]
     return math.copysign(np.linalg.norm(z), g0), z, grad
 

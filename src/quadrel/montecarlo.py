@@ -62,8 +62,8 @@ def marginal_map(variables: list[RandomVariable], corr: CorrelationModel | None)
     Each variable maps through its ``marginal_table`` entry, and a
     deterministic column is then set to its value.  The result is written to
     ``out`` when given (which may be ``z_n`` itself), else to a new array; with
-    a correlation, the mixed array is transformed in place.
-    ``apply.chain_rule`` takes a gradient at a mapped point back through the map.
+    a correlation, the mixed array is transformed in place.  ``apply.n`` is n,
+    and ``apply.chain_rule`` takes a gradient at a mapped point back through it.
     """
     n = len(variables)
     shift, scale, fixed, lognormal = marginal_table(variables)
@@ -121,6 +121,7 @@ def marginal_map(variables: list[RandomVariable], corr: CorrelationModel | None)
         h_y[lognormal, lognormal] += scale[lognormal] * d[lognormal] * grad_z[lognormal]
         return h_y if mix is None else mix @ h_y @ mix.T
 
+    apply.n = n
     apply.chain_rule = chain_rule
     apply.hessian_chain_rule = hessian_chain_rule
     return apply

@@ -17,7 +17,8 @@ from scipy.optimize import minimize
 
 from .doe import DoeBox, Scheme, bbd_points, ccd_points, doe_box, fit_quadratic, inscribed_ccd_2
 from .errors import ConvergenceError, DomainError, SolverFailureError
-from .form import beta_scale, fd_gradient, form_mpp, once_per_point, once_per_row, per_point
+from .form import (FD_REL_STEP, beta_scale, fd_gradient, form_mpp, once_per_point, once_per_row,
+                   per_point)
 from .montecarlo import marginal_map, mc_pf
 from .pf import PfBatch, pf_batch, pf_quadratic, require_finite
 from .quadratic import (
@@ -119,9 +120,9 @@ class RbdoProblem:
             v = self.variables[i]
             if not (np.isfinite(v.lower) and np.isfinite(v.upper)):
                 raise DomainError(f"{v.name}: design variables need finite bounds")
-            if v.kind is Kind.LOGNORMAL and v.lower <= 0.0:
-                raise DomainError(f"{v.name}: lognormal design variables need lower > 0, "
-                                  f"got {v.lower}")
+            if v.kind is Kind.LOGNORMAL and v.lower <= FD_REL_STEP:
+                raise DomainError(f"{v.name}: lognormal design variables need "
+                                  f"lower > {FD_REL_STEP}, got {v.lower}")
         if self.std_mode.t is not None and self.std_mode.t.shape != (len(self.design_indices),):
             raise DomainError("proportional t must have one entry per design variable")
 
@@ -445,10 +446,11 @@ class FormMargins:
     constraint whose failure set is provably empty there (``_exact_pf``
     is 0) has beta = +inf and a zero row; one that provably always fails
     raises ``SolverFailureError``.  An explicit quadratic's search takes its
-    exact gradient 2Az + k in place of a stencil, and its Hessian 2A for the
-    SQP step.  Every limit-state row evaluated, and every exact gradient,
-    counts one call in ``counters.deterministic_g_evals``; the Hessian is a
-    coefficient, not an evaluation, and counts none.
+    exact gradient 2Az + k in place of a stencil, and its Hessian 2A (built
+    once) for the SQP step.  The searches at a point share its marginal map.
+    Every limit-state row evaluated, and every exact gradient, counts one
+    call in ``counters.deterministic_g_evals``; the Hessian is a coefficient,
+    not an evaluation, and counts none.
     """
 
     def __init__(self, problem: RbdoProblem, counters: EvalCounters):
@@ -463,18 +465,20 @@ class FormMargins:
             return call
 
         self._limit_states = [counted(spec.evaluate) for spec in problem.constraints]
-        self._gradients = [None if spec.quadratic is None else counted(spec.quadratic.gradient)
-                           for spec in problem.constraints]
+        self._derivatives = [(None, None) if spec.quadratic is None
+                             else (counted(spec.quadratic.gradient), 2.0 * spec.quadratic.a)
+                             for spec in problem.constraints]
 
     def _search(self, mu):
         """(margins, [(beta, u*, grad) or None per constraint]) at ``mu``."""
         problem = self.problem
         vars_at = problem.variables_at(problem.full_mean(mu))
+        to_z = marginal_map(vars_at, problem.corr)
         mpps = []
-        for spec, g, gradient in zip(problem.constraints, self._limit_states, self._gradients):
-            hessian = None if spec.quadratic is None else 2.0 * spec.quadratic.a
+        for spec, g, (grad, hess) in zip(problem.constraints, self._limit_states,
+                                         self._derivatives):
             try:
-                mpps.append(form_mpp(g, vars_at, problem.corr, gradient=gradient, hessian=hessian))
+                mpps.append(form_mpp(g, to_z, gradient=grad, hessian=hess))
             except ConvergenceError as exc:
                 pf = _exact_pf(spec, vars_at, problem.corr)
                 where = f"constraint {spec.name} at mu = {mu.tolist()}"

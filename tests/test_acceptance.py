@@ -15,7 +15,7 @@ from scipy.optimize import brentq, minimize_scalar
 from quadrel.doe import DoeBox, Scheme, bbd_points, ccd_points, inscribed_ccd_2
 from quadrel.errors import QuadrelError
 from quadrel.form import form_mpp
-from quadrel.montecarlo import mc_pf
+from quadrel.montecarlo import marginal_map, mc_pf
 from quadrel.pf import Branch, beta_generalized, pf_quadratic
 from quadrel.problems import (
     CRASH_LOWER,
@@ -232,7 +232,7 @@ def test_criterion_09_randomized_closed_form_vs_form():
         variables = [RandomVariable(f"z{i}", Kind.NORMAL, Role.PARAMETER, 0.0, 1.0)
                      for i in range(n)]
         try:
-            beta_hl, _, _ = form_mpp(qn, variables, None)
+            beta_hl, _, _ = form_mpp(qn, marginal_map(variables, None))
             pf_cf, _ = pf_quadratic(qn)
         except QuadrelError:
             continue

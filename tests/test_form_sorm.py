@@ -115,7 +115,7 @@ class TestFormMpp:
         def g(z):
             return z @ k + beta
 
-        beta_hl, z_n, _ = form_mpp(g, [snv("z1"), snv("z2")], None)
+        beta_hl, z_n, _ = form_mpp(g, marginal_map([snv("z1"), snv("z2")], None))
         assert beta_hl == pytest.approx(beta, abs=1e-8)
         assert z_n == pytest.approx(-beta * k, abs=1e-6)
 
@@ -128,7 +128,7 @@ class TestFormMpp:
         def g(z):
             return z[:, 0] ** 2 * z[:, 1] / 20.0 - 1.0
 
-        beta_hl, z_n, _ = form_mpp(g, variables, None)
+        beta_hl, z_n, _ = form_mpp(g, marginal_map(variables, None))
         z = transform_samples(z_n[None, :], variables, None)[0]
         # at the MPP: g = 0 and z_n is antiparallel to the gradient scaled
         # by beta (first-order optimality of the norm minimization)
@@ -153,7 +153,7 @@ class TestFormMpp:
         def g(z):
             return z[:, 0] - q
 
-        beta_hl, z_n, _ = form_mpp(g, [v], None)
+        beta_hl, z_n, _ = form_mpp(g, marginal_map([v], None))
         z = transform_samples(z_n[None, :], [v], None)[0]
         _, cdf = variable_pdf_cdf(v, q)
         pf_form = std_normal(-beta_hl)[1]
@@ -169,7 +169,7 @@ class TestFormMpp:
         def g(z):
             return z[:, 0] - z[:, 1] + b
 
-        beta_hl, _, _ = form_mpp(g, [snv("z1"), snv("z2")], corr)
+        beta_hl, _, _ = form_mpp(g, marginal_map([snv("z1"), snv("z2")], corr))
         assert beta_hl == pytest.approx(b / np.sqrt(2.0 * (1.0 - rho)), rel=1e-6)
 
     def test_beta_is_negative_where_the_means_fail(self):
@@ -180,7 +180,7 @@ class TestFormMpp:
         def g(z):
             return z @ k - 2.5
 
-        beta_hl, z_n, _ = form_mpp(g, [snv("z1"), snv("z2")], None)
+        beta_hl, z_n, _ = form_mpp(g, marginal_map([snv("z1"), snv("z2")], None))
         assert beta_hl == pytest.approx(-2.5, abs=1e-8)
         assert z_n == pytest.approx(2.5 * k, abs=1e-6)
 
@@ -195,7 +195,7 @@ class TestFormMpp:
             rows.extend(map(tuple, z))
             return z @ k + 2.5
 
-        form_mpp(g, [snv("z1"), snv("z2")], None)
+        form_mpp(g, marginal_map([snv("z1"), snv("z2")], None))
         assert rows.count((0.0, 0.0)) == 1
         assert len(set(rows)) == len(rows)
 
@@ -222,7 +222,7 @@ class TestBetaSensitivity:
     @pytest.mark.parametrize("theta,sign", [([2.0, 1.0], 1.0), ([-1.0, 1.0], 1.0)])
     def test_linear_state_is_alpha_over_sigma(self, theta, sign):
         theta = np.array(theta)
-        beta, u, grad = form_mpp(self.g, self.variables(theta), None)
+        beta, u, grad = form_mpp(self.g, marginal_map(self.variables(theta), None))
         s = np.linalg.norm(self.a * self.sigma)
         np.testing.assert_allclose(self.sensitivity(theta, beta, u, grad), sign * self.a / s,
                                    rtol=1e-6)

@@ -443,7 +443,8 @@ class TestCli:
         path = tmp_path / "lognormal.json"
         path.write_text(json.dumps(doc))
         assert main(["solve", str(path), "--method", method]) == 2
-        assert "x1: lognormal design variables need lower > 0, got 0.0" in capsys.readouterr().err
+        message = "x1: lognormal design variables need lower > 1e-06, got 0.0"
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("source", ["demo-ellipse", "bench-3g", "file"])
     def test_coeff_file_off_crashworthiness_is_input_error(self, source, tmp_path, capsys):
