@@ -4,8 +4,9 @@ second-order failure probabilities for quadratic limit states.
 The pipeline: fit (or accept) quadratic limit states, transform them
 into uncorrelated standard-normal space, evaluate the probability of
 failure in closed form, and optimize the design means in a single loop.
-FORM, SORM and Monte Carlo estimators are included as baselines; they
-and the lower-level helpers are imported from their submodules.
+The FORM double loop (first-order pf Phi(-beta)) and Monte Carlo audits are
+the baselines.  Lower-level helpers come from their submodules, among them
+``form.sorm_breitung``, a standalone SORM correction that no solver calls.
 """
 
 from .errors import QuadrelError

@@ -8,7 +8,8 @@ eigenvalues share one sign (elliptic limit states).  A purely linear
 form reduces to the exact FORM result.
 
 Every formula runs on a stack of forms at once (one row per form);
-``pf_quadratic`` enters with a stack of one.
+``pf_quadratic`` enters with a stack of one.  ``pf_batch`` rotates the
+linear terms into the eigenbasis once; each branch sums moments on its rows.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DivisionGuardError, DomainError
-from .quadratic import QuadraticForm, SpectralForm, row_dot, spectral
+from .quadratic import QuadraticForm, moment_sums, row_dot, spectral
 from .variables import hermite_prob, std_normal, std_normal_inv
 
 
@@ -81,23 +82,12 @@ class PfBatch:
 _pow = np.float_power
 
 
-def _select(s: SpectralForm, rows):
-    """(index, forms) of the rows of ``s`` in mask ``rows``, or None if there are none."""
-    count = np.count_nonzero(rows)
-    if count == 0:
-        return None
-    if count == len(rows):
-        return slice(None), s
-    return rows, SpectralForm(gamma=s.gamma[rows], kbar=s.kbar[rows], cprime=s.cprime[rows],
-                              m=tuple(m[rows] for m in s.m))
-
-
-def pf_mixed(s: SpectralForm):
+def pf_mixed(gamma, kbar, cprime):
     """Closed form for eigenvalues of differing signs (saddle limit states).
 
-    Returns (pf_raw, kappa1), one entry per form of the stack ``s``.
+    Returns (pf_raw, kappa1), one entry per row of (gamma, kbar, cprime).
     """
-    gamma, kbar, cprime, (_, m2, m3, m4) = s.gamma, s.kbar, s.cprime, s.m
+    _, m2, m3, m4 = moment_sums(gamma, kbar)
     bad = m2 <= 0.0
     if bad.any():
         raise DivisionGuardError(f"mixed-sign branch requires m2 > 0, got {m2[bad][0]}")
@@ -116,15 +106,15 @@ def pf_mixed(s: SpectralForm):
     return cdf - pdf * corr, kappa1
 
 
-def pf_same_sign(s: SpectralForm):
+def pf_same_sign(gamma, kbar, cprime):
     """Closed form for eigenvalues all of one sign (elliptic limit states).
 
-    Returns (pf_raw, kappa2, h, q0, flipped), one entry per form of the
-    stack ``s``, where ``flipped`` records whether the 1 - P side of the
+    Returns (pf_raw, kappa2, h, q0, flipped), one entry per row of (gamma,
+    kbar, cprime), where ``flipped`` records whether the 1 - P side of the
     dispatch was taken.  When Q_N cannot change sign the answer is exact:
     pf is 0 or 1, kappa2 is -inf or +inf and h is NaN.
     """
-    gamma, kbar, cprime, (m1, m2, m3, m4) = s.gamma, s.kbar, s.cprime, s.m
+    m1, m2, m3, m4 = moment_sums(gamma, kbar)
     if (m1 == 0.0).any():
         raise DivisionGuardError("same-sign branch requires m1 != 0")
     bad = m2 <= 0.0
@@ -161,18 +151,19 @@ def pf_same_sign(s: SpectralForm):
     return pf_raw, kappa2, np.where(exact, math.nan, h), q0, flipped
 
 
-def pf_batch(s: SpectralForm, k) -> PfBatch:
+def pf_batch(gamma, p, k, cprime) -> PfBatch:
     """Probability that each row's Q_N(z_N) < 0, dispatching on its eigenvalue signs.
 
-    ``s`` comes from ``spectral`` or ``spectral_in_basis``, which zero
-    structurally zero eigenvalues and lift them to +/-eps when the rest
-    share one sign, so each row's sign pattern alone picks its branch.
-    ``k`` holds the unrotated linear terms (m, n); rows with no nonzero
-    eigenvalue take the exact linear result from their norm.
+    ``(gamma, P)`` comes from ``eigenbasis``, which zeroes structurally
+    zero eigenvalues and lifts them to +/-eps when the rest share one sign,
+    so each row's sign pattern alone picks its branch.  ``k`` holds the
+    unrotated linear terms (m, n) and ``cprime`` the constants; rows with
+    no nonzero eigenvalue take the exact linear result from the norm of k.
     """
-    n = s.gamma.shape[0]
-    pos = (s.gamma > 0.0).any(axis=-1)
-    neg = (s.gamma < 0.0).any(axis=-1)
+    kbar = np.matmul(np.swapaxes(p, -1, -2), k[..., None])[..., 0]
+    n = gamma.shape[0]
+    pos = (gamma > 0.0).any(axis=-1)
+    neg = (gamma < 0.0).any(axis=-1)
     pf_raw = np.empty(n)
     kappa = np.empty(n)
     branch = np.full(n, _MIXED)
@@ -180,19 +171,17 @@ def pf_batch(s: SpectralForm, k) -> PfBatch:
     q0 = np.full(n, math.nan)
     degenerate = np.zeros(n, dtype=bool)
 
-    mixed = _select(s, pos & neg)
-    if mixed:
-        rows, sub = mixed
-        pf_raw[rows], kappa[rows] = pf_mixed(sub)
-    same = _select(s, pos ^ neg)
-    if same:
-        rows, sub = same
-        pf_raw[rows], kappa[rows], h[rows], q0[rows], flipped = pf_same_sign(sub)
+    rows = pos & neg
+    if rows.any():
+        pf_raw[rows], kappa[rows] = pf_mixed(gamma[rows], kbar[rows], cprime[rows])
+    rows = pos ^ neg
+    if rows.any():
+        pf_raw[rows], kappa[rows], h[rows], q0[rows], flipped = pf_same_sign(
+            gamma[rows], kbar[rows], cprime[rows])
         branch[rows] = np.where(flipped, _SAME_1MP, _SAME_P)
-    linear = _select(s, ~(pos | neg))
-    if linear:
-        rows, sub = linear
-        c = sub.cprime
+    rows = ~(pos | neg)
+    if rows.any():
+        c = cprime[rows]
         k_lin = k[rows]
         k_norm = np.sqrt(row_dot(k_lin, k_lin))
         # a degenerate constant limit state fails everywhere or nowhere
@@ -219,7 +208,7 @@ def pf_quadratic(qn: QuadraticForm):
     kept in the diagnostics.  This is ``pf_batch`` on a batch of one.
     """
     require_finite(qn.a, qn.k, qn.c)
-    batch = pf_batch(spectral(qn), qn.k[None])
+    batch = pf_batch(*spectral(qn), qn.k[None], np.array([qn.c]))
     return float(batch.pf[0]), batch.diagnostics(0)
 
 

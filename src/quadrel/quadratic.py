@@ -2,9 +2,9 @@
 
 Correlation eigen-decomposition, the equivalent-normal map at the means
 and the exact affine transformation of a quadratic limit state into
-uncorrelated standard-normal space, plus the spectral preprocessing
-(eigenvalues, rotated linear term, moment sums) consumed by the
-closed-form probability kernels.
+uncorrelated standard-normal space, plus the eigenbasis (gamma, P) of a
+stack of transformed forms with its zero tolerance and epsilon lift, and
+the moment sums the closed-form kernels in ``pf`` take on their own rows.
 """
 
 from __future__ import annotations
@@ -156,21 +156,6 @@ def to_standard_normal(q: QuadraticForm, snmap: tuple[np.ndarray, np.ndarray]) -
     return QuadraticForm(a=a_n, k=k_n, c=c_n)
 
 
-@dataclass(frozen=True)
-class SpectralForm:
-    """Eigen-data of a stack of m standard-normal quadratics plus the moment sums m_1..m_4.
-
-    ``gamma`` (m, n) holds the (possibly epsilon-regularized) eigenvalues
-    and ``kbar`` (m, n) the linear terms rotated into the eigenbasis;
-    ``cprime`` and each m_r have one entry per form.
-    """
-
-    gamma: np.ndarray
-    kbar: np.ndarray
-    cprime: np.ndarray
-    m: tuple
-
-
 def moment_sums(gamma: np.ndarray, kbar: np.ndarray) -> tuple:
     """m_r = sum_j (gamma_j^r + (r/4) gamma_j^{r-2} kbar_j^2), r = 1..4.
 
@@ -218,20 +203,6 @@ def eigenbasis(a: np.ndarray):
     return np.where(pos | neg, gamma, lift), p
 
 
-def spectral_in_basis(gamma: np.ndarray, p: np.ndarray, k, c) -> SpectralForm:
-    """Rotate the linear terms k (m, n) into the eigenbasis ``P`` and sum moments.
-
-    ``(gamma, P)`` comes from ``eigenbasis``; ``c`` holds the constants.
-    """
-    kbar = np.matmul(np.swapaxes(p, -1, -2), k[..., None])[..., 0]
-    return SpectralForm(gamma=gamma, kbar=kbar, cprime=c, m=moment_sums(gamma, kbar))
-
-
-def spectral(qn: QuadraticForm) -> SpectralForm:
-    """The ``SpectralForm`` of one standard-normal quadratic, as a stack of one.
-
-    When all eigenvalues share one sign, zeros are replaced by +/-LIFT_EPS
-    before the moments are computed; the mixed-sign branch keeps them.
-    """
-    gamma, p = eigenbasis(qn.a[None])
-    return spectral_in_basis(gamma, p, qn.k[None], np.array([qn.c]))
+def spectral(qn: QuadraticForm):
+    """``eigenbasis`` of one standard-normal quadratic, as a stack of one."""
+    return eigenbasis(qn.a[None])

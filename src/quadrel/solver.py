@@ -26,7 +26,6 @@ from .quadratic import (
     QuadraticForm,
     eigenbasis,
     row_dot,
-    spectral_in_basis,
     standard_normal_map,
     to_standard_normal,
 )
@@ -344,7 +343,7 @@ def probabilistic_constraint(surrogates: list, problem: RbdoProblem,
         k_n = k_n.reshape(-1, n)
         gamma = np.broadcast_to(gamma, (len(points), n_con, n)).reshape(-1, n)
         p = np.broadcast_to(p, (len(points), n_con, n, n)).reshape(-1, n, n)
-        rows = vars(pf_batch(spectral_in_basis(gamma, p, k_n, c_n.reshape(-1)), k_n))
+        rows = vars(pf_batch(gamma, p, k_n, c_n.reshape(-1)))
         return [PfBatch(**{f: v[j:j + n_con] for f, v in rows.items()})
                 for j in range(0, len(k_n), n_con)]
 

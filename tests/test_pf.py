@@ -10,13 +10,7 @@ from hypothesis import strategies as st
 
 from quadrel.errors import DivisionGuardError, DomainError
 from quadrel.pf import Branch, beta_generalized, pf_batch, pf_quadratic, pf_same_sign
-from quadrel.quadratic import (
-    QuadraticForm,
-    SpectralForm,
-    eigenbasis,
-    moment_sums,
-    spectral_in_basis,
-)
+from quadrel.quadratic import QuadraticForm, eigenbasis
 from quadrel.variables import std_normal
 
 # Frozen Monte Carlo oracles (2e7 standard-normal samples, seed 123,
@@ -112,11 +106,8 @@ class TestBranches:
 class TestSameSignKernel:
     def test_m1_guard(self):
         gamma = np.array([[1.0, -1.0]])
-        kbar = np.zeros((1, 2))
-        s = SpectralForm(gamma=gamma, kbar=kbar, cprime=np.array([1.0]),
-                         m=moment_sums(gamma, kbar))
         with pytest.raises(DivisionGuardError):
-            pf_same_sign(s)
+            pf_same_sign(gamma, np.zeros((1, 2)), np.array([1.0]))
 
     @pytest.mark.parametrize("a,k,c,exact", [
         (np.eye(2), [0.0, 0.0], 1.0, 0.0),
@@ -193,9 +184,9 @@ class TestBatchedKernel:
                 guarded = True
         if guarded:
             with pytest.raises(DivisionGuardError):
-                pf_batch(spectral_in_basis(gamma, p, k, c), k)
+                pf_batch(gamma, p, k, c)
             return
-        batch = pf_batch(spectral_in_basis(gamma, p, k, c), k)
+        batch = pf_batch(gamma, p, k, c)
         for i, (pf, diag) in enumerate(singles):
             assert batch.pf[i] == pf
             assert batch.diagnostics(i) == diag
@@ -218,10 +209,10 @@ class TestBatchedKernel:
             rows.append((gamma, kbar, rng.uniform(-3.0, 3.0)))
 
         def form(rows):
+            # an identity eigenbasis: kbar is k, bit for bit
             gamma = np.array([r[0] for r in rows])
-            kbar = np.array([r[1] for r in rows])
-            return (SpectralForm(gamma=gamma, kbar=kbar, cprime=np.array([r[2] for r in rows]),
-                                 m=moment_sums(gamma, kbar)), kbar)
+            p = np.broadcast_to(np.eye(3), (len(rows), 3, 3))
+            return gamma, p, np.array([r[1] for r in rows]), np.array([r[2] for r in rows])
 
         singles, guarded = [], False
         for row in rows:

@@ -360,6 +360,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "q0" in out and "branch" in out
 
+    def test_pf_subcommand_mixed_signs(self, capsys):
+        # crashworthiness g01 at the design start is a saddle: no h or q0 line
+        assert main(["pf", "crashworthiness", "--coeff-file", CRASH_CSV, "--index", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "branch            mixed-signs" in lines
+        assert "pf                0.0137673" in lines
+        assert not any(line.startswith(("h ", "q0 ")) for line in lines)
+
     def test_pf_blackbox_rejected(self, capsys):
         assert main(["pf", "bench-3g"]) == 2
         assert "black-box" in capsys.readouterr().err

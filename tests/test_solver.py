@@ -411,7 +411,7 @@ class TestProbabilisticConstraint:
     def test_stack_counts_each_new_point_once(self, monkeypatch):
         rows = []
         monkeypatch.setattr(quadrel.solver, "pf_batch",
-                            lambda s, k: rows.append(len(k)) or pf_batch(s, k))
+                            lambda *args: rows.append(len(args[2])) or pf_batch(*args))
         problem = builtin("crashworthiness")
         n_con = len(problem.constraints)
         counters = EvalCounters()
@@ -629,7 +629,7 @@ class TestRsslSolve:
         # feasibility check and the report read the stored results
         rows, points, in_callback = [], set(), []
         monkeypatch.setattr(quadrel.solver, "pf_batch",
-                            lambda s, k: rows.append(len(k)) or pf_batch(s, k))
+                            lambda *args: rows.append(len(args[2])) or pf_batch(*args))
         minimize = quadrel.solver.minimize
 
         def flag_callback(*args, callback=None, **kwargs):
