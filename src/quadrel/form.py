@@ -4,7 +4,7 @@ Most-probable-point search via a damped Hasofer-Lind-Rackwitz-Fiessler
 iteration (an SQP step where an explicit quadratic's exact Hessian allows
 one) with a constrained-minimization fallback, and the Breitung
 curvature correction evaluated on a quadratic limit state at the MPP.
-Also the per-point and per-row memos that the solver and the MPP search share,
+Also the one per-row evaluation memo, shared by the solver and the MPP search,
 and the one finite-difference helper, which evaluates its stencil as a stack.
 """
 
@@ -26,29 +26,20 @@ MPP_MAX_ITER = 200
 FD_REL_STEP = 1e-6  # fd_gradient's step, relative to max(1, |x_i|)
 
 
-def once_per_point(fn):
-    """``fn`` run once per distinct point; ``.values`` maps the point's bytes to results."""
-    values = {}
-
-    def memo(x):
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        if key not in values:
-            values[key] = fn(x)
-        return values[key]
-
-    memo.values = values
-    return memo
-
-
 def once_per_row(fn):
     """``fn`` of a stack (m, n) run once per distinct row: the memo of a stack
     sends its rows not seen before to ``fn`` in one call, each once and in
-    order, and returns the list of results at the stack's rows."""
+    order, and returns the list of results at the stack's rows; of one point
+    (n,), its result.  ``.values`` maps each row's bytes to its result."""
     values = {}
 
     def memo(points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        points = np.asarray(points, dtype=float)
+        if points.ndim == 1:  # a stack of one, without the key lists: most calls are one point
+            key = points.tobytes()
+            if key not in values:
+                values[key] = fn(points[None])[0]
+            return values[key]
         keys = [row.tobytes() for row in points]
         new = {key: row for key, row in zip(keys, points) if key not in values}
         if len(new) == len(keys):  # all rows new and distinct: the stack as it is
@@ -57,6 +48,7 @@ def once_per_row(fn):
             values.update(zip(new, fn(np.stack(list(new.values())))))
         return [values[key] for key in keys]
 
+    memo.values = values
     return memo
 
 
@@ -71,8 +63,8 @@ def _g_in_standard_space(g, to_z):
 
 
 def per_point(f):
-    """``f`` of one point lifted to a stack of points: its values at the rows, in order."""
-    return lambda points: np.array([f(x) for x in points])
+    """``f`` of one point lifted to a stack of points: the list of its values at the rows."""
+    return lambda points: [f(x) for x in points]
 
 
 def fd_gradient(f, x, rel_step=FD_REL_STEP):
@@ -80,9 +72,8 @@ def fd_gradient(f, x, rel_step=FD_REL_STEP):
     Jacobian (m, n) of an ``f`` returning an (m,) vector.
 
     ``f`` takes the whole stencil in one call: the stack (2n, n) of
-    x + h_i e_i, x - h_i e_i for i = 1..n, in that order, and returns an
-    array of one value (or row) per point.  Wrap an ``f`` of one point in
-    ``per_point``.
+    x + h_i e_i, x - h_i e_i for i = 1..n, in that order, and returns one
+    value (or row) per point.  Wrap an ``f`` of one point in ``per_point``.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
@@ -92,7 +83,7 @@ def fd_gradient(f, x, rel_step=FD_REL_STEP):
     flat = stencil.reshape(-1)  # entry (2i, i) of the stencil, and (2i + 1, i) n further on
     flat[::2 * n + 1] = x + h
     flat[n::2 * n + 1] = x - h
-    values = f(stencil)
+    values = np.asarray(f(stencil))
     return (values[0::2] - values[1::2]).T / (2.0 * h)
 
 

@@ -156,6 +156,7 @@ def mc_pf(g, variables: list[RandomVariable], corr: CorrelationModel | None,
     """
     _require_count("n", n, 1_000)
     _require_count("chunk_size", chunk_size, 1)
+    _require_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     buffer = np.empty((min(chunk_size, n), len(variables)))
     failures = 0

@@ -4,7 +4,8 @@ A problem file is a JSON document with sections ``variables``,
 ``correlation`` (optional), ``objective``, ``constraints``, ``targets``
 (optional global default), ``solver`` and ``doe`` (both optional).
 ``build_problem`` checks each field as it builds it and reports the
-JSON path of the offending one.  Documents round-trip: saving a loaded
+JSON path of the offending one; a key outside an object's documented
+fields is an error too.  Documents round-trip: saving a loaded
 document and reloading it reproduces an identical in-memory problem.
 """
 
@@ -38,6 +39,13 @@ _EXPR_NAMES = {
 def _require(cond, message, path):
     if not cond:
         raise ProblemFormatError(message, path=path)
+
+
+def _known_fields(obj: dict, known, path: str):
+    """Reject a key of ``obj`` outside ``known``, at ``path.key``."""
+    for key in obj:
+        _require(key in known, f"unknown field {key!r}; expected one of {sorted(known)}",
+                 f"{path}.{key}" if path else key)
 
 
 def _is_number(val) -> bool:
@@ -98,6 +106,7 @@ def save_document(doc: dict, path):
 
 def _build_variable(v, p: str, names: list[str]) -> RandomVariable:
     _require(isinstance(v, dict), "variable entries must be objects", p)
+    _known_fields(v, {"name", "kind", "role", "mean", "value", "std", "cv", "lower", "upper"}, p)
     name = v.get("name")
     _require(isinstance(name, str) and name.isidentifier(),
              "variable name must be an identifier", f"{p}.name")
@@ -147,6 +156,8 @@ def _build_objective(spec, design_names: list[str]):
     _require(len({"linear", "quadratic", "expression", "builtin"} & set(spec)) == 1,
              "objective needs exactly one of 'linear', 'quadratic', "
              "'expression', 'builtin'", "objective")
+    _known_fields(spec, {"linear", "constant"} if "linear" in spec else
+                  {"quadratic", "expression", "builtin"}, "objective")
     nd = len(design_names)
     if "builtin" in spec:
         _require(spec["builtin"] in ("sum", "sum-of-squares"),
@@ -171,6 +182,7 @@ def _build_objective(spec, design_names: list[str]):
 def _build_constraint(con, i: int, names: list[str], targets: dict) -> ConstraintSpec:
     p = f"constraints[{i}]"
     _require(isinstance(con, dict), "constraint entries must be objects", p)
+    _known_fields(con, {"name", "quadratic", "expression", *_TARGET_RANGES}, p)
     _require(len({"quadratic", "expression"} & set(con)) == 1,
              "constraint needs exactly one of 'quadratic' / 'expression'", p)
     if "quadratic" in con:
@@ -198,6 +210,8 @@ def build_problem(doc: dict) -> RbdoProblem:
     The first bad field raises ProblemFormatError with its JSON path.
     """
     _require(isinstance(doc, dict), "problem file must be a JSON object", "")
+    _known_fields(doc, {"variables", "correlation", "objective", "constraints", "targets",
+                        "solver", "doe", "shared_evaluations"}, "")
     entries = doc.get("variables")
     _require(isinstance(entries, list) and entries,
              "'variables' must be a non-empty list", "variables")
@@ -219,6 +233,7 @@ def build_problem(doc: dict) -> RbdoProblem:
              "'constraints' must be a non-empty list", "constraints")
     targets = doc.get("targets", {})
     _require(isinstance(targets, dict), "'targets' must be an object", "targets")
+    _known_fields(targets, _TARGET_RANGES, "targets")
     _require(not ("beta_d" in targets and "pf_all" in targets),
              "give at most one of targets.beta_d / targets.pf_all", "targets")
     for key, bounds in _TARGET_RANGES.items():  # checked even where no constraint uses it
@@ -227,6 +242,7 @@ def build_problem(doc: dict) -> RbdoProblem:
 
     solver = doc.get("solver", {})
     _require(isinstance(solver, dict), "'solver' must be an object", "solver")
+    _known_fields(solver, {"proportional_t"}, "solver")
     std_mode = StdMode()
     if "proportional_t" in solver:
         t = _get_array(solver["proportional_t"], (len(design_names),), "solver.proportional_t")
@@ -234,6 +250,7 @@ def build_problem(doc: dict) -> RbdoProblem:
 
     doe = doc.get("doe", {})
     _require(isinstance(doe, dict), "'doe' must be an object", "doe")
+    _known_fields(doe, {"scheme", "halfwidth_overrides", "c_r_design", "c_r_parameter"}, "doe")
     scheme = doe.get("scheme")
     if "scheme" in doe:
         _require(scheme in _SCHEMES, f"doe scheme must be one of {sorted(_SCHEMES)}",

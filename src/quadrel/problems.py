@@ -183,7 +183,8 @@ def load_crash_coefficients(path):
 
     One row per entry: name followed by the flat quadratic layout
     (c, k_1..k_11, upper triangle of A row-major, 78 numbers total).
-    A row named ``objective`` is required and must be linear (zero A).
+    Every coefficient is a finite number.  A row named ``objective`` is
+    required and must be linear (zero A).
     Returns (objective_form, {name: QuadraticForm}).
     """
     n_flat = n_quadratic_coefficients(CRASH_NZ)
@@ -197,12 +198,18 @@ def load_crash_coefficients(path):
             if not row or not row[0].strip():
                 continue
             name = row[0].strip()
-            coeffs = [float(v) for v in row[1:]]
+            try:
+                coeffs = [float(v) for v in row[1:]]
+            except ValueError as exc:
+                raise ProblemFormatError(f"row {name!r}: {exc}", path=f"line {lineno}") from exc
             if len(coeffs) != n_flat:
                 raise ProblemFormatError(
                     f"row {name!r} has {len(coeffs)} coefficients, expected {n_flat}",
                     path=f"line {lineno}",
                 )
+            if not all(map(math.isfinite, coeffs)):
+                raise ProblemFormatError(f"row {name!r} has a coefficient that is not finite",
+                                         path=f"line {lineno}")
             forms[name] = QuadraticForm.from_flat(np.array(coeffs), CRASH_NZ)
     if "objective" not in forms:
         raise ProblemFormatError("coefficient file must contain an 'objective' row",

@@ -17,8 +17,7 @@ from scipy.optimize import minimize
 
 from .doe import DoeBox, Scheme, bbd_points, ccd_points, doe_box, fit_quadratic, inscribed_ccd_2
 from .errors import ConvergenceError, DomainError, SolverFailureError
-from .form import (FD_REL_STEP, beta_scale, fd_gradient, form_mpp, once_per_point, once_per_row,
-                   per_point)
+from .form import FD_REL_STEP, beta_scale, fd_gradient, form_mpp, once_per_row, per_point
 from .montecarlo import marginal_map, mc_pf
 from .pf import PfBatch, pf_batch, pf_quadratic, require_finite
 from .quadratic import (
@@ -177,7 +176,7 @@ def _counted_limit_states(problem: RbdoProblem, counters: EvalCounters):
     Each row counts one black-box evaluation per black-box constraint.  With
     shared evaluations one system call serves every constraint, so a row
     counts once.  No point comes twice: the deterministic phase memoizes its
-    points (``once_per_point``) and a DOE plan's rows are distinct.
+    points (``once_per_row``) and a DOE plan's rows are distinct.
     """
     n_blackbox = sum(spec.quadratic is None for spec in problem.constraints)
     per_row = min(n_blackbox, 1) if problem.shared_evaluations else n_blackbox
@@ -194,7 +193,7 @@ def _counted_objective(problem: RbdoProblem, counters: EvalCounters):
     def objective(mu):
         counters.objective_evals += 1
         return float(problem.objective(mu))
-    return once_per_point(objective)
+    return once_per_row(per_point(objective))
 
 
 def quadratic_gradients(problem: RbdoProblem):
@@ -219,7 +218,7 @@ def solve_deterministic(problem: RbdoProblem, start=None,
     limit_states = _counted_limit_states(problem, counters)
     x0 = np.asarray(start, dtype=float) if start is not None else problem.design_start()
     objective = _counted_objective(problem, counters)
-    g = once_per_point(lambda mu: limit_states(problem.full_mean(mu))[:, 0])
+    g = once_per_row(lambda mus: limit_states(problem.full_mean(mus)).T)
     con = {"type": "ineq", "fun": g}
     gradients = quadratic_gradients(problem)
     if gradients is not None:
@@ -305,8 +304,8 @@ def probabilistic_constraint(surrogates: list, problem: RbdoProblem,
     A' = M'AM with its eigenbasis, then k' and c'.  A fixed map
     (``_map_is_constant``) is built once, here; otherwise each evaluation
     builds it at each point.  No evaluation calls a black-box limit state.
-    Each design point is evaluated and counted once (``once_per_row``);
-    ``gstar.batch(mu)`` is its ``PfBatch``.
+    Each design point is evaluated and counted once: ``gstar.batch`` is the
+    memo (``once_per_row``), and ``gstar.batch(mu)`` is the point's ``PfBatch``.
     """
     targets = np.array([spec.pf_target for spec in problem.constraints])
     a = np.stack([q.a for q in surrogates])
@@ -351,9 +350,9 @@ def probabilistic_constraint(surrogates: list, problem: RbdoProblem,
 
     def gstar(mu_design):
         shape = np.shape(mu_design)[:-1] + (n_con,)
-        return targets - np.reshape([b.pf for b in batches(mu_design)], shape)
+        return targets - np.reshape([b.pf for b in batches(np.atleast_2d(mu_design))], shape)
 
-    gstar.batch = lambda mu_design: batches(mu_design)[0]
+    gstar.batch = batches
     return gstar
 
 
@@ -366,7 +365,7 @@ def _constrained_minimize(objective, gstar, scales, x0, bounds, trace):
         trace.append((len(trace), np.array(xk), float(objective(xk)), float(gstar(xk).min())))
 
     con = {"type": "ineq", "fun": fun, "jac": partial(fd_gradient, fun)}
-    return minimize(objective, x0, jac=partial(fd_gradient, per_point(objective)), method="SLSQP",
+    return minimize(objective, x0, jac=partial(fd_gradient, objective), method="SLSQP",
                     bounds=bounds, constraints=[con], callback=record,
                     options={"maxiter": 400, "ftol": 1e-12})
 
@@ -455,7 +454,7 @@ class FormMargins:
     def __init__(self, problem: RbdoProblem, counters: EvalCounters):
         self.problem = problem
         self.targets = np.array([spec.beta_target for spec in problem.constraints])
-        self._mpps = once_per_point(self._search)
+        self._mpps = once_per_row(per_point(self._search))
 
         def counted(f):  # one call per row of z, and per point (n,) a gradient is taken at
             def call(z):
@@ -532,9 +531,8 @@ def rbdo_double_loop_form(problem: RbdoProblem, start=None) -> RbdoResult:
     # row any positive value is inactive, while +inf makes the QP fail
     con = {"type": "ineq", "fun": lambda mu: np.nan_to_num(margins(mu), posinf=1.0),
            "jac": margins.jacobian}
-    res = minimize(objective, x0, jac=partial(fd_gradient, per_point(objective)),
-                   method="SLSQP", bounds=problem.bounds,
-                   constraints=[con], callback=record,
+    res = minimize(objective, x0, jac=partial(fd_gradient, objective), method="SLSQP",
+                   bounds=problem.bounds, constraints=[con], callback=record,
                    options={"maxiter": 300, "ftol": 1e-10})
     if not res.success:
         raise SolverFailureError(f"double-loop FORM solve failed: {res.message}",

@@ -51,10 +51,13 @@ class TestOncePerRow:
         a, b, c = [1.0, 2.0], [3.0, 4.0], [5.0, 6.0]
         assert memo(np.array([a, b, a])) == [3.0, 7.0, 3.0]
         assert memo(np.array([b, c, c, a])) == [7.0, 11.0, 11.0, 3.0]
-        assert memo(np.array(c)) == [11.0]
+        one = memo(np.array(c))  # one point (n,) gives its result, not a list
+        assert isinstance(one, np.float64) and one == 11.0
         d, e = [7.0, 8.0], [9.0, 1.0]
         assert memo(np.array([d, e])) == [15.0, 10.0]
         assert calls == [[a, b], [c], [d, e]]
+        stored = [(np.array(x).tobytes(), sum(x)) for x in (a, b, c, d, e)]
+        assert list(memo.values.items()) == stored
 
 
 class TestFdGradient:

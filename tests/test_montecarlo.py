@@ -241,6 +241,12 @@ class TestValidation:
         with pytest.raises(DomainError, match="integer chunk_size"):
             mc_pf(qn, [snv("z")], None, n=10_000, seed=0, chunk_size=1.5)
 
+    @pytest.mark.parametrize("seed,match", [(-1, "seed >= 0"), (1.5, "integer seed")])
+    def test_bad_seed(self, seed, match):
+        qn = QuadraticForm(a=np.zeros((1, 1)), k=np.array([1.0]), c=1.0)
+        with pytest.raises(DomainError, match=match):
+            mc_pf(qn, [snv("z")], None, n=10_000, seed=seed)
+
     def test_more_columns_than_variables(self):
         # the extra column would be returned uninitialized
         with pytest.raises(DomainError, match=r"\(2, 3\) need 2 columns"):

@@ -123,6 +123,19 @@ class TestCrashworthiness:
         with pytest.raises(ProblemFormatError):
             load_crash_coefficients(short)
 
+    @pytest.mark.parametrize("cell", ["abc", "nan"])
+    def test_non_finite_cell(self, cell, tmp_path):
+        with open(CRASH_CSV) as fh:
+            lines = fh.read().splitlines()
+        name, *coeffs = lines[3].split(",")
+        coeffs[5] = cell
+        lines[3] = ",".join([name, *coeffs])
+        path = tmp_path / "cell.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ProblemFormatError) as err:
+            load_crash_coefficients(path)
+        assert err.value.path == "line 4"
+
     def test_missing_objective_row(self, tmp_path):
         n_flat = 78
         path = tmp_path / "noobj.csv"
@@ -240,6 +253,23 @@ class TestProblemDocuments:
                      "targets.beta_d", id="beta-d-negative-quadratic"),
         pytest.param(lambda d: d["constraints"][0].update(pf_all=0.0),
                      "constraints[0].pf_all", id="constraint-pf-all-zero"),
+        # a key outside an object's documented fields, at its own path
+        pytest.param(lambda d: d["variables"][0].update(sd=d["variables"][0].pop("std")),
+                     "variables[0].sd", id="unknown-variable-sd"),
+        pytest.param(lambda d: d.update(solvr={"proportional_t": [0.1]}),
+                     "solvr", id="unknown-top-level"),
+        pytest.param(lambda d: d.update(doe={"c_r_desgn": 1.4}),
+                     "doe.c_r_desgn", id="unknown-doe"),
+        pytest.param(lambda d: d.update(solver={"t": [0.1]}),
+                     "solver.t", id="unknown-solver"),
+        pytest.param(lambda d: d.update(targets={"beta": 3.0}),
+                     "targets.beta", id="unknown-targets"),
+        pytest.param(lambda d: d["constraints"][0].update(beta=3.0),
+                     "constraints[0].beta", id="unknown-constraint"),
+        pytest.param(lambda d: d.update(objective={"linear": [1.0], "const": 1.0}),
+                     "objective.const", id="unknown-objective"),
+        pytest.param(lambda d: d["objective"].update(constant=1.0),
+                     "objective.constant", id="constant-without-linear"),
     ])
     def test_validation_reports_json_path(self, mutate, path):
         doc = ellipse_doc()
@@ -376,6 +406,10 @@ class TestCli:
         assert main(["mc-check", "demo-ellipse", "--mc-n", "100000",
                      "--at", "4.85", "--seed", "3"]) == 0
         assert "pf_mc[g]" in capsys.readouterr().out
+
+    def test_negative_seed_is_input_error(self, capsys):
+        assert main(["mc-check", "demo-ellipse", "--seed", "-1", "--mc-n", "1000"]) == 2
+        assert "seed >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("source,rows,scheme", [
         ("bench-3g", 9, "inscribed-ccd2"),
