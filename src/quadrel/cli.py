@@ -22,6 +22,7 @@ from .errors import (
     QuadrelError,
     SolverFailureError,
 )
+from .montecarlo import MIN_SAMPLES
 from .pf import beta_generalized, pf_quadratic
 from .problem_io import build_problem, load_document, save_result, target_value, trace_to_csv
 from .problems import builtin_problems
@@ -70,6 +71,21 @@ def _load_problem(args):
                 con.pop("beta_d", None)
                 con.pop("pf_all", None)
     return build_problem(doc)
+
+
+def _check_mc_flags(args):
+    """``--seed`` and ``--mc-n``, checked before any work (``mc_pf`` checks
+    them again for library callers).  ``--mc-n 0`` skips the audit, except on
+    mc-check, whose work is the audit."""
+    if args.seed < 0:
+        raise ProblemFormatError(f"needs --seed >= 0, got {args.seed}", path="--seed")
+    if not hasattr(args, "mc_n"):
+        return
+    can_skip = args.command != "mc-check"
+    if args.mc_n < MIN_SAMPLES and not (can_skip and args.mc_n == 0):
+        hint = " (or 0 to skip the audit)" if can_skip else ""
+        raise ProblemFormatError(f"needs --mc-n >= {MIN_SAMPLES}{hint}, got {args.mc_n}",
+                                 path="--mc-n")
 
 
 def _design_point(args, problem):
@@ -305,6 +321,7 @@ def main(argv=None) -> int:
             argv[i:i + 2] = [f"--at={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     try:
+        _check_mc_flags(args)
         return args.func(args)
     except (SolverFailureError, ConvergenceError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

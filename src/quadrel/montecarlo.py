@@ -9,6 +9,8 @@ so the estimator is a valid independent oracle for the closed forms
 from __future__ import annotations
 
 import numbers
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +18,10 @@ import numpy as np
 from .errors import DomainError
 from .variables import Kind, RandomVariable
 
-DEFAULT_CHUNK = 1_000_000
+DEFAULT_CHUNK = 16_384
+
+# The fewest samples ``mc_pf`` takes.
+MIN_SAMPLES = 1_000
 
 # Elements per block of the marginal map's affine step.  A block is whole
 # rows against a (shift, scale) tiled to the same shape, so numpy's inner
@@ -149,24 +154,34 @@ def mc_pf(g, variables: list[RandomVariable], corr: CorrelationModel | None,
     """Estimate Prob[g(z) < 0] with ``n`` samples.
 
     ``g`` must accept an (m, nvar) array and return (m,) values.  The draw
-    is chunked: one call holds one buffer of min(chunk_size, n) x nvar
-    floats, which each chunk's draws fill and ``transform_samples`` then
-    maps in place.  Results are bit-reproducible for fixed
-    (seed, n, chunk_size).
+    is chunked over two buffers of min(chunk_size, n) x nvar floats.  One
+    background thread, the only user of the generator, fills them in chunk
+    order: it draws the next chunk while the calling thread maps the
+    current one in place with ``transform_samples`` and evaluates ``g`` on
+    it, and each buffer is queued for its next draw as soon as its chunk is
+    evaluated.  Consecutive draws from one generator concatenate, so the
+    estimate depends on (seed, n) only, not on ``chunk_size``.
     """
-    _require_count("n", n, 1_000)
+    _require_count("n", n, MIN_SAMPLES)
     _require_count("chunk_size", chunk_size, 1)
     _require_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    buffer = np.empty((min(chunk_size, n), len(variables)))
+    buffers = [np.empty((min(chunk_size, n), len(variables))) for _ in range(2)]
+
+    def draw(start: int) -> np.ndarray:
+        buffer = buffers[start // chunk_size % 2]
+        return rng.standard_normal(out=buffer[:min(chunk_size, n - start)])
+
     failures = 0
-    remaining = n
-    while remaining > 0:
-        m = min(chunk_size, remaining)
-        z_n = rng.standard_normal(out=buffer[:m])
-        z = transform_samples(z_n, variables, corr, out=z_n)
-        failures += int(np.count_nonzero(np.asarray(g(z)) < 0.0))
-        remaining -= m
+    with ThreadPoolExecutor(max_workers=1) as drawer:
+        starts = range(0, n, chunk_size)
+        pending = deque(drawer.submit(draw, start) for start in starts[:2])
+        for j, start in enumerate(starts):
+            z_n = pending.popleft().result()
+            z = transform_samples(z_n, variables, corr, out=z_n)
+            failures += int(np.count_nonzero(np.asarray(g(z)) < 0.0))
+            if j + 2 < len(starts):  # into this chunk's buffer, now evaluated
+                pending.append(drawer.submit(draw, starts[j + 2]))
     pf_hat = failures / n
     hw = 1.96 * np.sqrt(pf_hat * (1.0 - pf_hat) / n)
     return McEstimate(pf_hat=pf_hat, ci95_halfwidth=float(hw), n=n, seed=seed)

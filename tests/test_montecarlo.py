@@ -2,6 +2,8 @@
 
 import gc
 import os
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -9,15 +11,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadrel import problems
+from quadrel import montecarlo, problems
 from quadrel.errors import DomainError
 from quadrel.form import fd_gradient
-from quadrel.montecarlo import BLOCK_SIZE, marginal_map, mc_pf, transform_samples
+from quadrel.montecarlo import BLOCK_SIZE, DEFAULT_CHUNK, marginal_map, mc_pf, transform_samples
 from quadrel.quadratic import QuadraticForm, correlation_decompose
 from quadrel.solver import mc_audit
 from quadrel.variables import Kind, RandomVariable, Role
 
 CRASH_CSV = os.path.join(os.path.dirname(__file__), "data", "crash_coefficients.csv")
+
+# perfbench's three mc-audit design points
+AUDIT_POINTS = {
+    "crashworthiness": (lambda: problems.crashworthiness(CRASH_CSV),
+                        [1.0, 0.9, 1.0, 1.0, 1.75, 0.8, 0.8]),
+    "bench-3g": (problems.bench_3g, [3.4368, 3.2681]),
+    "demo-ellipse-lognormal": (problems.demo_ellipse_lognormal, [5.0]),
+}
 
 
 def snv(name):
@@ -82,12 +92,107 @@ class TestReproducibility:
         b = mc_pf(qn, variables, None, n=300_000, seed=11, chunk_size=300_000)
         assert a.pf_hat == b.pf_hat
 
+    @pytest.mark.parametrize("name", AUDIT_POINTS)
+    def test_chunking_invariant_at_benchmark_points(self, name):
+        # crash's explicit quadratics, bench-3g's black boxes and the
+        # correlated lognormal: the map and g give each row the same value
+        # whatever rows share its chunk
+        build, point = AUDIT_POINTS[name]
+        problem = build()
+        variables = problem.variables_at(problem.full_mean(np.array(point)))
+        n = 20_000
+        for i, spec in enumerate(problem.constraints):
+            pf = {chunk: mc_pf(spec.evaluate, variables, problem.corr, n=n, seed=5 + i,
+                               chunk_size=chunk).pf_hat
+                  for chunk in (7, 999, DEFAULT_CHUNK, n)}
+            assert len(set(pf.values())) == 1, (spec.name, pf)
+
     def test_different_seeds_differ(self):
         qn = QuadraticForm(a=np.zeros((1, 1)),
                                      k=np.array([1.0]), c=1.5)
         a = mc_pf(qn, [snv("z")], None, n=100_000, seed=1)
         b = mc_pf(qn, [snv("z")], None, n=100_000, seed=2)
         assert a.pf_hat != b.pf_hat
+
+
+class TestDrawThread:
+    """The next chunk is drawn on one background thread; the rest stays put."""
+
+    @staticmethod
+    def linear():
+        return QuadraticForm(a=np.zeros((1, 1)), k=np.array([1.0]), c=2.0)
+
+    def test_generator_on_one_other_thread_and_g_on_the_caller(self, monkeypatch):
+        draw_threads, g_threads = set(), set()
+        default_rng = np.random.default_rng
+
+        class Recorded:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def standard_normal(self, *args, **kwargs):
+                draw_threads.add(threading.get_ident())
+                return self.rng.standard_normal(*args, **kwargs)
+
+        def g(z):
+            g_threads.add(threading.get_ident())
+            return self.linear()(z)
+
+        monkeypatch.setattr(montecarlo.np.random, "default_rng", Recorded)
+        mc_pf(g, [snv("z")], None, n=10_000, seed=0, chunk_size=1_000)
+        assert g_threads == {threading.get_ident()}
+        assert len(draw_threads) == 1 and draw_threads != g_threads
+
+    @pytest.mark.parametrize("fail_on", [1, 3, 10])
+    def test_failing_limit_state_raises_and_leaves_no_thread(self, fail_on):
+        # first chunk, a middle one (with the next draw pending) and the last
+        before = threading.active_count()
+        calls = [0]
+
+        def g(z):
+            calls[0] += 1
+            if calls[0] == fail_on:
+                raise ZeroDivisionError("limit state failed")
+            return self.linear()(z)
+
+        with pytest.raises(ZeroDivisionError, match="limit state failed"):
+            mc_pf(g, [snv("z")], None, n=10_000, seed=0, chunk_size=1_000)
+        assert calls[0] == fail_on
+        assert threading.active_count() == before
+
+    def test_concurrent_calls_under_fast_switching(self):
+        # more callers than cores, each with its own drawer, switching every
+        # microsecond: a chunk drawn into a buffer still being evaluated, or
+        # a draw from another call's generator, moves the failure count
+        variables = [snv("z1"), RandomVariable("x", Kind.LOGNORMAL, Role.PARAMETER, 1.0, 0.3)]
+        corr = correlation_decompose(np.array([[1.0, 0.5], [0.5, 1.0]]))
+
+        def g(z):
+            return 1.4 - z[:, 1] + 0.1 * z[:, 0]
+
+        def run(seed, chunk):
+            return mc_pf(g, variables, corr, n=30_000, seed=seed, chunk_size=chunk).pf_hat
+
+        expected = {seed: run(seed, 30_000) for seed in range(4)}
+        got = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda s=seed: got.update({s: run(s, 97)}))
+                       for seed in expected]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == expected
+
+    def test_no_thread_left_after_a_return(self):
+        before = threading.active_count()
+        mc_pf(self.linear(), [snv("z")], None, n=10_000, seed=0, chunk_size=1_000)
+        assert threading.active_count() == before
 
 
 class TestAccuracy:

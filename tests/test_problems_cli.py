@@ -411,6 +411,33 @@ class TestCli:
         assert main(["mc-check", "demo-ellipse", "--seed", "-1", "--mc-n", "1000"]) == 2
         assert "seed >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["solve", "bench-3g"], ["pf", "demo-ellipse"], ["mc-check", "demo-ellipse"],
+        ["doe", "demo-ellipse", "--out", "plan.csv"], ["bench", "bench-3g"],
+        ["compare", "demo-ellipse"],
+    ], ids=lambda c: c[0])
+    def test_negative_seed_rejected_before_any_work(self, command, monkeypatch, capsys):
+        monkeypatch.setattr("quadrel.cli._load_problem", self._no_work)
+        assert main(command + ["--seed", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "(at --seed)" in err
+
+    @pytest.mark.parametrize("command,value", [
+        (["solve", "bench-3g"], "10"), (["solve", "demo-ellipse"], "-5"),
+        (["mc-check", "demo-ellipse"], "999"), (["mc-check", "demo-ellipse"], "0"),
+        (["bench", "bench-3g"], "-1"), (["compare", "demo-ellipse"], "1"),
+    ], ids=lambda c: c if isinstance(c, str) else c[0])
+    def test_mc_n_rejected_before_any_work(self, command, value, monkeypatch, capsys):
+        # below mc_pf's 1000 samples, and negative: 0 means no audit but on mc-check
+        monkeypatch.setattr("quadrel.cli._load_problem", self._no_work)
+        assert main(command + ["--mc-n", value]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "(at --mc-n)" in err
+
+    @staticmethod
+    def _no_work(args):
+        raise AssertionError("the command ran before its flags were checked")
+
     @pytest.mark.parametrize("source,rows,scheme", [
         ("bench-3g", 9, "inscribed-ccd2"),
         ((2, None), 9, "inscribed-ccd2"),
