@@ -275,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("rssl", "form-double-loop", "deterministic"),
                    default="rssl")
     p.add_argument("--mc-n", type=int, default=0,
-                   help="Monte Carlo audit sample count (0 = skip)")
+                   help="Monte Carlo audit sample count, one draw shared by every "
+                        "constraint (0 = skip)")
     p.add_argument("--out", default=None, help="write the result JSON here")
     p.add_argument("--trace", default=None, help="write the iteration trace CSV here")
     p.set_defaults(func=cmd_solve)

@@ -150,10 +150,14 @@ def _require_count(name: str, value, least: int):
 
 
 def mc_pf(g, variables: list[RandomVariable], corr: CorrelationModel | None,
-          n: int, seed: int, chunk_size: int = DEFAULT_CHUNK) -> McEstimate:
+          n: int, seed: int, chunk_size: int = DEFAULT_CHUNK) -> McEstimate | list[McEstimate]:
     """Estimate Prob[g(z) < 0] with ``n`` samples.
 
-    ``g`` must accept an (m, nvar) array and return (m,) values.  The draw
+    ``g`` must accept an (m, nvar) array and return either (m,) values, for
+    which one ``McEstimate`` is returned, or (k, m) values, k limit states
+    on the same samples, for which a list of k estimates is returned, each
+    with this call's ``seed``.  Failures are counted per row, so row i's
+    estimate equals that of a call whose ``g`` returns row i alone.  The draw
     is chunked over two buffers of min(chunk_size, n) x nvar floats.  One
     background thread, the only user of the generator, fills them in chunk
     order: it draws the next chunk while the calling thread maps the
@@ -179,9 +183,27 @@ def mc_pf(g, variables: list[RandomVariable], corr: CorrelationModel | None,
         for j, start in enumerate(starts):
             z_n = pending.popleft().result()
             z = transform_samples(z_n, variables, corr, out=z_n)
-            failures += int(np.count_nonzero(np.asarray(g(z)) < 0.0))
+            failures += _count_failures(g(z), len(z))
             if j + 2 < len(starts):  # into this chunk's buffer, now evaluated
                 pending.append(drawer.submit(draw, starts[j + 2]))
+    if np.ndim(failures) == 0:
+        return _estimate(int(failures), n, seed)
+    return [_estimate(int(k), n, seed) for k in failures]
+
+
+def _count_failures(values, m: int):
+    """Failures per row of one chunk's limit-state values, (m,) or (k, m).
+
+    A function, so that a chunk's values are freed before the next chunk's
+    are computed: with k rows they are k times a chunk's column."""
+    values = np.asarray(values)
+    if values.ndim not in (1, 2) or values.shape[-1] != m:
+        raise DomainError(f"g returned shape {values.shape} for {m} samples; "
+                          f"mc_pf needs ({m},) or (k, {m})")
+    return np.count_nonzero(values < 0.0, axis=-1)
+
+
+def _estimate(failures: int, n: int, seed: int) -> McEstimate:
     pf_hat = failures / n
     hw = 1.96 * np.sqrt(pf_hat * (1.0 - pf_hat) / n)
     return McEstimate(pf_hat=pf_hat, ci95_halfwidth=float(hw), n=n, seed=seed)

@@ -548,10 +548,17 @@ def rbdo_double_loop_form(problem: RbdoProblem, start=None) -> RbdoResult:
 
 
 def mc_audit(problem: RbdoProblem, mu_design, n: int, seed: int):
-    """Per-constraint Monte Carlo estimates at a design point."""
+    """Monte Carlo estimates at a design point, one per constraint.
+
+    One draw of ``n`` samples is shared by every constraint (common random
+    numbers): a single ``mc_pf`` call evaluates all the limit states on each
+    chunk, stacked (n_con, m).  Every estimate carries ``seed`` and equals
+    that of ``mc_pf`` on its constraint alone with the same seed.
+    """
     mu_full = problem.full_mean(np.asarray(mu_design, dtype=float))
     vars_at = problem.variables_at(mu_full)
-    out = []
-    for i, spec in enumerate(problem.constraints):
-        out.append(mc_pf(spec.evaluate, vars_at, problem.corr, n=n, seed=seed + i))
-    return out
+
+    def limit_states(z):
+        return np.array([spec.evaluate(z) for spec in problem.constraints], dtype=float)
+
+    return mc_pf(limit_states, vars_at, problem.corr, n=n, seed=seed)

@@ -72,6 +72,11 @@ def random_correlation(rng, n):
     return correlation_decompose(s[:, None] * cov * s[None, :])
 
 
+def stacked(problem):
+    """Every constraint's limit state on one batch, (n_con, m)."""
+    return lambda z: np.array([spec.evaluate(z) for spec in problem.constraints])
+
+
 class TestReproducibility:
     def test_same_seed_same_estimate(self):
         qn = QuadraticForm(a=np.diag([0.05, -0.08]),
@@ -106,6 +111,25 @@ class TestReproducibility:
                                chunk_size=chunk).pf_hat
                   for chunk in (7, 999, DEFAULT_CHUNK, n)}
             assert len(set(pf.values())) == 1, (spec.name, pf)
+        # and every constraint stacked on one draw, as mc_audit evaluates them
+        pf = {chunk: tuple(e.pf_hat for e in mc_pf(stacked(problem), variables, problem.corr,
+                                                   n=n, seed=5, chunk_size=chunk))
+              for chunk in (7, 999, DEFAULT_CHUNK, n)}
+        assert len(set(pf.values())) == 1, pf
+
+    @pytest.mark.parametrize("name", AUDIT_POINTS)
+    def test_audit_gives_each_constraint_the_same_samples(self, name):
+        # one shared draw: constraint i's estimate is that of mc_pf on it
+        # alone with the call's seed, bit for bit
+        build, point = AUDIT_POINTS[name]
+        problem = build()
+        variables = problem.variables_at(problem.full_mean(np.array(point)))
+        n = 20_000
+        audit = mc_audit(problem, np.array(point), n=n, seed=5)
+        assert len(audit) == len(problem.constraints)
+        for spec, est in zip(problem.constraints, audit):
+            alone = mc_pf(spec.evaluate, variables, problem.corr, n=n, seed=5)
+            assert est == alone, spec.name
 
     def test_different_seeds_differ(self):
         qn = QuadraticForm(a=np.zeros((1, 1)),
@@ -192,6 +216,35 @@ class TestDrawThread:
     def test_no_thread_left_after_a_return(self):
         before = threading.active_count()
         mc_pf(self.linear(), [snv("z")], None, n=10_000, seed=0, chunk_size=1_000)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("fail_on", [1, 3, 10])
+    def test_failing_stacked_limit_state_raises_and_leaves_no_thread(self, fail_on):
+        before = threading.active_count()
+        calls = [0]
+
+        def g(z):
+            calls[0] += 1
+            if calls[0] == fail_on:
+                raise ZeroDivisionError("limit state failed")
+            return np.stack([self.linear()(z), -self.linear()(z)])
+
+        with pytest.raises(ZeroDivisionError, match="limit state failed"):
+            mc_pf(g, [snv("z")], None, n=10_000, seed=0, chunk_size=1_000)
+        assert calls[0] == fail_on
+        assert threading.active_count() == before
+
+    def test_stacked_limit_state_returns_one_estimate_per_row(self):
+        before = threading.active_count()
+        q = self.linear()
+        single = mc_pf(q, [snv("z")], None, n=10_000, seed=0, chunk_size=1_000)
+        one = mc_pf(lambda z: q(z)[None, :], [snv("z")], None, n=10_000, seed=0,
+                    chunk_size=1_000)
+        two = mc_pf(lambda z: np.stack([q(z), -q(z)]), [snv("z")], None, n=10_000, seed=0,
+                    chunk_size=1_000)
+        assert one == [single]
+        assert two[0] == single
+        assert round(two[1].pf_hat * 10_000) == 10_000 - round(single.pf_hat * 10_000)
         assert threading.active_count() == before
 
 
@@ -281,8 +334,8 @@ class TestBlockedKernel:
         n = 20_000
         cases = [
             (problems.crashworthiness(CRASH_CSV), [1.0, 0.9, 1.0, 1.0, 1.75, 0.8, 0.8],
-             [199, 0, 10, 1, 0, 0, 0, 74, 102, 17]),
-            (problems.bench_3g(), [3.4368, 3.2681], [32, 37, 0]),
+             [199, 0, 11, 1, 0, 0, 0, 69, 113, 14]),
+            (problems.bench_3g(), [3.4368, 3.2681], [32, 27, 0]),
             (problems.demo_ellipse_lognormal(), [5.0], [90]),
         ]
         for problem, point, failures in cases:
@@ -351,6 +404,13 @@ class TestValidation:
         qn = QuadraticForm(a=np.zeros((1, 1)), k=np.array([1.0]), c=1.0)
         with pytest.raises(DomainError, match=match):
             mc_pf(qn, [snv("z")], None, n=10_000, seed=seed)
+
+    @pytest.mark.parametrize("shape", [(), (1,), (2, 1), (10_000, 1), (1, 2, 10_000)])
+    def test_limit_state_values_of_another_shape(self, shape):
+        # an (m, 1) column would otherwise count as m limit states of one sample
+        with pytest.raises(DomainError, match="mc_pf needs"):
+            mc_pf(lambda z: np.ones(shape), [snv("z")], None, n=10_000, seed=0,
+                  chunk_size=10_000)
 
     def test_more_columns_than_variables(self):
         # the extra column would be returned uninitialized
