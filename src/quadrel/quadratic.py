@@ -24,6 +24,11 @@ LIFT_EPS = 1e-7
 # when classifying the sign pattern of the transformed quadratic.
 SIGN_ZERO_TOL = 1e-12
 
+# Elements of ``monomial_product``'s monomial rows per block of samples: a
+# block's rows stay in cache between their build and their product, and a
+# call holds one block, not the rows of its whole batch.
+MONOMIAL_BLOCK = 65_536
+
 
 def n_quadratic_coefficients(n: int) -> int:
     """Coefficients of a full quadratic over n variables: c, k and the upper triangle of A."""
@@ -84,6 +89,50 @@ class QuadraticForm:
         # mirror the strict upper triangle; diagonal stays as given
         a = a + np.triu(a, 1).T
         return cls(a=a, k=k, c=c)
+
+
+def monomial_product(forms: list[QuadraticForm]):
+    """The evaluator ``values = evaluate(z)`` of a stack of k quadratics over the
+    same n variables: (k, m) values at a batch z (m, n), as one product.
+
+    A quadratic is linear in its monomials:
+    Q_i(z) = sum_p w_ip z_{I_p} z_{J_p} + k_i . z + c_i, over the upper-triangle
+    pairs (I_p, J_p) that any form of the stack uses, with w_ip = a_ij on the
+    diagonal and 2 a_ij off it (A is symmetric).  A call builds the monomial
+    rows F of its batch -- the products, z itself and a row of ones, shape
+    (p + n + 1, m) -- once, a block of whole samples at a time, and writes
+    ``coef @ F`` of each block into the (k, m) result.  Row i agrees with
+    ``forms[i](z)`` to roundoff, not bit for bit: the sums run in another order.
+    """
+    n = forms[0].dim
+    if any(q.dim != n for q in forms):
+        raise DomainError(f"a stack of quadratics needs one dim, got {[q.dim for q in forms]}")
+    iu, ju = np.triu_indices(n)
+    upper = np.stack([q.a[iu, ju] for q in forms])
+    used = np.flatnonzero(np.any(upper != 0.0, axis=0))
+    pairs = list(zip(iu[used].tolist(), ju[used].tolist()))
+    p = len(pairs)
+    coef = np.hstack([upper[:, used] * np.where(iu[used] == ju[used], 1.0, 2.0),
+                      np.stack([q.k for q in forms]), [[q.c] for q in forms]])
+
+    def evaluate(z: np.ndarray) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        if z.ndim != 2 or z.shape[1] != n:
+            raise DomainError(f"a batch of shape {z.shape} needs {n} columns, one per variable")
+        m = len(z)
+        rows = max(1, min(m, MONOMIAL_BLOCK // (p + n + 1)))
+        values = np.empty((len(forms), m))
+        f = np.empty((p + n + 1, rows))
+        f[-1] = 1.0
+        for start in range(0, m, rows):
+            block = f[:, :min(rows, m - start)]
+            block[p:p + n] = z[start:start + rows].T
+            for row, (i, j) in enumerate(pairs):
+                np.multiply(block[p + i], block[p + j], out=block[row])
+            np.matmul(coef, block, out=values[:, start:start + rows])
+        return values
+
+    return evaluate
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from .quadratic import (
     CorrelationModel,
     QuadraticForm,
     eigenbasis,
+    monomial_product,
     row_dot,
     standard_normal_map,
     to_standard_normal,
@@ -547,18 +548,46 @@ def rbdo_double_loop_form(problem: RbdoProblem, start=None) -> RbdoResult:
     )
 
 
+def stacked_limit_states(constraints: list[ConstraintSpec]):
+    """The limit state ``mc_audit`` passes to ``mc_pf``: every constraint's
+    values at a batch z (m, n), stacked (n_con, m) in constraint order.
+
+    The explicit quadratics are evaluated together, as one product over
+    their monomials (``monomial_product``, built once here); each black box
+    is called on its own.  A quadratic's row agrees with ``spec.evaluate``
+    to roundoff, not bit for bit.
+    """
+    quadratic = [i for i, spec in enumerate(constraints) if spec.quadratic is not None]
+    black_box = [(i, spec) for i, spec in enumerate(constraints) if spec.g is not None]
+    product = monomial_product([constraints[i].quadratic for i in quadratic]) if quadratic else None
+
+    def limit_states(z):
+        stack = product(z) if quadratic else None  # its block is freed before values exists
+        values = np.empty((len(constraints), len(z)))
+        if quadratic:
+            values[quadratic] = stack
+        for i, spec in black_box:
+            row = np.asarray(spec.g(z), dtype=float)
+            if row.shape != (len(z),):
+                raise DomainError(f"{spec.name}: g returned shape {row.shape} for {len(z)} samples")
+            values[i] = row
+        return values
+
+    return limit_states
+
+
 def mc_audit(problem: RbdoProblem, mu_design, n: int, seed: int):
     """Monte Carlo estimates at a design point, one per constraint.
 
     One draw of ``n`` samples is shared by every constraint (common random
     numbers): a single ``mc_pf`` call evaluates all the limit states on each
-    chunk, stacked (n_con, m).  Every estimate carries ``seed`` and equals
-    that of ``mc_pf`` on its constraint alone with the same seed.
+    chunk, stacked (n_con, m) by ``stacked_limit_states``: the explicit
+    quadratics as one product over their monomials, the black boxes one by
+    one.  Every estimate carries ``seed``.  A quadratic's values agree with
+    ``spec.evaluate`` to roundoff; what is shared is the estimate (the
+    failure count), which equals that of ``mc_pf`` on the constraint alone
+    with the same seed.
     """
     mu_full = problem.full_mean(np.asarray(mu_design, dtype=float))
     vars_at = problem.variables_at(mu_full)
-
-    def limit_states(z):
-        return np.array([spec.evaluate(z) for spec in problem.constraints], dtype=float)
-
-    return mc_pf(limit_states, vars_at, problem.corr, n=n, seed=seed)
+    return mc_pf(stacked_limit_states(problem.constraints), vars_at, problem.corr, n=n, seed=seed)

@@ -1,5 +1,6 @@
 """Chunked Monte Carlo failure-probability estimation."""
 
+import dataclasses
 import gc
 import os
 import sys
@@ -16,7 +17,7 @@ from quadrel.errors import DomainError
 from quadrel.form import fd_gradient
 from quadrel.montecarlo import BLOCK_SIZE, DEFAULT_CHUNK, marginal_map, mc_pf, transform_samples
 from quadrel.quadratic import QuadraticForm, correlation_decompose
-from quadrel.solver import mc_audit
+from quadrel.solver import ConstraintSpec, mc_audit, stacked_limit_states
 from quadrel.variables import Kind, RandomVariable, Role
 
 CRASH_CSV = os.path.join(os.path.dirname(__file__), "data", "crash_coefficients.csv")
@@ -28,6 +29,21 @@ AUDIT_POINTS = {
     "bench-3g": (problems.bench_3g, [3.4368, 3.2681]),
     "demo-ellipse-lognormal": (problems.demo_ellipse_lognormal, [5.0]),
 }
+
+
+def interleaved():
+    """bench-3g's three black boxes with two explicit quadratics between them."""
+    problem = problems.bench_3g()
+    g1, g2, g3 = problem.constraints
+    q1 = ConstraintSpec("q1", quadratic=QuadraticForm([[0.0, 0.25], [0.25, 0.0]], [0.0, 0.0], -5.3),
+                        beta_d=3.0)
+    q2 = ConstraintSpec("q2", quadratic=QuadraticForm([[1.0, 0.0], [0.0, 0.0]], [0.0, -1.0], -8.0),
+                        beta_d=3.0)
+    return dataclasses.replace(problem, constraints=[g1, q1, g2, q2, g3])
+
+
+# and one problem whose limit states mix both kinds, at bench-3g's point
+AUDIT_CASES = {**AUDIT_POINTS, "interleaved": (interleaved, [3.4368, 3.2681])}
 
 
 def snv(name):
@@ -72,11 +88,6 @@ def random_correlation(rng, n):
     return correlation_decompose(s[:, None] * cov * s[None, :])
 
 
-def stacked(problem):
-    """Every constraint's limit state on one batch, (n_con, m)."""
-    return lambda z: np.array([spec.evaluate(z) for spec in problem.constraints])
-
-
 class TestReproducibility:
     def test_same_seed_same_estimate(self):
         qn = QuadraticForm(a=np.diag([0.05, -0.08]),
@@ -111,17 +122,19 @@ class TestReproducibility:
                                chunk_size=chunk).pf_hat
                   for chunk in (7, 999, DEFAULT_CHUNK, n)}
             assert len(set(pf.values())) == 1, (spec.name, pf)
-        # and every constraint stacked on one draw, as mc_audit evaluates them
-        pf = {chunk: tuple(e.pf_hat for e in mc_pf(stacked(problem), variables, problem.corr,
+        # and every constraint stacked on one draw by mc_audit's evaluator
+        g = stacked_limit_states(problem.constraints)
+        pf = {chunk: tuple(e.pf_hat for e in mc_pf(g, variables, problem.corr,
                                                    n=n, seed=5, chunk_size=chunk))
               for chunk in (7, 999, DEFAULT_CHUNK, n)}
         assert len(set(pf.values())) == 1, pf
 
-    @pytest.mark.parametrize("name", AUDIT_POINTS)
+    @pytest.mark.parametrize("name", AUDIT_CASES)
     def test_audit_gives_each_constraint_the_same_samples(self, name):
         # one shared draw: constraint i's estimate is that of mc_pf on it
-        # alone with the call's seed, bit for bit
-        build, point = AUDIT_POINTS[name]
+        # alone with the call's seed, bit for bit, whichever kind its limit
+        # state is and wherever it sits among the others
+        build, point = AUDIT_CASES[name]
         problem = build()
         variables = problem.variables_at(problem.full_mean(np.array(point)))
         n = 20_000

@@ -15,6 +15,7 @@ from quadrel.quadratic import (
     correlation_decompose,
     eigenbasis,
     moment_sums,
+    monomial_product,
     spectral,
     standard_normal_map,
     to_standard_normal,
@@ -80,6 +81,48 @@ class TestQuadraticForm:
     def test_from_flat_length_check(self):
         with pytest.raises(DomainError):
             QuadraticForm.from_flat(np.zeros(7), 3)
+
+
+class TestMonomialProduct:
+    """A stack of quadratics evaluated as one product over their monomials."""
+
+    @given(st.sampled_from(["dense", "diagonal", "mixed", "linear"]),
+           st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=5),
+           st.sampled_from([1, 7, 999, 20_000]), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_rows_match_each_form(self, sparsity, n, k, m, seed):
+        # row i is forms[i](z) to roundoff, relative to the sum of its terms'
+        # magnitudes; "linear" stacks have A = 0 and so no monomial at all,
+        # and 20 000 samples span several blocks of four or more monomial rows
+        rng = np.random.default_rng(seed)
+        forms = []
+        for _ in range(k):
+            pattern = rng.choice(["dense", "diagonal", "zero", "sparse"]) \
+                if sparsity == "mixed" else sparsity
+            a = rng.standard_normal((n, n)) * rng.uniform(0.1, 10.0)
+            if pattern == "diagonal":
+                a = np.diag(np.diag(a))
+            elif pattern == "sparse":
+                a = a * (rng.random((n, n)) < 0.3)
+            elif pattern in ("zero", "linear"):
+                a = np.zeros((n, n))
+            forms.append(QuadraticForm(a, rng.standard_normal(n) * 3.0, rng.standard_normal()))
+        z = rng.standard_normal((m, n)) * 2.0
+        got = monomial_product(forms)(z)
+        assert got.shape == (k, m)
+        for q, row in zip(forms, got):
+            scale = np.einsum("ij,jk,ik->i", np.abs(z), np.abs(q.a), np.abs(z)) \
+                + np.abs(z) @ np.abs(q.k) + abs(q.c)
+            assert np.all(np.abs(row - q(z)) <= 1e-12 * scale), (q, row - q(z))
+
+    def test_shape_validation(self):
+        two = QuadraticForm(np.eye(2), np.zeros(2), 0.0)
+        with pytest.raises(DomainError):
+            monomial_product([two, QuadraticForm(np.eye(3), np.zeros(3), 0.0)])
+        with pytest.raises(DomainError):
+            monomial_product([two])(np.zeros((4, 3)))
+        with pytest.raises(DomainError):
+            monomial_product([two])(np.zeros(2))
 
 
 class TestCorrelation:

@@ -1056,3 +1056,13 @@ class TestMcAudit:
         b = mc_audit(problem, np.array([4.85]), n=200_000, seed=99)
         assert [e.pf_hat for e in a] == [e.pf_hat for e in b]
         assert 0.0 < a[0].pf_hat < 1.0
+
+    @pytest.mark.parametrize("shape", [(), (1,), (1_000, 1)])
+    def test_black_box_of_another_shape_names_its_constraint(self, shape):
+        # a scalar would otherwise fill its row of the stack for every sample
+        problem = bench_3g()
+        g1, g2, g3 = problem.constraints
+        bad = ConstraintSpec("g_bad", g=lambda z: np.ones(shape), beta_d=3.0)
+        problem.constraints = [g1, bad, g2, g3]
+        with pytest.raises(DomainError, match="g_bad: g returned shape"):
+            mc_audit(problem, np.array([3.4, 3.3]), n=1_000, seed=0)
