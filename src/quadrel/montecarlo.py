@@ -164,11 +164,12 @@ def mc_pf(g, variables: list[RandomVariable], corr: CorrelationModel | None,
     current one in place with ``transform_samples`` and evaluates ``g`` on
     it, and each buffer is queued for its next draw as soon as its chunk is
     evaluated.  Consecutive draws from one generator concatenate, so the
-    estimate depends on (seed, n) only, not on ``chunk_size``.  That holds
-    for the failure counts, not for the values: a quadratic's value at a
+    estimate depends on (seed, n) only, not on ``chunk_size``, up to
+    samples whose g lies within roundoff of 0: a quadratic's value at a
     sample may differ in the last bit with the number of rows evaluated
     alongside it (numpy's and BLAS's kernels depend on the shape), for
-    ``QuadraticForm`` and ``monomial_product`` alike.
+    ``QuadraticForm`` and ``monomial_product`` alike, so such a sample can
+    be counted at one chunk size and not at another.
     """
     _require_count("n", n, MIN_SAMPLES)
     _require_count("chunk_size", chunk_size, 1)

@@ -100,9 +100,14 @@ def monomial_product(forms: list[QuadraticForm]):
     pairs (I_p, J_p) that any form of the stack uses, with w_ip = a_ij on the
     diagonal and 2 a_ij off it (A is symmetric).  A call builds the monomial
     rows F of its batch -- the products, z itself and a row of ones, shape
-    (p + n + 1, m) -- once, a block of whole samples at a time, and writes
+    (p + n + 1, m) -- once, a block of whole samples at a time, with the p
+    products as one gather of z's rows I and J and one multiply, and writes
     ``coef @ F`` of each block into the (k, m) result.  Row i agrees with
     ``forms[i](z)`` to roundoff, not bit for bit: the sums run in another order.
+
+    The rows cost p + n + 1 floats per sample, against n for a form's own
+    (m, n) x (n, n) product, so a stack of a few dense forms in many
+    variables runs slower this way than form by form.
     """
     n = forms[0].dim
     if any(q.dim != n for q in forms):
@@ -110,9 +115,9 @@ def monomial_product(forms: list[QuadraticForm]):
     iu, ju = np.triu_indices(n)
     upper = np.stack([q.a[iu, ju] for q in forms])
     used = np.flatnonzero(np.any(upper != 0.0, axis=0))
-    pairs = list(zip(iu[used].tolist(), ju[used].tolist()))
-    p = len(pairs)
-    coef = np.hstack([upper[:, used] * np.where(iu[used] == ju[used], 1.0, 2.0),
+    i_used, j_used = iu[used], ju[used]
+    p = len(used)
+    coef = np.hstack([upper[:, used] * np.where(i_used == j_used, 1.0, 2.0),
                       np.stack([q.k for q in forms]), [[q.c] for q in forms]])
 
     def evaluate(z: np.ndarray) -> np.ndarray:
@@ -124,12 +129,18 @@ def monomial_product(forms: list[QuadraticForm]):
         values = np.empty((len(forms), m))
         f = np.empty((p + n + 1, rows))
         f[-1] = 1.0
+        right = np.empty((p, rows))
         for start in range(0, m, rows):
-            block = f[:, :min(rows, m - start)]
-            block[p:p + n] = z[start:start + rows].T
-            for row, (i, j) in enumerate(pairs):
-                np.multiply(block[p + i], block[p + j], out=block[row])
-            np.matmul(coef, block, out=values[:, start:start + rows])
+            r = min(rows, m - start)
+            block = f[:, :r]
+            zt = block[p:p + n]
+            zt[...] = z[start:start + r].T
+            # take with out and mode="clip" (the indices are in range) writes
+            # in place; z[I] would allocate and gather more slowly
+            np.take(zt, i_used, axis=0, out=block[:p], mode="clip")
+            np.take(zt, j_used, axis=0, out=right[:, :r], mode="clip")
+            np.multiply(block[:p], right[:, :r], out=block[:p])
+            np.matmul(coef, block, out=values[:, start:start + r])
         return values
 
     return evaluate

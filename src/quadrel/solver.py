@@ -553,19 +553,21 @@ def stacked_limit_states(constraints: list[ConstraintSpec]):
     values at a batch z (m, n), stacked (n_con, m) in constraint order.
 
     The explicit quadratics are evaluated together, as one product over
-    their monomials (``monomial_product``, built once here); each black box
-    is called on its own.  A quadratic's row agrees with ``spec.evaluate``
-    to roundoff, not bit for bit.
+    their monomials (``monomial_product``, built once here, with a zero form
+    in each black box's row); each black box is then called on its own and
+    fills its row.  A quadratic's row agrees with ``spec.evaluate`` to
+    roundoff, not bit for bit.
     """
-    quadratic = [i for i, spec in enumerate(constraints) if spec.quadratic is not None]
     black_box = [(i, spec) for i, spec in enumerate(constraints) if spec.g is not None]
-    product = monomial_product([constraints[i].quadratic for i in quadratic]) if quadratic else None
+    quadratics = [spec.quadratic for spec in constraints if spec.quadratic is not None]
+    if quadratics:
+        n = quadratics[0].dim
+        zero = QuadraticForm(np.zeros((n, n)), np.zeros(n), 0.0)
+        product = monomial_product([zero if spec.quadratic is None else spec.quadratic
+                                    for spec in constraints])
 
     def limit_states(z):
-        stack = product(z) if quadratic else None  # its block is freed before values exists
-        values = np.empty((len(constraints), len(z)))
-        if quadratic:
-            values[quadratic] = stack
+        values = product(z) if quadratics else np.empty((len(constraints), len(z)))
         for i, spec in black_box:
             row = np.asarray(spec.g(z), dtype=float)
             if row.shape != (len(z),):
@@ -584,9 +586,10 @@ def mc_audit(problem: RbdoProblem, mu_design, n: int, seed: int):
     chunk, stacked (n_con, m) by ``stacked_limit_states``: the explicit
     quadratics as one product over their monomials, the black boxes one by
     one.  Every estimate carries ``seed``.  A quadratic's values agree with
-    ``spec.evaluate`` to roundoff; what is shared is the estimate (the
-    failure count), which equals that of ``mc_pf`` on the constraint alone
-    with the same seed.
+    ``spec.evaluate`` to roundoff, so each failure count equals that of
+    ``mc_pf`` on the constraint alone with the same seed except for samples
+    whose g lies within roundoff of 0, which one evaluation can count and the
+    other not.
     """
     mu_full = problem.full_mean(np.asarray(mu_design, dtype=float))
     vars_at = problem.variables_at(mu_full)
