@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DivisionGuardError, DomainError
 from .quadratic import QuadraticForm, moment_sums, row_dot, spectral
-from .variables import hermite_prob, std_normal, std_normal_inv
+from .variables import std_normal, std_normal_inv
 
 
 class Branch(str, Enum):
@@ -94,14 +94,15 @@ def pf_mixed(gamma, kbar, cprime):
     var = np.add.reduce(2.0 * gamma**2 + kbar**2, -1)
     kappa1 = -(cprime + np.add.reduce(gamma, -1)) / np.sqrt(var)
     pdf, cdf = std_normal(kappa1)
-    # Edgeworth expansion in the standardized quadratic: skewness term
-    # with H2, kurtosis term with H3, skewness-squared term with H5
-    # (H5 computed inline; the public Hermite helper stops at degree 3).
+    # Edgeworth expansion in the standardized quadratic, with the probabilists'
+    # Hermite polynomials H2 (skewness), H3 (kurtosis) and H5 (skewness squared)
+    h2 = kappa1 * kappa1 - 1.0
+    h3 = kappa1 * kappa1 * kappa1 - 3.0 * kappa1
     h5 = _pow(kappa1, 5) - 10.0 * _pow(kappa1, 3) + 15.0 * kappa1
     corr = (
-        math.sqrt(2.0) / 3.0 * hermite_prob(2, kappa1) * m3 / _pow(m2, 1.5)
+        math.sqrt(2.0) / 3.0 * h2 * m3 / _pow(m2, 1.5)
         + h5 / 9.0 * _pow(m3, 2) / _pow(m2, 3)
-        + hermite_prob(3, kappa1) / 2.0 * m4 / _pow(m2, 2)
+        + h3 / 2.0 * m4 / _pow(m2, 2)
     )
     return cdf - pdf * corr, kappa1
 
@@ -139,10 +140,10 @@ def pf_same_sign(gamma, kbar, cprime):
             * (_pow(ratio, h) - 1.0 - h * (h - 1.0) * m2 / _pow(m1, 2))
         )
         pdf, cdf = std_normal(kappa2)
+        h3 = kappa2 * kappa2 * kappa2 - 3.0 * kappa2  # Hermite H3; H1 is kappa2 itself
         p = cdf - pdf * (
-            hermite_prob(3, kappa2)
-            * (m4 / (2.0 * m2_2) - 20.0 * m3_2 / (27.0 * m2_3) + 2.0 * m3 / (9.0 * m1 * m2))
-            + hermite_prob(1, kappa2) * (-2.0 * m3_2 / (3.0 * m2_3) + 2.0 * m3 / (3.0 * m1 * m2))
+            h3 * (m4 / (2.0 * m2_2) - 20.0 * m3_2 / (27.0 * m2_3) + 2.0 * m3 / (9.0 * m1 * m2))
+            + kappa2 * (-2.0 * m3_2 / (3.0 * m2_3) + 2.0 * m3 / (3.0 * m1 * m2))
         )
     flipped = (sign_gamma * h < 0.0) & ~exact
     pf_raw = np.where(exact, np.where(sign_gamma > 0.0, 0.0, 1.0),

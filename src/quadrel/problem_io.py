@@ -5,8 +5,7 @@ A problem file is a JSON document with sections ``variables``,
 (optional global default), ``solver`` and ``doe`` (both optional).
 ``build_problem`` checks each field as it builds it and reports the
 JSON path of the offending one; a key outside an object's documented
-fields is an error too.  Documents round-trip: saving a loaded
-document and reloading it reproduces an identical in-memory problem.
+fields is an error too.
 """
 
 from __future__ import annotations
@@ -97,13 +96,6 @@ def load_document(path) -> dict:
     return doc
 
 
-def save_document(doc: dict, path):
-    build_problem(doc)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _build_variable(v, p: str, names: list[str]) -> RandomVariable:
     _require(isinstance(v, dict), "variable entries must be objects", p)
     _known_fields(v, {"name", "kind", "role", "mean", "value", "std", "cv", "lower", "upper"}, p)
@@ -140,6 +132,7 @@ def _compile_expression(expr: str, names: list[str], path: str):
         if used not in names and used not in _EXPR_NAMES:
             raise ProblemFormatError(f"unknown name {used!r} in expression",
                                      path=path)
+    _require(set(code.co_names) & set(names), "expression names no variable", path)
     idx = {name: i for i, name in enumerate(names)}
 
     def g(z):

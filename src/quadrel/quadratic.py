@@ -69,11 +69,6 @@ class QuadraticForm:
         z = np.asarray(z, dtype=float)
         return 2.0 * self.a @ z + self.k
 
-    def to_flat(self) -> np.ndarray:
-        """Flat layout (c, k_1..k_n, upper triangle of A row-major)."""
-        iu = np.triu_indices(self.dim)
-        return np.concatenate(([self.c], self.k, self.a[iu]))
-
     @classmethod
     def from_flat(cls, coeffs, dim: int) -> "QuadraticForm":
         coeffs = np.asarray(coeffs, dtype=float)

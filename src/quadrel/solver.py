@@ -172,7 +172,7 @@ class RbdoResult:
 
 
 def _counted_limit_states(problem: RbdoProblem, counters: EvalCounters):
-    """Every constraint's limit state over a batch (m, n), as an (n_con, m) array.
+    """The one stacker, ``stacked_limit_states``, over a batch (m, n), counted.
 
     Each row counts one black-box evaluation per black-box constraint.  With
     shared evaluations one system call serves every constraint, so a row
@@ -181,11 +181,12 @@ def _counted_limit_states(problem: RbdoProblem, counters: EvalCounters):
     """
     n_blackbox = sum(spec.quadratic is None for spec in problem.constraints)
     per_row = min(n_blackbox, 1) if problem.shared_evaluations else n_blackbox
+    limit_states = stacked_limit_states(problem.constraints)
 
     def evaluate(z_batch):
         z_batch = np.atleast_2d(np.asarray(z_batch, dtype=float))
         counters.deterministic_g_evals += per_row * z_batch.shape[0]
-        return np.array([spec.evaluate(z_batch) for spec in problem.constraints], dtype=float)
+        return limit_states(z_batch)
 
     return evaluate
 
@@ -549,14 +550,15 @@ def rbdo_double_loop_form(problem: RbdoProblem, start=None) -> RbdoResult:
 
 
 def stacked_limit_states(constraints: list[ConstraintSpec]):
-    """The limit state ``mc_audit`` passes to ``mc_pf``: every constraint's
-    values at a batch z (m, n), stacked (n_con, m) in constraint order.
+    """Every constraint's values at a batch z (m, n), stacked (n_con, m) in
+    constraint order: the one stacker, serving the deterministic phase and the
+    DOE batch (through ``_counted_limit_states``) and the Monte Carlo audit.
 
     The explicit quadratics are evaluated together, as one product over
     their monomials (``monomial_product``, built once here, with a zero form
     in each black box's row); each black box is then called on its own and
-    fills its row.  A quadratic's row agrees with ``spec.evaluate`` to
-    roundoff, not bit for bit.
+    fills its row, which must hold one value per row of z.  A quadratic's row
+    agrees with ``spec.evaluate`` to roundoff, not bit for bit.
     """
     black_box = [(i, spec) for i, spec in enumerate(constraints) if spec.g is not None]
     quadratics = [spec.quadratic for spec in constraints if spec.quadratic is not None]

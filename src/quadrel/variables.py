@@ -1,7 +1,6 @@
 """Scalar probability primitives.
 
-Standard normal pdf/cdf/inverse, probabilists' Hermite polynomials and
-per-variable marginal pdf/cdf.
+Standard normal pdf/cdf/inverse and the random variables of a problem.
 """
 
 from __future__ import annotations
@@ -47,17 +46,6 @@ def std_normal_inv(p):
         raise DomainError(f"std_normal_inv requires 0 < p < 1, got {p}")
     out = ndtri(arr)
     return float(out) if out.ndim == 0 else out
-
-
-def hermite_prob(i: int, x):
-    """Probabilists' Hermite polynomial H_i for i in {1, 2, 3}."""
-    if i == 1:
-        return x
-    if i == 2:
-        return x * x - 1.0
-    if i == 3:
-        return x * x * x - 3.0 * x
-    raise DomainError(f"hermite_prob supports i in {{1, 2, 3}}, got {i}")
 
 
 @dataclass(frozen=True)
@@ -117,20 +105,3 @@ class RandomVariable:
         zeta2 = math.log1p((self.std / self.mean) ** 2)
         lam = math.log(self.mean) - 0.5 * zeta2
         return lam, math.sqrt(zeta2)
-
-
-def variable_pdf_cdf(v: RandomVariable, x: float):
-    """Marginal (pdf, cdf) of ``v`` at ``x``."""
-    if v.kind is Kind.NORMAL:
-        u = (x - v.mean) / v.std
-        pdf, cdf = std_normal(u)
-        return pdf / v.std, cdf
-    if v.kind is Kind.LOGNORMAL:
-        if x <= 0.0:
-            raise DomainError(f"{v.name}: lognormal pdf/cdf requires x > 0, got {x}")
-        lam, zeta = v.log_params()
-        u = (math.log(x) - lam) / zeta
-        pdf, cdf = std_normal(u)
-        return pdf / (x * zeta), cdf
-    raise DomainError(f"{v.name}: pdf/cdf undefined for deterministic variables")
-

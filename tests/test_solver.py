@@ -1057,12 +1057,18 @@ class TestMcAudit:
         assert [e.pf_hat for e in a] == [e.pf_hat for e in b]
         assert 0.0 < a[0].pf_hat < 1.0
 
-    @pytest.mark.parametrize("shape", [(), (1,), (1_000, 1)])
-    def test_black_box_of_another_shape_names_its_constraint(self, shape):
-        # a scalar would otherwise fill its row of the stack for every sample
+    @pytest.mark.parametrize("run", [
+        pytest.param(lambda p: mc_audit(p, np.array([3.4, 3.3]), n=1_000, seed=0), id="audit"),
+        pytest.param(rssl_solve, id="phase1"),
+        pytest.param(lambda p: build_surrogates(p, np.array([3.4, 3.3]), 3.0), id="doe")])
+    @pytest.mark.parametrize("shape", [(), (1,), (None, 1)])
+    def test_black_box_of_another_shape_names_its_constraint(self, shape, run):
+        # a scalar would otherwise fill its row of the stack for every sample;
+        # None stands for the batch's rows (m, 1)
         problem = bench_3g()
         g1, g2, g3 = problem.constraints
-        bad = ConstraintSpec("g_bad", g=lambda z: np.ones(shape), beta_d=3.0)
+        bad = ConstraintSpec("g_bad", beta_d=3.0,
+                             g=lambda z: np.ones([len(z) if s is None else s for s in shape]))
         problem.constraints = [g1, bad, g2, g3]
         with pytest.raises(DomainError, match="g_bad: g returned shape"):
-            mc_audit(problem, np.array([3.4, 3.3]), n=1_000, seed=0)
+            run(problem)

@@ -1,5 +1,5 @@
-"""Scalar probability primitives: normal functions, Hermite polynomials,
-marginals and equivalent normalization."""
+"""Scalar probability primitives: normal functions, random variables, the
+marginal inverse CDF and equivalent normalization."""
 
 import math
 
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
+from scipy.stats import lognorm, norm
 
 from quadrel.errors import DomainError
 from quadrel.form import fd_gradient
@@ -18,15 +19,21 @@ from quadrel.variables import (
     Kind,
     RandomVariable,
     Role,
-    hermite_prob,
     std_normal,
     std_normal_inv,
-    variable_pdf_cdf,
 )
 
 
 def nv(mean, std, name="x", role=Role.PARAMETER, **kw):
     return RandomVariable(name, Kind.NORMAL, role, mean, std, **kw)
+
+
+def marginal(v):
+    """The reference marginal of a normal or lognormal ``v``, from scipy.stats."""
+    if v.kind is Kind.LOGNORMAL:
+        lam, zeta = v.log_params()
+        return lognorm(zeta, scale=math.exp(lam))
+    return norm(v.mean, v.std)
 
 
 class TestStdNormal:
@@ -77,28 +84,6 @@ class TestStdNormal:
         assert np.all(np.diff(cdfs) > 0)
 
 
-class TestHermite:
-    def test_h2_at_zero(self):
-        assert hermite_prob(2, 0.0) == -1.0
-
-    def test_h3_values(self):
-        assert hermite_prob(3, 1.0) == -2.0
-        assert hermite_prob(3, 2.0) == 2.0
-
-    @given(st.floats(min_value=-10, max_value=10))
-    def test_recurrence(self, x):
-        # H_{n+1}(x) = x H_n(x) - n H_{n-1}(x), with H_0 = 1
-        assert hermite_prob(2, x) == pytest.approx(x * hermite_prob(1, x) - 1.0, rel=1e-12, abs=1e-12)
-        assert hermite_prob(3, x) == pytest.approx(
-            x * hermite_prob(2, x) - 2.0 * hermite_prob(1, x), rel=1e-12, abs=1e-12
-        )
-
-    @pytest.mark.parametrize("i", [0, 4, -1])
-    def test_index_domain(self, i):
-        with pytest.raises(DomainError):
-            hermite_prob(i, 0.0)
-
-
 class TestRandomVariable:
     def test_negative_std_rejected(self):
         with pytest.raises(DomainError):
@@ -124,48 +109,12 @@ class TestRandomVariable:
 
 
 class TestMarginals:
-    def test_normal_at_mean(self):
-        pdf, cdf = variable_pdf_cdf(nv(0.0, 1.0), 0.0)
-        assert pdf == pytest.approx(0.3989422804014327, rel=1e-12)
-        assert cdf == 0.5
-
-    def test_normal_scaling(self):
-        pdf, cdf = variable_pdf_cdf(nv(2.0, 0.5), 2.5)
-        ref_pdf, ref_cdf = std_normal(1.0)
-        assert pdf == pytest.approx(ref_pdf / 0.5, rel=1e-12)
-        assert cdf == pytest.approx(ref_cdf, rel=1e-12)
-
-    def test_lognormal_median(self):
-        v = RandomVariable("x", Kind.LOGNORMAL, Role.PARAMETER, 2.0, 0.6)
-        lam, _ = v.log_params()
-        _, cdf = variable_pdf_cdf(v, math.exp(lam))
-        assert cdf == pytest.approx(0.5, abs=1e-12)
-
-    def test_lognormal_point_values(self):
-        # frozen quadrature oracle for Lognormal(mean=1, std=0.3) at x=1:
-        # pdf directly from the density, cdf by adaptive quadrature
-        v = RandomVariable("x", Kind.LOGNORMAL, Role.PARAMETER, 1.0, 0.3)
-        pdf, cdf = variable_pdf_cdf(v, 1.0)
-        assert pdf == pytest.approx(1.344417984756, rel=1e-9)
-        assert cdf == pytest.approx(0.558347239143, rel=1e-9)
-
-    def test_lognormal_domain(self):
-        v = RandomVariable("x", Kind.LOGNORMAL, Role.PARAMETER, 1.0, 0.3)
-        with pytest.raises(DomainError):
-            variable_pdf_cdf(v, -0.5)
-
-    def test_deterministic_unsupported(self):
-        v = RandomVariable("d", Kind.DETERMINISTIC, Role.DETERMINISTIC_DESIGN, 2.0)
-        with pytest.raises(DomainError):
-            variable_pdf_cdf(v, 2.0)
-
     @given(st.floats(min_value=0.01, max_value=0.99))
     def test_inverse_cdf_round_trip(self, p):
         # transform_samples is the marginal inverse CDF that MC and FORM run
         v = RandomVariable("x", Kind.LOGNORMAL, Role.PARAMETER, 1.5, 0.4)
         x = transform_samples(np.array([[ndtri(p)]]), [v], None)[0, 0]
-        _, cdf = variable_pdf_cdf(v, x)
-        assert cdf == pytest.approx(p, abs=1e-10)
+        assert marginal(v).cdf(x) == pytest.approx(p, abs=1e-10)
 
 
 class TestEquivalentNormal:
@@ -195,7 +144,7 @@ class TestEquivalentNormal:
         v = RandomVariable("x", Kind.LOGNORMAL, Role.PARAMETER, mean, cv * mean)
         m, mu_eq = standard_normal_map([v], None)
         sigma_eq = m[0, 0]
-        pdf, cdf = variable_pdf_cdf(v, mean)
+        pdf, cdf = marginal(v).pdf(mean), marginal(v).cdf(mean)
         n_pdf, n_cdf = std_normal((mean - mu_eq[0]) / sigma_eq)
         assert n_pdf / sigma_eq == pytest.approx(pdf, rel=1e-12)
         assert n_cdf == pytest.approx(cdf, rel=1e-12)
@@ -218,7 +167,7 @@ class TestEquivalentNormal:
         problem = builtin_problems()[name]()
         variables = problem.variables_at(problem.full_mean(problem.design_start()))
         means = np.array([v.mean for v in variables])
-        y = np.array([0.0 if v.is_deterministic else ndtri(variable_pdf_cdf(v, v.mean)[1])
+        y = np.array([0.0 if v.is_deterministic else ndtri(marginal(v).cdf(v.mean))
                       for v in variables])
         corr = problem.corr
         u = y if corr is None else np.linalg.solve(corr.l, y)
