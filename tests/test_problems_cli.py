@@ -8,7 +8,7 @@ import pytest
 
 from quadrel.cli import main
 from quadrel.errors import DomainError, ProblemFormatError, UnsupportedDesignError
-from quadrel.problem_io import build_problem, result_to_dict
+from quadrel.problem_io import build_problem, load_document, result_to_dict
 from quadrel.problems import (
     builtin_problems,
     crashworthiness,
@@ -162,6 +162,19 @@ class TestCrashworthiness:
 
 
 class TestProblemDocuments:
+    def test_round_trip_identity(self, tmp_path):
+        # a document read back from its file builds the same problem
+        doc = ellipse_doc()
+        path = tmp_path / "ellipse.json"
+        write_document(doc, path)
+        loaded = load_document(path)
+        assert loaded == doc
+        a = build_problem(doc)
+        b = build_problem(loaded)
+        z = np.array([[4.0, 3.0]])
+        assert a.constraints[0].evaluate(z)[0] == b.constraints[0].evaluate(z)[0]
+        assert a.objective(np.array([4.0])) == b.objective(np.array([4.0]))
+
     def test_expression_constraint(self):
         doc = ellipse_doc()
         doc["constraints"] = [{"expression": "x1**2 * p1 / 20 - 1"}]

@@ -64,6 +64,19 @@ class TestQuadraticForm:
             fd = (q(zp) - q(zm)) / (2.0 * h)
             assert q.gradient(z)[i] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
+    @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=50)
+    def test_flat_round_trip(self, n, seed):
+        # the flat layout is (c, k_1..k_n, upper triangle of A row-major)
+        rng = np.random.default_rng(seed)
+        q = QuadraticForm(a=rng.uniform(-5.0, 5.0, (n, n)), k=rng.uniform(-5.0, 5.0, n),
+                          c=rng.uniform(-5.0, 5.0))
+        flat = np.concatenate(([q.c], q.k, q.a[np.triu_indices(n)]))
+        q2 = QuadraticForm.from_flat(flat, n)
+        assert np.array_equal(q2.a, q.a)
+        assert np.array_equal(q2.k, q.k)
+        assert q2.c == q.c
+
     def test_from_flat_length_check(self):
         with pytest.raises(DomainError):
             QuadraticForm.from_flat(np.zeros(7), 3)

@@ -108,7 +108,54 @@ class TestRandomVariable:
         assert moved.lower == -math.inf and moved.upper == math.inf
 
 
+def mapped(v, u):
+    """``v`` at the standard normal draw ``u``, through the program's marginal
+    map, and its density there: phi(u) over the map's slope dx/du."""
+    apply = marginal_map([v], None)
+    x = apply(np.array([[u]]))[0]
+    slope = apply.chain_rule(x, np.ones(1))[0]
+    return x[0], std_normal(u)[0] / slope
+
+
 class TestMarginals:
+    def test_normal_at_mean(self):
+        x, pdf = mapped(nv(0.0, 1.0), 0.0)
+        assert x == 0.0
+        assert pdf == pytest.approx(0.3989422804014327, rel=1e-12)
+
+    def test_normal_scaling(self):
+        x, pdf = mapped(nv(2.0, 0.5), 1.0)
+        assert x == pytest.approx(2.5, rel=1e-15)
+        assert pdf == pytest.approx(std_normal(1.0)[0] / 0.5, rel=1e-12)
+
+    def test_lognormal_median(self):
+        v = RandomVariable("x", Kind.LOGNORMAL, Role.PARAMETER, 2.0, 0.6)
+        lam, _ = v.log_params()
+        x, _ = mapped(v, 0.0)
+        assert x == pytest.approx(math.exp(lam), rel=1e-15)
+
+    def test_lognormal_point_values(self):
+        # frozen quadrature oracle for Lognormal(mean=1, std=0.3) at x=1:
+        # pdf directly from the density, cdf by adaptive quadrature
+        v = RandomVariable("x", Kind.LOGNORMAL, Role.PARAMETER, 1.0, 0.3)
+        x, pdf = mapped(v, ndtri(0.558347239143))
+        assert x == pytest.approx(1.0, rel=1e-9)
+        assert pdf == pytest.approx(1.344417984756, rel=1e-9)
+
+    def test_lognormal_stays_positive(self):
+        # deep in the lower tail the map still lands in the lognormal's domain
+        v = RandomVariable("x", Kind.LOGNORMAL, Role.PARAMETER, 1.0, 0.3)
+        x, pdf = mapped(v, -8.0)
+        assert x > 0.0 and pdf > 0.0
+        assert pdf == pytest.approx(marginal(v).pdf(x), rel=1e-9)
+
+    def test_deterministic_is_its_value(self):
+        v = RandomVariable("d", Kind.DETERMINISTIC, Role.DETERMINISTIC_DESIGN, 2.0)
+        apply = marginal_map([v], None)
+        z = apply(np.array([[-1.0], [0.0], [3.0]]))
+        assert np.all(z == 2.0)
+        assert apply.chain_rule(z[0], np.ones(1))[0] == 0.0
+
     @given(st.floats(min_value=0.01, max_value=0.99))
     def test_inverse_cdf_round_trip(self, p):
         # transform_samples is the marginal inverse CDF that MC and FORM run
