@@ -9,8 +9,6 @@ so the estimator is a valid independent oracle for the closed forms
 from __future__ import annotations
 
 import numbers
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,40 +155,27 @@ def mc_pf(g, variables: list[RandomVariable], corr: CorrelationModel | None,
     which one ``McEstimate`` is returned, or (k, m) values, k limit states
     on the same samples, for which a list of k estimates is returned, each
     with this call's ``seed``.  Failures are counted per row, so row i's
-    estimate equals that of a call whose ``g`` returns row i alone.  The draw
-    is chunked over two buffers of min(chunk_size, n) x nvar floats.  One
-    background thread, the only user of the generator, fills them in chunk
-    order: it draws the next chunk while the calling thread maps the
-    current one in place with ``transform_samples`` and evaluates ``g`` on
-    it, and each buffer is queued for its next draw as soon as its chunk is
-    evaluated.  Consecutive draws from one generator concatenate, so the
-    estimate depends on (seed, n) only, not on ``chunk_size``, up to
-    samples whose g lies within roundoff of 0: a quadratic's value at a
-    sample may differ in the last bit with the number of rows evaluated
-    alongside it (numpy's and BLAS's kernels depend on the shape), for
-    ``QuadraticForm`` and ``monomial_product`` alike, so such a sample can
-    be counted at one chunk size and not at another.
+    estimate equals that of a call whose ``g`` returns row i alone.  Chunks
+    of min(chunk_size, n) rows are drawn, on the calling thread, into one
+    buffer of that many rows x nvar floats, mapped there in place with
+    ``transform_samples`` and evaluated with ``g``.  Consecutive draws from
+    one generator concatenate, so the estimate depends on (seed, n) only,
+    not on ``chunk_size``, up to samples whose g lies within roundoff of 0:
+    a quadratic's value at a sample may differ in the last bit with the
+    number of rows evaluated alongside it (numpy's and BLAS's kernels depend
+    on the shape), for ``QuadraticForm`` and ``monomial_product`` alike, so
+    such a sample can be counted at one chunk size and not at another.
     """
     _require_count("n", n, MIN_SAMPLES)
     _require_count("chunk_size", chunk_size, 1)
     _require_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    buffers = [np.empty((min(chunk_size, n), len(variables))) for _ in range(2)]
-
-    def draw(start: int) -> np.ndarray:
-        buffer = buffers[start // chunk_size % 2]
-        return rng.standard_normal(out=buffer[:min(chunk_size, n - start)])
-
+    buffer = np.empty((min(chunk_size, n), len(variables)))
     failures = 0
-    with ThreadPoolExecutor(max_workers=1) as drawer:
-        starts = range(0, n, chunk_size)
-        pending = deque(drawer.submit(draw, start) for start in starts[:2])
-        for j, start in enumerate(starts):
-            z_n = pending.popleft().result()
-            z = transform_samples(z_n, variables, corr, out=z_n)
-            failures += _count_failures(g(z), len(z))
-            if j + 2 < len(starts):  # into this chunk's buffer, now evaluated
-                pending.append(drawer.submit(draw, starts[j + 2]))
+    for start in range(0, n, chunk_size):
+        z = rng.standard_normal(out=buffer[:min(chunk_size, n - start)])
+        z = transform_samples(z, variables, corr, out=z)
+        failures += _count_failures(g(z), len(z))
     if np.ndim(failures) == 0:
         return _estimate(int(failures), n, seed)
     return [_estimate(int(k), n, seed) for k in failures]

@@ -122,24 +122,36 @@ def _build_variable(v, p: str, names: list[str]) -> RandomVariable:
     )
 
 
+def _loaded_names(code) -> set:
+    """The names ``code`` and the code objects nested in it (a lambda, or a
+    comprehension before Python 3.12) load; their own locals are not names."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, type(code)):
+            names |= _loaded_names(const)
+    return names
+
+
 def _compile_expression(expr: str, names: list[str], path: str):
     """Compile an expression over named variable columns into g(z)."""
     try:
         code = compile(expr, "<constraint>", "eval")
     except SyntaxError as exc:
         raise ProblemFormatError(f"bad expression: {exc}", path=path) from exc
-    for used in code.co_names:
-        if used not in names and used not in _EXPR_NAMES:
-            raise ProblemFormatError(f"unknown name {used!r} in expression",
+    used = _loaded_names(code)
+    for name in sorted(used):
+        if name not in names and name not in _EXPR_NAMES:
+            raise ProblemFormatError(f"unknown name {name!r} in expression",
                                      path=path)
-    _require(set(code.co_names) & set(names), "expression names no variable", path)
+    _require(used & set(names), "expression names no variable", path)
     idx = {name: i for i, name in enumerate(names)}
 
     def g(z):
         z = np.atleast_2d(np.asarray(z, dtype=float))
         env = {name: z[:, idx[name]] for name in names}
         env.update(_EXPR_NAMES)
-        return np.asarray(eval(code, {"__builtins__": {}}, env), dtype=float)
+        # the names are globals too, where nested code (a lambda, a comprehension) looks
+        return np.asarray(eval(code, {**env, "__builtins__": {}}, env), dtype=float)
 
     return g
 

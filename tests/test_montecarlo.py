@@ -153,14 +153,14 @@ class TestReproducibility:
 
 
 class TestDrawThread:
-    """The next chunk is drawn on one background thread; the rest stays put."""
+    """Every chunk is drawn, mapped and evaluated on the calling thread."""
 
     @staticmethod
     def linear():
         return QuadraticForm(a=np.zeros((1, 1)), k=np.array([1.0]), c=2.0)
 
-    def test_generator_on_one_other_thread_and_g_on_the_caller(self, monkeypatch):
-        draw_threads, g_threads = set(), set()
+    def test_generator_and_g_on_the_caller_and_no_thread_started(self, monkeypatch):
+        draw_threads, g_threads, counts = set(), set(), set()
         default_rng = np.random.default_rng
 
         class Recorded:
@@ -173,16 +173,18 @@ class TestDrawThread:
 
         def g(z):
             g_threads.add(threading.get_ident())
+            counts.add(threading.active_count())
             return self.linear()(z)
 
         monkeypatch.setattr(montecarlo.np.random, "default_rng", Recorded)
+        before = threading.active_count()
         mc_pf(g, [snv("z")], None, n=10_000, seed=0, chunk_size=1_000)
-        assert g_threads == {threading.get_ident()}
-        assert len(draw_threads) == 1 and draw_threads != g_threads
+        assert draw_threads == g_threads == {threading.get_ident()}
+        assert counts == {before}
 
     @pytest.mark.parametrize("fail_on", [1, 3, 10])
     def test_failing_limit_state_raises_and_leaves_no_thread(self, fail_on):
-        # first chunk, a middle one (with the next draw pending) and the last
+        # first chunk, a middle one and the last
         before = threading.active_count()
         calls = [0]
 
@@ -198,9 +200,9 @@ class TestDrawThread:
         assert threading.active_count() == before
 
     def test_concurrent_calls_under_fast_switching(self):
-        # more callers than cores, each with its own drawer, switching every
-        # microsecond: a chunk drawn into a buffer still being evaluated, or
-        # a draw from another call's generator, moves the failure count
+        # more callers than cores, each with its own generator and buffer,
+        # switching every microsecond: a draw from another call's generator,
+        # or into another call's buffer, moves the failure count
         variables = [snv("z1"), RandomVariable("x", Kind.LOGNORMAL, Role.PARAMETER, 1.0, 0.3)]
         corr = correlation_decompose(np.array([[1.0, 0.5], [0.5, 1.0]]))
 

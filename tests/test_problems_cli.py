@@ -23,9 +23,10 @@ CRASH_CSV = os.path.join(DATA, "crash_coefficients.csv")
 
 
 def ellipse_doc():
-    """A complete problem document used by the file-based tests."""
+    """A complete problem document used by the file-based tests: demo-ellipse,
+    whose flat quadratic lists the upper triangle of A (a12 = 1/40)."""
     flat = [31.0 / 30.0, -8.0 / 15.0, -2.0 / 15.0,
-            1.0 / 24.0, 2.0 / 40.0, 1.0 / 24.0]
+            1.0 / 24.0, 1.0 / 40.0, 1.0 / 24.0]
     return {
         "variables": [
             {"name": "x1", "kind": "normal", "role": "design-variable", "mean": 2.0,
@@ -55,6 +56,11 @@ def box_doc(n, scheme):
     if scheme is not None:
         doc["doe"] = {"scheme": scheme}
     return doc
+
+
+# an unknown name in a nested code object: each loads, then fails on evaluation,
+# unless the check walks the nested code
+NESTED_NAMES = ["x1 + [nonsense for _ in (1,)][0]", "x1 + (lambda: __import__)()"]
 
 
 def write_document(doc, path):
@@ -204,6 +210,15 @@ class TestProblemDocuments:
         # an expression that names no variable has no value per point
         (lambda d: d["constraints"].append({"expression": "2.0"}), "constraints[1].expression"),
         (lambda d: d.update(objective={"expression": "pi - 3"}), "objective.expression"),
+        # a name inside a comprehension or lambda is checked like any other
+        pytest.param(lambda d: d.update(constraints=[{"expression": NESTED_NAMES[0]}]),
+                     "constraints[0].expression", id="comprehension-constraint"),
+        pytest.param(lambda d: d.update(constraints=[{"expression": NESTED_NAMES[1]}]),
+                     "constraints[0].expression", id="lambda-constraint"),
+        pytest.param(lambda d: d.update(objective={"expression": NESTED_NAMES[0]}),
+                     "objective.expression", id="comprehension-objective"),
+        pytest.param(lambda d: d.update(objective={"expression": NESTED_NAMES[1]}),
+                     "objective.expression", id="lambda-objective"),
         (lambda d: d["constraints"][0].update(quadratic=[1.0, 2.0]),
          "constraints[0].quadratic"),
         (lambda d: d.pop("targets"), "constraints[0]"),
@@ -288,6 +303,33 @@ class TestProblemDocuments:
             build_problem(doc)
         assert "nonsense" in str(err.value)
 
+    def test_variables_resolve_in_nested_code(self):
+        doc = ellipse_doc()
+        doc["constraints"] = [{"expression": "x1 + [p1 for _ in (1,)][0] - (lambda t: t * x1)(2)"}]
+        problem = build_problem(doc)
+        assert problem.constraints[0].evaluate(np.array([[4.0, 3.0]]))[0] == 4.0 + 3.0 - 8.0
+
+    @pytest.mark.parametrize("objective,mu,value", [
+        ({"linear": [2.0, -3.0], "constant": 0.5}, [1.5, 4.0], 2.0 * 1.5 - 3.0 * 4.0 + 0.5),
+        # flat [c, k1, k2, a11, a12, a22]: 1 + 2*2 - 1*(-1) + 0.5*4 + 2*0.25*2*(-1) + 3*1
+        ({"quadratic": [1.0, 2.0, -1.0, 0.5, 0.25, 3.0]}, [2.0, -1.0], 10.0),
+        ({"expression": "x1 * x2 + sqrt(x1)"}, [4.0, 3.0], 14.0),
+    ], ids=["linear", "quadratic", "expression"])
+    def test_objective_from_document(self, objective, mu, value):
+        doc = box_doc(2, None)
+        doc["objective"] = objective
+        assert build_problem(doc).objective(np.array(mu)) == value
+
+    def test_proportional_t_matches_builtin(self):
+        # demo-ellipse-varstd as a document: std = t * mean, with solver.proportional_t
+        doc = ellipse_doc()
+        doc["variables"][0]["std"] = 0.1 * 2.0
+        doc["solver"] = {"proportional_t": [0.1]}
+        a = result_to_dict(rssl_solve(build_problem(doc)))
+        b = result_to_dict(rssl_solve(builtin_problems()["demo-ellipse-varstd"]()))
+        del a["message"], b["message"]
+        assert a == b
+
     def test_objective_builtin_sum_of_squares(self):
         doc = ellipse_doc()
         doc["objective"] = {"builtin": "sum-of-squares"}
@@ -342,7 +384,9 @@ class TestCli:
         assert main(["solve", "demo-ellipse", "--out", str(out_builtin)]) == 0
         a = json.loads(out_file.read_text())
         b = json.loads(out_builtin.read_text())
-        assert a["mu_opt"] == pytest.approx(b["mu_opt"], abs=1e-8)
+        for res in (a, b):
+            del res["message"], res["wall_time_s"]
+        assert a == b
 
     def test_beta_override(self, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -490,6 +534,21 @@ class TestCli:
     def test_bench_list(self, capsys):
         assert main(["bench", "--list"]) == 0
         assert "demo-ellipse" in capsys.readouterr().out
+
+    def test_bench_problem(self, capsys):
+        assert main(["bench", "demo-ellipse", "--mc-n", "1000"]) == 0
+        assert "method            rssl" in capsys.readouterr().out.splitlines()
+
+    def test_bench_without_problem_is_input_error(self, capsys):
+        assert main(["bench"]) == 2
+        assert "(at problem)" in capsys.readouterr().err
+
+    def test_compare(self, capsys):
+        assert main(["compare", "demo-ellipse", "--mc-n", "1000"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["rssl", "form-double-loop"]
+        assert [line[:18].strip() for line in lines[1:]] == ["mu_x1", "objective", "pf_mc[g] %"]
+        assert all(len(line[18:].split()) == 2 for line in lines[1:])
 
     def test_missing_file_is_input_error(self, capsys):
         assert main(["solve", "/no/such/file.json"]) == 2
