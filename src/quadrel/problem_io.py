@@ -10,7 +10,9 @@ fields is an error too.
 
 from __future__ import annotations
 
+import ast
 import json
+import keyword
 import math
 
 import numpy as np
@@ -100,8 +102,10 @@ def _build_variable(v, p: str, names: list[str]) -> RandomVariable:
     _require(isinstance(v, dict), "variable entries must be objects", p)
     _known_fields(v, {"name", "kind", "role", "mean", "value", "std", "cv", "lower", "upper"}, p)
     name = v.get("name")
-    _require(isinstance(name, str) and name.isidentifier(),
-             "variable name must be an identifier", f"{p}.name")
+    _require(isinstance(name, str) and name.isidentifier() and not keyword.iskeyword(name),
+             "variable name must be an identifier and not a Python keyword", f"{p}.name")
+    _require(name not in _EXPR_NAMES,
+             f"variable name {name!r} is taken by an expression function or constant", f"{p}.name")
     _require(name not in names, f"duplicate variable name {name!r}", f"{p}.name")
     _require(v.get("kind") in _KINDS, f"kind must be one of {sorted(_KINDS)}", f"{p}.kind")
     _require(v.get("role") in _ROLES, f"role must be one of {sorted(_ROLES)}", f"{p}.role")
@@ -132,26 +136,31 @@ def _loaded_names(code) -> set:
     return names
 
 
-def _compile_expression(expr: str, names: list[str], path: str):
-    """Compile an expression over named variable columns into g(z)."""
+def _compile_expression(expr, names: list[str], path: str):
+    """Compile an expression over named variable columns, once, into g(z): the
+    body of a function whose parameters are the variable names, so a call passes
+    z's columns and builds no namespace.  An exception raised while it
+    evaluates is an input error at ``path``."""
+    _require(isinstance(expr, str), "'expression' must be a string", path)
     try:
-        code = compile(expr, "<constraint>", "eval")
+        body = ast.parse(expr, "<constraint>", "eval").body
     except SyntaxError as exc:
         raise ProblemFormatError(f"bad expression: {exc}", path=path) from exc
-    used = _loaded_names(code)
-    for name in sorted(used):
-        if name not in names and name not in _EXPR_NAMES:
-            raise ProblemFormatError(f"unknown name {name!r} in expression",
-                                     path=path)
+    used = _loaded_names(compile(ast.Expression(body), "<constraint>", "eval"))
+    unknown = sorted(used - set(names) - set(_EXPR_NAMES))
+    _require(not unknown, f"unknown names {unknown} in expression", path)
     _require(used & set(names), "expression names no variable", path)
-    idx = {name: i for i, name in enumerate(names)}
+    at = {"lineno": 1, "col_offset": 0}  # compile needs a place on each new node
+    params = ast.arguments(posonlyargs=[], args=[ast.arg(name, **at) for name in names],
+                           kwonlyargs=[], kw_defaults=[], defaults=[])
+    tree = ast.Expression(ast.Lambda(params, body, **at))
+    f = eval(compile(tree, "<constraint>", "eval"), {**_EXPR_NAMES, "__builtins__": {}})
 
     def g(z):
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        env = {name: z[:, idx[name]] for name in names}
-        env.update(_EXPR_NAMES)
-        # the names are globals too, where nested code (a lambda, a comprehension) looks
-        return np.asarray(eval(code, {**env, "__builtins__": {}}, env), dtype=float)
+        try:  # a batch (m, n) gives m values; one point (n,), like a QuadraticForm, one
+            return np.asarray(f(*np.asarray(z, dtype=float).T), dtype=float)
+        except Exception as exc:
+            raise ProblemFormatError(f"expression failed: {exc}", path=path) from exc
 
     return g
 
@@ -168,9 +177,9 @@ def _build_objective(spec, design_names: list[str]):
         _require(spec["builtin"] in ("sum", "sum-of-squares"),
                  "builtin objective must be 'sum' or 'sum-of-squares'",
                  "objective.builtin")
-        if spec["builtin"] == "sum":
-            return lambda mu: float(np.sum(mu))
-        return lambda mu: float(np.sum(np.asarray(mu) ** 2))
+        if spec["builtin"] == "sum":  # np.add.reduce: np.sum's own reduction, minus its dispatch
+            return lambda mu: float(np.add.reduce(mu))
+        return lambda mu: float(np.add.reduce(np.square(mu)))
     if "linear" in spec:
         coeffs = _get_array(spec["linear"], (nd,), "objective.linear")
         const = _get_number(spec, "constant", "objective", default=0.0)
@@ -195,8 +204,6 @@ def _build_constraint(con, i: int, names: list[str], targets: dict) -> Constrain
                             f"{p}.quadratic")
         limit_state = {"quadratic": QuadraticForm.from_flat(coeffs, len(names))}
     else:
-        _require(isinstance(con["expression"], str),
-                 "'expression' must be a string", f"{p}.expression")
         limit_state = {"g": _compile_expression(con["expression"], names, f"{p}.expression")}
     _require(not ("beta_d" in con and "pf_all" in con),
              "give at most one of beta_d / pf_all", p)

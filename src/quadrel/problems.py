@@ -1,4 +1,8 @@
-"""Built-in benchmark and demo problems.
+"""Built-in benchmark and demo problems, each a problem document.
+
+Every builder writes its problem in the problem-file layout (README,
+"Problem files") and returns ``build_problem`` of that document, so a
+builtin and a file go through the one parser.
 
 The internal failure convention is g < 0.  Benchmarks stated with
 g >= 0 safety load unchanged; benchmarks stated as Prob[g > 0] bounded
@@ -13,140 +17,111 @@ import math
 import numpy as np
 
 from .errors import DomainError, ProblemFormatError
-from .quadratic import QuadraticForm, correlation_decompose, n_quadratic_coefficients
-from .solver import ConstraintSpec, RbdoProblem, StdMode
-from .variables import Kind, RandomVariable, Role
+from .problem_io import build_problem
+from .quadratic import QuadraticForm, n_quadratic_coefficients
+from .solver import RbdoProblem
+
+
+def _variable(name, role, mean, std, bounds=(), kind="normal") -> dict:
+    """One entry of a document's ``variables``; ``bounds`` is () or (lower, upper)."""
+    return {"name": name, "kind": kind, "role": role, "mean": mean, "std": std,
+            **dict(zip(("lower", "upper"), bounds))}
 
 
 # ----------------------------------------------------------------------
 # bench-3g: two normal design variables, three limit states tied to one
 # system (shared evaluations), sigma = 0.3, bounds [0, 10].
 
-def _g3_1(z):
-    return z[:, 0] ** 2 * z[:, 1] / 20.0 - 1.0
+BENCH_3G = [
+    "x1 ** 2 * x2 / 20.0 - 1.0",
+    "(x1 + x2 - 5.0) ** 2 / 30.0 + (x1 - x2 - 12.0) ** 2 / 120.0 - 1.0",
+    "80.0 / (x1 ** 2 + 8.0 * x2 + 5.0) - 1.0",
+]
 
 
-def _g3_2(z):
-    return (z[:, 0] + z[:, 1] - 5.0) ** 2 / 30.0 + (z[:, 0] - z[:, 1] - 12.0) ** 2 / 120.0 - 1.0
-
-
-def _g3_3(z):
-    return 80.0 / (z[:, 0] ** 2 + 8.0 * z[:, 1] + 5.0) - 1.0
-
-
-def bench_3g(beta_d: float = 3.0, pf_all: float = None) -> RbdoProblem:
-    target = {"pf_all": pf_all} if pf_all is not None else {"beta_d": beta_d}
-    variables = [
-        RandomVariable("x1", Kind.NORMAL, Role.DESIGN_VARIABLE, 5.0, 0.3, 0.0, 10.0),
-        RandomVariable("x2", Kind.NORMAL, Role.DESIGN_VARIABLE, 5.0, 0.3, 0.0, 10.0),
-    ]
-    return RbdoProblem(
-        variables=variables,
-        objective=lambda mu: float(mu[0] + mu[1]),
-        constraints=[
-            ConstraintSpec(name="g1", g=_g3_1, **target),
-            ConstraintSpec(name="g2", g=_g3_2, **target),
-            ConstraintSpec(name="g3", g=_g3_3, **target),
-        ],
-        shared_evaluations=True,
-    )
+def bench_3g(beta_d: float = 3.0) -> RbdoProblem:
+    return build_problem({
+        "variables": [_variable(f"x{i}", "design-variable", 5.0, 0.3, (0.0, 10.0))
+                      for i in (1, 2)],
+        "objective": {"builtin": "sum"},
+        "constraints": [{"name": f"g{i+1}", "expression": e} for i, e in enumerate(BENCH_3G)],
+        "targets": {"beta_d": beta_d},
+        "shared_evaluations": True,
+    })
 
 
 # ----------------------------------------------------------------------
 # bench-quad4: four N(mu, 1) design variables, two quadratic limit
 # states published with a Prob[g > 0] bound, negated at load.
 
-def _q4_1(z):
-    return -(z[:, 0] ** 2 + 2.0 * z[:, 0] + z[:, 1] ** 2
-             + 0.5 * z[:, 0] * z[:, 1] - 13.0)
-
-
-def _q4_2(z):
-    return -(-z[:, 0] ** 2 - z[:, 1] ** 2 - z[:, 2] ** 2 - z[:, 3] ** 2
-             + 10.0 * z[:, 0] + 12.0 * z[:, 1] + 12.0 * z[:, 2] + 12.0 * z[:, 3] - 43.0)
+BENCH_QUAD4 = [
+    "-(x1 ** 2 + 2.0 * x1 + x2 ** 2 + 0.5 * x1 * x2 - 13.0)",
+    "-(-x1 ** 2 - x2 ** 2 - x3 ** 2 - x4 ** 2"
+    " + 10.0 * x1 + 12.0 * x2 + 12.0 * x3 + 12.0 * x4 - 43.0)",
+]
 
 
 def bench_quad4(beta_d: float = None, pf_all: float = 0.015) -> RbdoProblem:
-    target = {"beta_d": beta_d} if beta_d is not None else {"pf_all": pf_all}
-    variables = [
-        RandomVariable(f"x{i+1}", Kind.NORMAL, Role.DESIGN_VARIABLE, 1.0, 1.0, -4.0, 4.0)
-        for i in range(4)
-    ]
-    return RbdoProblem(
-        variables=variables,
-        objective=lambda mu: float(np.sum(np.asarray(mu) ** 2)),
-        constraints=[
-            ConstraintSpec(name="g1", g=_q4_1, **target),
-            ConstraintSpec(name="g2", g=_q4_2, **target),
-        ],
-        shared_evaluations=True,
-    )
+    return build_problem({
+        "variables": [_variable(f"x{i}", "design-variable", 1.0, 1.0, (-4.0, 4.0))
+                      for i in range(1, 5)],
+        "objective": {"builtin": "sum-of-squares"},
+        "constraints": [{"name": f"g{i+1}", "expression": e} for i, e in enumerate(BENCH_QUAD4)],
+        "targets": {"beta_d": beta_d} if beta_d is not None else {"pf_all": pf_all},
+        "shared_evaluations": True,
+    })
 
 
 # ----------------------------------------------------------------------
 # Ellipse demos: one design variable against a fixed parameter, the
 # limit state an explicit quadratic so no DOE runs are needed.
 
-ELLIPSE_A = np.array([[1.0 / 24.0, 1.0 / 40.0], [1.0 / 40.0, 1.0 / 24.0]])
-ELLIPSE_K = np.array([-8.0 / 15.0, -2.0 / 15.0])
-ELLIPSE_C = 31.0 / 30.0
+# flat layout [c, k1, k2, a11, a12, a22] over (x1, p1)
+ELLIPSE_FLAT = [31.0 / 30.0, -8.0 / 15.0, -2.0 / 15.0, 1.0 / 24.0, 1.0 / 40.0, 1.0 / 24.0]
 
 
 def ellipse_form() -> QuadraticForm:
-    return QuadraticForm(a=ELLIPSE_A, k=ELLIPSE_K, c=ELLIPSE_C)
+    return QuadraticForm.from_flat(ELLIPSE_FLAT, 2)
+
+
+def _ellipse(beta_d: float, x1: dict) -> dict:
+    """The ellipse document with design variable ``x1`` against p1 ~ N(3.4, 0.3)."""
+    return {
+        "variables": [x1, _variable("p1", "parameter", 3.4, 0.3)],
+        "objective": {"builtin": "sum"},
+        "constraints": [{"name": "g", "quadratic": ELLIPSE_FLAT}],
+        "targets": {"beta_d": beta_d},
+    }
 
 
 def demo_ellipse(beta_d: float = 3.0, mu_x1: float = 2.0, sigma_x1: float = 0.3) -> RbdoProblem:
-    variables = [
-        RandomVariable("x1", Kind.NORMAL, Role.DESIGN_VARIABLE, mu_x1, sigma_x1, 0.0, 15.0),
-        RandomVariable("p1", Kind.NORMAL, Role.PARAMETER, 3.4, 0.3),
-    ]
-    return RbdoProblem(
-        variables=variables,
-        objective=lambda mu: float(mu[0]),
-        constraints=[ConstraintSpec(name="g", quadratic=ellipse_form(), beta_d=beta_d)],
-    )
+    return build_problem(_ellipse(beta_d, _variable("x1", "design-variable", mu_x1, sigma_x1,
+                                                    (0.0, 15.0))))
 
 
-def demo_ellipse_varstd(beta_d: float = 3.0, mu_x1: float = 2.0, t: float = 0.1) -> RbdoProblem:
-    p = demo_ellipse(beta_d=beta_d, mu_x1=mu_x1, sigma_x1=t * mu_x1)
-    p.std_mode = StdMode(t=np.array([t]))
-    return p
+def demo_ellipse_varstd(beta_d: float = 3.0, t: float = 0.1) -> RbdoProblem:
+    doc = _ellipse(beta_d, _variable("x1", "design-variable", 2.0, t * 2.0, (0.0, 15.0)))
+    doc["solver"] = {"proportional_t": [t]}
+    return build_problem(doc)
 
 
-def demo_ellipse_lognormal(beta_d: float = 3.0, mu_x1: float = 2.0,
-                           sigma_x1: float = 0.3, rho: float = 0.5) -> RbdoProblem:
-    variables = [
-        RandomVariable("x1", Kind.LOGNORMAL, Role.DESIGN_VARIABLE, mu_x1, sigma_x1, 0.1, 15.0),
-        RandomVariable("p1", Kind.NORMAL, Role.PARAMETER, 3.4, 0.3),
-    ]
-    corr = correlation_decompose(np.array([[1.0, rho], [rho, 1.0]]))
-    return RbdoProblem(
-        variables=variables,
-        objective=lambda mu: float(mu[0]),
-        constraints=[ConstraintSpec(name="g", quadratic=ellipse_form(), beta_d=beta_d)],
-        corr=corr,
-    )
+def demo_ellipse_lognormal(beta_d: float = 3.0) -> RbdoProblem:
+    doc = _ellipse(beta_d, _variable("x1", "design-variable", 2.0, 0.3, (0.1, 15.0),
+                                     kind="lognormal"))
+    doc["correlation"] = [[1.0, 0.5], [0.5, 1.0]]
+    return build_problem(doc)
 
 
-def demo_ellipse_det(beta_d: float = 3.0, d1: float = 2.0, mu_x1: float = 2.0) -> RbdoProblem:
+def demo_ellipse_det(beta_d: float = 3.0) -> RbdoProblem:
     """Ellipse with a deterministic design variable d1 stacked first."""
-    a = np.zeros((3, 3))
-    a[1:, 1:] = ELLIPSE_A
-    # the -d1 term enters through the linear coefficient of the stacked
-    # deterministic variable; the raw constant is 61/30
-    q = QuadraticForm(a=a, k=np.array([-1.0, -8.0 / 15.0, -2.0 / 15.0]), c=61.0 / 30.0)
-    variables = [
-        RandomVariable("d1", Kind.DETERMINISTIC, Role.DETERMINISTIC_DESIGN, d1,
-                       0.0, 0.1, 10.0),
-        RandomVariable("x1", Kind.NORMAL, Role.DESIGN_VARIABLE, mu_x1, 0.3, 0.0, 15.0),
-        RandomVariable("p1", Kind.NORMAL, Role.PARAMETER, 3.4, 0.3),
-    ]
-    return RbdoProblem(
-        variables=variables,
-        objective=lambda mu: float(mu[0] + mu[1]),
-        constraints=[ConstraintSpec(name="g", quadratic=q, beta_d=beta_d)],
-    )
+    doc = _ellipse(beta_d, _variable("x1", "design-variable", 2.0, 0.3, (0.0, 15.0)))
+    doc["variables"].insert(0, _variable("d1", "deterministic-design", 2.0, 0.0, (0.1, 10.0),
+                                         kind="deterministic"))
+    # the -d1 term is the linear coefficient of the stacked deterministic
+    # variable, whose row and column of A are zero; the raw constant is 61/30
+    doc["constraints"][0]["quadratic"] = [61.0 / 30.0, -1.0, *ELLIPSE_FLAT[1:3],
+                                          0.0, 0.0, 0.0, *ELLIPSE_FLAT[3:]]
+    return build_problem(doc)
 
 
 # ----------------------------------------------------------------------
@@ -163,36 +138,19 @@ CRASH_SIGMA_P = [0.006, 0.006, 10.0, 10.0]
 CRASH_NZ = 11
 
 
-def crashworthiness_variables():
-    out = [
-        RandomVariable(f"x{i+1}", Kind.NORMAL, Role.DESIGN_VARIABLE,
-                       CRASH_MU_X_IN[i], CRASH_SIGMA_X[i],
-                       CRASH_LOWER[i], CRASH_UPPER[i])
-        for i in range(7)
-    ]
-    out += [
-        RandomVariable(f"p{i+1}", Kind.NORMAL, Role.PARAMETER,
-                       CRASH_MU_P[i], CRASH_SIGMA_P[i])
-        for i in range(4)
-    ]
-    return out
-
-
-def load_crash_coefficients(path):
-    """Read the constraint/objective coefficient CSV.
+def _crash_rows(path):
+    """Read the constraint/objective coefficient CSV: (objective row, {name: row}).
 
     One row per entry: name followed by the flat quadratic layout
     (c, k_1..k_11, upper triangle of A row-major, 78 numbers total).
     Every coefficient is a finite number.  A row named ``objective`` is
     required and must be linear (zero A).
-    Returns (objective_form, {name: QuadraticForm}).
     """
     n_flat = n_quadratic_coefficients(CRASH_NZ)
-    forms = {}
+    rows = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
+        if next(reader, None) is None:  # the header line
             raise ProblemFormatError("empty coefficient file", path="")
         for lineno, row in enumerate(reader, start=2):
             if not row or not row[0].strip():
@@ -203,52 +161,52 @@ def load_crash_coefficients(path):
             except ValueError as exc:
                 raise ProblemFormatError(f"row {name!r}: {exc}", path=f"line {lineno}") from exc
             if len(coeffs) != n_flat:
-                raise ProblemFormatError(
-                    f"row {name!r} has {len(coeffs)} coefficients, expected {n_flat}",
-                    path=f"line {lineno}",
-                )
+                raise ProblemFormatError(f"row {name!r} has {len(coeffs)} coefficients, "
+                                         f"expected {n_flat}", path=f"line {lineno}")
             if not all(map(math.isfinite, coeffs)):
                 raise ProblemFormatError(f"row {name!r} has a coefficient that is not finite",
                                          path=f"line {lineno}")
-            forms[name] = QuadraticForm.from_flat(np.array(coeffs), CRASH_NZ)
-    if "objective" not in forms:
+            rows[name] = coeffs
+    if "objective" not in rows:
         raise ProblemFormatError("coefficient file must contain an 'objective' row",
                                  path="objective")
-    obj = forms.pop("objective")
-    if np.any(obj.a != 0.0):
+    objective = rows.pop("objective")
+    if any(objective[1 + CRASH_NZ:]):
         raise ProblemFormatError("objective row must be linear (zero quadratic part)",
                                  path="objective")
-    if len(forms) != 10:
-        raise ProblemFormatError(
-            f"expected 10 constraint rows, found {len(forms)}", path=""
-        )
-    return obj, forms
+    if len(rows) != 10:
+        raise ProblemFormatError(f"expected 10 constraint rows, found {len(rows)}", path="")
+    return objective, rows
 
 
-def crashworthiness(coefficient_file=None, beta_d: float = None,
-                    rd: float = 0.9) -> RbdoProblem:
+def load_crash_coefficients(path):
+    """The coefficient CSV (``_crash_rows``) as (objective_form, {name: QuadraticForm})."""
+    objective, rows = _crash_rows(path)
+    return (QuadraticForm.from_flat(objective, CRASH_NZ),
+            {name: QuadraticForm.from_flat(row, CRASH_NZ) for name, row in rows.items()})
+
+
+def crashworthiness(coefficient_file=None, beta_d: float = None) -> RbdoProblem:
     if coefficient_file is None:
         raise DomainError(
             "the crashworthiness benchmark needs an external coefficient file: "
             "the published quadratic surrogate tables are not distributed with "
             "this package (supply --coeff-file with the documented CSV layout)"
         )
-    obj, forms = load_crash_coefficients(coefficient_file)
-    if beta_d is None:
-        pf_all = 1.0 - rd
-        target = {"pf_all": pf_all}
-    else:
-        target = {"beta_d": beta_d}
-    variables = crashworthiness_variables()
-    obj_k = obj.k[:7]
-    obj_c = obj.c + float(obj.k[7:] @ np.array(CRASH_MU_P))
-    return RbdoProblem(
-        variables=variables,
-        objective=lambda mu: float(obj_k @ np.asarray(mu) + obj_c),
-        constraints=[ConstraintSpec(name=name, quadratic=q, **target)
-                     for name, q in sorted(forms.items())],
-        shared_evaluations=True,
-    )
+    objective, rows = _crash_rows(coefficient_file)
+    variables = [_variable(f"x{i+1}", "design-variable", CRASH_MU_X_IN[i], CRASH_SIGMA_X[i],
+                           (CRASH_LOWER[i], CRASH_UPPER[i])) for i in range(7)]
+    variables += [_variable(f"p{i+1}", "parameter", CRASH_MU_P[i], CRASH_SIGMA_P[i])
+                  for i in range(4)]
+    # the objective's parameter terms enter at the parameter means
+    constant = objective[0] + float(np.array(objective[8:12]) @ np.array(CRASH_MU_P))
+    return build_problem({
+        "variables": variables,
+        "objective": {"linear": objective[1:8], "constant": constant},
+        "constraints": [{"name": name, "quadratic": row} for name, row in sorted(rows.items())],
+        "targets": {"pf_all": 1.0 - 0.9} if beta_d is None else {"beta_d": beta_d},
+        "shared_evaluations": True,
+    })
 
 
 BUILTIN_BUILDERS = {

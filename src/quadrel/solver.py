@@ -557,8 +557,8 @@ def stacked_limit_states(constraints: list[ConstraintSpec]):
     The explicit quadratics are evaluated together, as one product over
     their monomials (``monomial_product``, built once here, with a zero form
     in each black box's row); each black box is then called on its own and
-    fills its row, which must hold one value per row of z.  A quadratic's row
-    agrees with ``spec.evaluate`` to roundoff, not bit for bit.
+    fills its row: one value per row of z, none NaN (NaN < 0 is False, so NaN
+    would pass as safe).  A quadratic's row agrees with ``spec.evaluate`` to roundoff.
     """
     black_box = [(i, spec) for i, spec in enumerate(constraints) if spec.g is not None]
     quadratics = [spec.quadratic for spec in constraints if spec.quadratic is not None]
@@ -575,6 +575,9 @@ def stacked_limit_states(constraints: list[ConstraintSpec]):
             if row.shape != (len(z),):
                 raise DomainError(f"{spec.name}: g returned shape {row.shape} for {len(z)} samples")
             values[i] = row
+        if black_box and np.isnan(values).any():  # one check per batch, not one per row
+            bad = [spec.name for spec, row in zip(constraints, values) if np.isnan(row).any()]
+            raise DomainError(f"{', '.join(bad)}: g is NaN at some of {len(z)} points")
         return values
 
     return limit_states

@@ -10,6 +10,9 @@ from quadrel.cli import main
 from quadrel.errors import DomainError, ProblemFormatError, UnsupportedDesignError
 from quadrel.problem_io import build_problem, load_document, result_to_dict
 from quadrel.problems import (
+    BENCH_3G,
+    bench_3g,
+    bench_quad4,
     builtin_problems,
     crashworthiness,
     ellipse_form,
@@ -58,6 +61,44 @@ def box_doc(n, scheme):
     return doc
 
 
+def bench_3g_doc():
+    """bench-3g as a problem file: what ``problems.bench_3g()`` builds."""
+    return {
+        "variables": [
+            {"name": f"x{i}", "kind": "normal", "role": "design-variable", "mean": 5.0,
+             "std": 0.3, "lower": 0.0, "upper": 10.0}
+            for i in (1, 2)
+        ],
+        "objective": {"builtin": "sum"},
+        "constraints": [{"name": f"g{i+1}", "expression": e} for i, e in enumerate(BENCH_3G)],
+        "targets": {"beta_d": 3.0},
+        "shared_evaluations": True,
+    }
+
+
+# the hand-written limit states the bench-3g and bench-quad4 expressions replace
+def _g3_1(z):
+    return z[:, 0] ** 2 * z[:, 1] / 20.0 - 1.0
+
+
+def _g3_2(z):
+    return (z[:, 0] + z[:, 1] - 5.0) ** 2 / 30.0 + (z[:, 0] - z[:, 1] - 12.0) ** 2 / 120.0 - 1.0
+
+
+def _g3_3(z):
+    return 80.0 / (z[:, 0] ** 2 + 8.0 * z[:, 1] + 5.0) - 1.0
+
+
+def _q4_1(z):
+    return -(z[:, 0] ** 2 + 2.0 * z[:, 0] + z[:, 1] ** 2
+             + 0.5 * z[:, 0] * z[:, 1] - 13.0)
+
+
+def _q4_2(z):
+    return -(-z[:, 0] ** 2 - z[:, 1] ** 2 - z[:, 2] ** 2 - z[:, 3] ** 2
+             + 10.0 * z[:, 0] + 12.0 * z[:, 1] + 12.0 * z[:, 2] + 12.0 * z[:, 3] - 43.0)
+
+
 # an unknown name in a nested code object: each loads, then fails on evaluation,
 # unless the check walks the nested code
 NESTED_NAMES = ["x1 + [nonsense for _ in (1,)][0]", "x1 + (lambda: __import__)()"]
@@ -66,6 +107,20 @@ NESTED_NAMES = ["x1 + [nonsense for _ in (1,)][0]", "x1 + (lambda: __import__)()
 def write_document(doc, path):
     with open(path, "w") as fh:
         json.dump(doc, fh)
+
+
+def solved_file_and_builtin(doc, name, tmp_path, *flags):
+    """The result JSON of ``quadrel solve`` on ``doc`` as a file and on the
+    builtin ``name``, each without ``message`` and ``wall_time_s``."""
+    path = tmp_path / "problem.json"
+    write_document(doc, path)
+    results = []
+    for source, out in ((str(path), tmp_path / "file.json"), (name, tmp_path / "builtin.json")):
+        assert main(["solve", source, *flags, "--out", str(out)]) == 0
+        res = json.loads(out.read_text())
+        del res["message"], res["wall_time_s"]
+        results.append(res)
+    return results
 
 
 class TestRegistry:
@@ -94,6 +149,18 @@ class TestSignConventions:
 
     def test_ellipse_value_at_reference_point(self):
         assert ellipse_form()(np.array([5.0, 3.4])) == pytest.approx(0.2867, abs=1e-4)
+
+    @pytest.mark.parametrize("builder,references,mean", [
+        (bench_3g, [_g3_1, _g3_2, _g3_3], 5.0),
+        (bench_quad4, [_q4_1, _q4_2], 1.0),
+    ], ids=["bench-3g", "bench-quad4"])
+    def test_expressions_equal_hand_written_limit_states(self, builder, references, mean):
+        # the builtin's expressions do the hand-written functions' operations in
+        # their order: equal bit for bit on a batch of one Monte Carlo chunk
+        problem = builder()
+        z = np.random.default_rng(7).normal(mean, 2.0, (16_384, len(problem.variables)))
+        for spec, ref in zip(problem.constraints, references, strict=True):
+            assert spec.evaluate(z).tobytes() == ref(z).tobytes()
 
     def test_bench_3g_deterministic_objective(self):
         problem = builtin_problems()["bench-3g"]()
@@ -210,6 +277,18 @@ class TestProblemDocuments:
         # an expression that names no variable has no value per point
         (lambda d: d["constraints"].append({"expression": "2.0"}), "constraints[1].expression"),
         (lambda d: d.update(objective={"expression": "pi - 3"}), "objective.expression"),
+        pytest.param(lambda d: d.update(objective={"expression": 5}), "objective.expression",
+                     id="expression-not-a-string"),
+        # a variable may not take an expression's function or constant name, where it
+        # would replace (or be replaced by) it in every expression, nor a keyword
+        pytest.param(lambda d: d["variables"][0].update(name="pi"), "variables[0].name",
+                     id="variable-named-pi"),
+        pytest.param(lambda d: d["variables"][1].update(name="sqrt"), "variables[1].name",
+                     id="variable-named-sqrt"),
+        pytest.param(lambda d: d["variables"][0].update(name="None"), "variables[0].name",
+                     id="variable-named-None"),
+        pytest.param(lambda d: d["variables"][0].update(name="lambda"), "variables[0].name",
+                     id="variable-named-lambda"),
         # a name inside a comprehension or lambda is checked like any other
         pytest.param(lambda d: d.update(constraints=[{"expression": NESTED_NAMES[0]}]),
                      "constraints[0].expression", id="comprehension-constraint"),
@@ -376,17 +455,24 @@ class TestCli:
         assert res["pf_mc"][0]["pf"] == 0.0 and res["pf_mc"][0]["beta_mc"] is None
 
     def test_solve_problem_file_matches_builtin(self, tmp_path, capsys):
-        path = tmp_path / "ellipse.json"
-        write_document(ellipse_doc(), path)
-        out_file = tmp_path / "file.json"
-        out_builtin = tmp_path / "builtin.json"
-        assert main(["solve", str(path), "--out", str(out_file)]) == 0
-        assert main(["solve", "demo-ellipse", "--out", str(out_builtin)]) == 0
-        a = json.loads(out_file.read_text())
-        b = json.loads(out_builtin.read_text())
-        for res in (a, b):
-            del res["message"], res["wall_time_s"]
+        a, b = solved_file_and_builtin(ellipse_doc(), "demo-ellipse", tmp_path)
         assert a == b
+
+    @pytest.mark.parametrize("method", ["rssl", "form-double-loop"])
+    def test_solve_bench_3g_file_matches_builtin(self, method, tmp_path, capsys):
+        # the black-box builtin: its expressions, objective and shared system as a file
+        a, b = solved_file_and_builtin(bench_3g_doc(), "bench-3g", tmp_path,
+                                       "--method", method, "--mc-n", "1000")
+        assert a == b
+
+    def test_expression_that_raises_is_input_error(self, tmp_path, capsys):
+        # a conditional on a column asks numpy for the truth value of an array
+        doc = ellipse_doc()
+        doc["constraints"] = [{"expression": "x1 - 1 if x1 else p1"}]
+        path = tmp_path / "raises.json"
+        write_document(doc, path)
+        assert main(["solve", str(path)]) == 2
+        assert "(at constraints[0].expression)" in capsys.readouterr().err
 
     def test_beta_override(self, tmp_path, capsys):
         out = tmp_path / "r.json"

@@ -15,6 +15,7 @@ from quadrel.errors import ConvergenceError, DomainError, SolverFailureError
 from quadrel.form import _g_in_standard_space, fd_gradient, form_mpp, per_point
 from quadrel.montecarlo import marginal_map
 from quadrel.pf import pf_batch, pf_quadratic
+from quadrel.problem_io import build_problem
 from quadrel.problems import (
     bench_3g,
     bench_quad4,
@@ -1072,3 +1073,26 @@ class TestMcAudit:
         problem.constraints = [g1, bad, g2, g3]
         with pytest.raises(DomainError, match="g_bad: g returned shape"):
             run(problem)
+
+    @staticmethod
+    def log_problem(n):
+        """g = log(x1 - 4.5) + ... over n variables ~ N(5, 0.3): NaN wherever some x_i < 4.5."""
+        return build_problem({
+            "variables": [{"name": f"x{i+1}", "kind": "normal", "role": "design-variable",
+                           "mean": 5.0, "std": 0.3, "lower": 0.0, "upper": 10.0}
+                          for i in range(n)],
+            "objective": {"builtin": "sum"},
+            "constraints": [{"name": "g_log",
+                             "expression": " + ".join(f"log(x{i+1} - 4.5)" for i in range(n))}],
+            "targets": {"beta_d": 3.0}})
+
+    def test_nan_black_box_names_its_constraint_in_the_audit(self):
+        # NaN < 0 is False: the samples below 4.5 would count as safe, and the
+        # audit would report pf 0.904 where the exact pf is Phi(0.5 / 0.3) = 0.952
+        with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="g_log: g is NaN"):
+            mc_audit(self.log_problem(1), np.array([5.0]), n=100_000, seed=0)
+
+    def test_nan_black_box_names_its_constraint_in_the_single_loop(self):
+        # the DOE box around the deterministic optimum (5.5, 5.5) reaches below 4.5
+        with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="g_log: g is NaN"):
+            rssl_solve(self.log_problem(2))
