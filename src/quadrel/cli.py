@@ -189,8 +189,10 @@ def cmd_pf(args) -> int:
 def cmd_mc_check(args) -> int:
     problem = _load_problem(args)
     mu_design = _design_point(args, problem)
+    # audit first, so that an audit that fails leaves stdout empty
+    estimates = mc_audit(problem, mu_design, n=args.mc_n, seed=args.seed)
     print(f"mu_design         {np.round(mu_design, 6).tolist()}")
-    _print_mc(problem.constraints, mc_audit(problem, mu_design, n=args.mc_n, seed=args.seed))
+    _print_mc(problem.constraints, estimates)
     return 0
 
 

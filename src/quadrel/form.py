@@ -1,9 +1,11 @@
 """First- and second-order reliability methods.
 
-Most-probable-point search via a damped Hasofer-Lind-Rackwitz-Fiessler
-iteration (an SQP step where an explicit quadratic's exact Hessian allows
-one) with a constrained-minimization fallback, and the Breitung
-curvature correction evaluated on a quadratic limit state at the MPP.
+Most-probable-point search: in closed form for a quadratic that is exact in
+standard-normal space, otherwise via damped SQP steps (with an explicit
+quadratic's exact Hessian, or a secant estimate; the Hasofer-Lind-Rackwitz-
+Fiessler step where neither allows one) with a constrained-minimization
+fallback; and the Breitung curvature correction evaluated on a quadratic limit
+state at the MPP.
 Also the one per-row evaluation memo, shared by the solver and the MPP search,
 and the one finite-difference helper, which evaluates its stencil as a stack.
 """
@@ -13,10 +15,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
 from .errors import BreitungSingularityError, ConvergenceError, DomainError
-from .quadratic import QuadraticForm
+from .quadratic import SIGN_ZERO_TOL, QuadraticForm
 from .variables import std_normal
 
 # HLRF convergence: |g| and the MPP's tangential part (relative), and the step limit.
@@ -24,6 +26,7 @@ MPP_TOL = 1e-8
 MPP_OPT_TOL = 1e-6
 MPP_MAX_ITER = 200
 FD_REL_STEP = 1e-6  # fd_gradient's step, relative to max(1, |x_i|)
+SR1_SKIP = 1e-8  # the SR1 update is skipped where |v . s| <= SR1_SKIP ||v|| ||s||
 
 
 def once_per_row(fn):
@@ -106,6 +109,16 @@ def _sqp_step(u, gval, grad, h_u):
     return u - b_u - nu * b_grad
 
 
+def _sr1_update(h, s, r):
+    """The symmetric rank-one secant update of ``h`` in place, so that h s = r
+    (s the step, r the gradient's change over it); skipped where the update's
+    denominator is within 1e-8 of orthogonal (Nocedal & Wright, sec. 6.2)."""
+    v = r - h @ s
+    vs = v @ s
+    if abs(vs) > SR1_SKIP * math.sqrt((v @ v) * (s @ s)):
+        h += np.outer(v, v / vs)
+
+
 def form_mpp(g, to_z, gradient=None, hessian=None):
     """Find the most probable point of Prob[g(z) < 0].
 
@@ -113,15 +126,17 @@ def form_mpp(g, to_z, gradient=None, hessian=None):
     (beta_hl, u*, grad): beta_hl = +/-||u*|| signed as g at the means
     (negative where they fail), u* the MPP in standard-normal space and grad
     the limit state's standard-space gradient there.  The search runs a
-    damped HLRF iteration in uncorrelated standard-normal space and, on
-    stall, one SLSQP run of min ||u|| s.t. g = 0 from where it stopped.  It
-    calls ``g`` once per stack of distinct original-space rows it has not seen
-    (``once_per_row``).  Each gradient is ``fd_gradient``
-    over one call on its stencil or, given ``gradient`` (z -> dg/dz at one
-    original-space point (n,)), exact through the marginal map's chain rule.
-    Given also ``hessian``, the constant d^2g/dz^2 (n, n) of an explicit
-    quadratic, a step takes the SQP iterate (``_sqp_step``) wherever its
-    Lagrangian Hessian is positive definite, and the HLRF iterate elsewhere.
+    damped SQP iteration (``_sqp_step``, which falls back to the HLRF iterate)
+    in uncorrelated standard-normal space and, on stall, one SLSQP run of
+    min ||u|| s.t. g = 0 from where it stopped.  It calls ``g`` once per stack
+    of distinct original-space rows it has not seen (``once_per_row``).  Each
+    gradient is ``fd_gradient`` over one call on its stencil or, given
+    ``gradient`` (z -> dg/dz at one original-space point (n,)), exact through
+    the marginal map's chain rule.  The step's Hessian H_u is, given
+    ``hessian`` (the constant d^2g/dz^2 (n, n) of an explicit quadratic),
+    exact through the second-order chain rule; otherwise it is a symmetric
+    rank-one (SR1) secant estimate, started at 0 (so the first step is HLRF)
+    and updated from consecutive iterates' gradients, at no extra call.
     """
     g_n = _g_in_standard_space(once_per_row(g), to_z)
 
@@ -135,39 +150,45 @@ def form_mpp(g, to_z, gradient=None, hessian=None):
         return to_z.chain_rule(z, grad_z), h_u
 
     z = np.zeros(to_z.n)
-    g0 = g_n(z)
+    gval = g0 = g_n(z)
     scale = max(abs(g0), 1.0)
+    secant = np.zeros((z.size, z.size)) if hessian is None else None
     trace = []
     converged = False
     for it in range(MPP_MAX_ITER):
-        gval = g_n(z)
         grad, h_u = derivatives_at(z)
-        gnorm = np.linalg.norm(grad)
-        trace.append((it, float(np.linalg.norm(z)), float(gval)))
+        gnorm = math.sqrt(grad @ grad)
+        znorm = math.sqrt(z @ z)
+        trace.append((it, znorm, float(gval)))
         if gnorm == 0.0:
             break
         alpha = grad / gnorm
         tangential = z - (z @ alpha) * alpha
         converged = (abs(gval) <= MPP_TOL * scale
-                     and np.linalg.norm(tangential) <= MPP_OPT_TOL * max(1.0, np.linalg.norm(z)))
+                     and math.sqrt(tangential @ tangential) <= MPP_OPT_TOL * max(1.0, znorm))
         if converged:
             break
+        if secant is not None:
+            if it > 0:
+                _sr1_update(secant, z - z_prev, grad - grad_prev)
+            h_u, z_prev, grad_prev = secant, z, grad
         z_new = None if h_u is None else _sqp_step(z, gval, grad, h_u)
         if z_new is None:
             z_new = (grad @ z - gval) / gnorm * alpha
         d = z_new - z
         # merit line search: m(z) = 0.5||z||^2 + c_m |g(z)|
-        c_m = 2.0 * np.linalg.norm(z_new) / gnorm + 10.0
+        c_m = 2.0 * math.sqrt(z_new @ z_new) / gnorm + 10.0
         m0 = 0.5 * z @ z + c_m * abs(gval)
         step = 1.0
         for _ in range(8):
             z_try = z + step * d
-            if 0.5 * z_try @ z_try + c_m * abs(g_n(z_try)) < m0:
+            g_try = g_n(z_try)
+            if 0.5 * z_try @ z_try + c_m * abs(g_try) < m0:
                 break
             step *= 0.5
         else:
             break  # stalled; switch to the fallback solver
-        z = z_try
+        z, gval = z_try, g_try
 
     if not converged:  # minimize ||z||^2 subject to g_N = 0 from where the search stopped
         res = minimize(lambda u: u @ u, z, jac=lambda u: 2.0 * u, method="SLSQP",
@@ -177,7 +198,124 @@ def form_mpp(g, to_z, gradient=None, hessian=None):
             raise ConvergenceError("MPP search did not converge", trace=trace)
         z = res.x
         grad = derivatives_at(z)[0]
-    return math.copysign(np.linalg.norm(z), g0), z, grad
+    return math.copysign(math.sqrt(z @ z), g0), z, grad
+
+
+def quadratic_mpp(g, to_z, qn: QuadraticForm, gradient):
+    """``form_mpp``'s (beta_hl, u*, grad) in closed form, for an explicit
+    quadratic g whose standard-normal form ``qn`` is exact (every variable
+    normal or deterministic): Q_N(u) = g(to_z(u)).  Where Q_N keeps the sign
+    of c' = Q_N(0) everywhere it returns (+/-inf, None, None), signed as c'.
+
+    min ||u|| subject to Q_N(u) = 0 (Moré 1993): in the eigenbasis
+    A' = P diag(gamma) P', kbar = P'k', y_i = -lambda kbar_i / (1 + 2 lambda gamma_i),
+    with lambda the root of phi(lambda) = Q_N(y(lambda))
+    = c' - sum_i kbar_i^2 lambda (1 + lambda gamma_i) / (1 + 2 lambda gamma_i)^2
+    where I + 2 lambda Gamma is positive definite.  phi' < 0 there, so the
+    root is unique and has the sign of c' (``_secular_root`` solves for
+    sign(c') Q_N).  A kbar within SIGN_ZERO_TOL of 0 (relative) counts as 0,
+    and so does an eigenvalue within it (relative, as ``eigenbasis`` takes
+    them) where its kbar is 0: such a direction, a deterministic column's
+    say, drops out.  One whose kbar is not 0 keeps its eigenvalue, since
+    lambda gamma_i need not be small at the root.  It calls ``g`` once, at u*, to
+    check |g| <= MPP_TOL max(1, |c'|) (a miss raises ``ConvergenceError``), and
+    ``gradient`` once there.
+    """
+    c = qn.c
+    sign = math.copysign(1.0, c)
+    gamma, p = np.linalg.eigh(sign * qn.a)
+    kbar = p.T @ (sign * qn.k)
+    tol = SIGN_ZERO_TOL * max(1.0, math.sqrt(np.sum(qn.a * qn.a)))
+    kbar[np.abs(kbar) <= SIGN_ZERO_TOL * max(1.0, math.sqrt(kbar @ kbar))] = 0.0
+    gamma[(np.abs(gamma) <= tol) & (kbar == 0.0)] = 0.0
+    if c == 0.0:
+        u = np.zeros(qn.dim)
+    else:
+        y = _secular_root(gamma, kbar, abs(c), tol)
+        if y is None:
+            return math.copysign(math.inf, c), None, None
+        u = p @ y
+    z = to_z(u[None, :])
+    gval = float(np.asarray(g(z))[0])
+    if abs(gval) > MPP_TOL * max(1.0, abs(c)):
+        raise ConvergenceError(f"closed-form MPP misses the limit state (g = {gval:.3g})",
+                               trace=[(0, math.sqrt(u @ u), gval)])
+    return math.copysign(math.sqrt(u @ u), c), u, to_z.chain_rule(z[0], gradient(z[0]))
+
+
+def _secular_root(gamma, kbar, c, tol):
+    """The minimizer y of ||y|| on sum_i gamma_i y_i^2 + kbar_i y_i + c = 0, for
+    c > 0, or None where that sum is >= 0 everywhere.
+
+    Every term of c - phi is >= 0 for lambda in (0, lambda_max), so a bound
+    on one term's growth brackets the root in a finite interval.  It is found
+    in lambda, except past lambda_max / 2 below a pole lambda_max =
+    -1 / (2 gamma_0), gamma_0 the least gamma, where it is found in
+    w = d_0 = 1 + 2 lambda gamma_0, so that d_0 keeps its precision there.
+    Where phi stays >= 0 up to the pole and
+    kbar is 0 on gamma_0's eigenvectors (the hard case), lambda = lambda_max
+    and y adds the step along the first of them that brings the sum to 0.
+    Eigenvalues within ``tol`` of gamma_0 count as equal to it.
+    """
+    active = kbar != 0.0
+
+    def at_lambda(lam):
+        return lam, 1.0 + 2.0 * lam * gamma
+
+    at, lo = at_lambda, 0.0
+    gamma_0 = gamma.min()
+    if gamma_0 < 0.0:
+        lam_max = -0.5 / gamma_0
+        gamma = np.where(gamma <= gamma_0 + tol, gamma_0, gamma)
+        ratio = gamma / gamma_0
+
+        def at_w(w):
+            return lam_max * (1.0 - w), (1.0 - ratio) + w * ratio  # d_0 = w exactly
+
+        binding = ratio == 1.0
+        k_bind = kbar[binding] @ kbar[binding]
+        if k_bind > 0.0:  # phi -> -inf at the pole; the binding terms alone reach 2c at w_lo
+            w_lo = math.sqrt(k_bind * lam_max / (4.0 * c + k_bind * lam_max))
+        else:
+            w_lo = 0.0
+            lam, d = at_w(0.0)
+            phi = c - _secular_terms(lam, d, kbar, active)
+            if phi >= 0.0:  # the hard case: lambda at the pole, the rest along binding[0]
+                y = _secular_point(lam, d, kbar, active)
+                y[np.flatnonzero(binding)[0]] = math.sqrt(2.0 * lam_max * phi)
+                return y
+        if c > _secular_terms(*at_w(0.5), kbar, active):  # the root lies past lambda_max / 2
+            at, lo, hi = at_w, w_lo, 0.5
+        else:
+            hi = 0.5 * lam_max
+    else:
+        flat = gamma == 0.0
+        k_flat = kbar[flat] @ kbar[flat]
+        if k_flat > 0.0:  # phi <= c - lambda k_flat
+            hi = 2.0 * c / k_flat
+        else:
+            curved = active & ~flat
+            reach = np.sum(kbar[curved] ** 2 / (4.0 * gamma[curved]))  # c - phi(inf)
+            if reach <= c:
+                return None
+            # c - phi(lambda) = reach - sum kbar^2 / (4 gamma d^2) >= reach - reach / d_min^2
+            d_min = math.sqrt(2.0 * reach / (reach - c))
+            hi = (d_min - 1.0) / (2.0 * np.min(gamma[curved]))
+    root = brentq(lambda v: c - _secular_terms(*at(v), kbar, active), lo, hi,
+                  xtol=1e-300, rtol=4.0 * np.finfo(float).eps, maxiter=200)
+    return _secular_point(*at(root), kbar, active)
+
+
+def _secular_point(lam, d, kbar, active):
+    """y_i = -lambda kbar_i / d_i, and 0 where kbar_i is."""
+    return np.where(active, -lam * kbar / np.where(active, d, 1.0), 0.0)
+
+
+def _secular_terms(lam, d, kbar, active):
+    """sum_i kbar_i^2 lambda (1 + lambda gamma_i) / d_i^2 over the active i,
+    with 1 + lambda gamma_i = (1 + d_i) / 2."""
+    k2, d = kbar[active] ** 2, d[active]
+    return lam * np.sum(k2 * (1.0 + d) / (2.0 * d * d))
 
 
 def beta_scale(beta: float, u, grad) -> float:

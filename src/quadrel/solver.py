@@ -17,9 +17,18 @@ from scipy.optimize import minimize
 
 from .doe import DoeBox, Scheme, bbd_points, ccd_points, doe_box, fit_quadratic, inscribed_ccd_2
 from .errors import ConvergenceError, DomainError, SolverFailureError
-from .form import FD_REL_STEP, beta_scale, fd_gradient, form_mpp, once_per_row, per_point
+from .form import (
+    FD_REL_STEP,
+    beta_scale,
+    fd_gradient,
+    form_mpp,
+    once_per_row,
+    per_point,
+    quadratic_mpp,
+)
 from .montecarlo import marginal_map, mc_pf
-from .pf import PfBatch, pf_batch, pf_quadratic, require_finite
+from .pf import PfBatch, pf_batch, require_finite
+from .pf import pf_quadratic  # noqa: F401 -- perfbench's tracer wraps solver.pf_quadratic
 from .quadratic import (
     CorrelationModel,
     QuadraticForm,
@@ -420,37 +429,24 @@ def rssl_solve(problem: RbdoProblem, start=None) -> RbdoResult:
     )
 
 
-def _exact_pf(spec: ConstraintSpec, variables: list, corr) -> float | None:
-    """Prob[g(z) < 0] at the variables' means where it is exactly 0 or 1, else None.
-
-    Only for an explicit quadratic in normal or deterministic variables,
-    where the standard-normal form is exact: the closed form's kappa is
-    -inf where Q_N can never drop below 0 and +inf where it can never
-    rise above it.
-    """
-    if spec.quadratic is None or not all(
-            v.is_deterministic or v.kind is Kind.NORMAL for v in variables):
-        return None
-    qn = to_standard_normal(spec.quadratic, standard_normal_map(variables, corr))
-    pf, diag = pf_quadratic(qn)
-    return pf if math.isinf(diag.kappa) else None
-
-
 class FormMargins:
     """FORM constraints beta_HL_i(mu) - beta_d_i over ``problem.constraints``
     as a function of the design means, and their Jacobian.
 
     Each distinct design point runs one MPP search per constraint, once.
     ``jacobian`` takes d beta / d mu from those MPPs (``form.beta_scale``),
-    so it starts no search at a point the margins were evaluated at.  A
-    constraint whose failure set is provably empty there (``_exact_pf``
-    is 0) has beta = +inf and a zero row; one that provably always fails
-    raises ``SolverFailureError``.  An explicit quadratic's search takes its
-    exact gradient 2Az + k in place of a stencil, and its Hessian 2A (built
-    once) for the SQP step.  The searches at a point share its marginal map.
-    Every limit-state row evaluated, and every exact gradient, counts one
-    call in ``counters.deterministic_g_evals``; the Hessian is a coefficient,
-    not an evaluation, and counts none.
+    so it starts no search at a point the margins were evaluated at.  Where
+    every variable is normal or deterministic, an explicit quadratic is exact
+    in standard-normal space at every point, and its MPP comes in closed
+    form (``form.quadratic_mpp``): a failure set that is empty there gives
+    beta = +inf and a zero row, and one that is everything raises
+    ``SolverFailureError``.  Any other constraint runs ``form.form_mpp``; an
+    explicit quadratic's search takes its exact gradient 2Az + k in place of a
+    stencil, and its Hessian 2A (built once) for the SQP step.  The searches
+    at a point share its marginal map.  Every limit-state row evaluated, and
+    every exact gradient, counts one call in ``counters.deterministic_g_evals``:
+    a closed-form MPP counts 2, its check of g at u* and its gradient; the
+    Hessian is a coefficient, not an evaluation, and counts none.
     """
 
     def __init__(self, problem: RbdoProblem, counters: EvalCounters):
@@ -468,26 +464,30 @@ class FormMargins:
         self._derivatives = [(None, None) if spec.quadratic is None
                              else (counted(spec.quadratic.gradient), 2.0 * spec.quadratic.a)
                              for spec in problem.constraints]
+        normal = all(v.is_deterministic or v.kind is Kind.NORMAL for v in problem.variables)
+        self._closed_form = [normal and spec.quadratic is not None for spec in problem.constraints]
 
     def _search(self, mu):
         """(margins, [(beta, u*, grad) or None per constraint]) at ``mu``."""
         problem = self.problem
         vars_at = problem.variables_at(problem.full_mean(mu))
         to_z = marginal_map(vars_at, problem.corr)
+        snmap = standard_normal_map(vars_at, problem.corr) if any(self._closed_form) else None
         mpps = []
-        for spec, g, (grad, hess) in zip(problem.constraints, self._limit_states,
-                                         self._derivatives):
+        for spec, closed_form, g, (grad, hess) in zip(problem.constraints, self._closed_form,
+                                                      self._limit_states, self._derivatives):
             try:
-                mpps.append(form_mpp(g, to_z, gradient=grad, hessian=hess))
+                if closed_form:
+                    mpp = quadratic_mpp(g, to_z, to_standard_normal(spec.quadratic, snmap), grad)
+                else:
+                    mpp = form_mpp(g, to_z, gradient=grad, hessian=hess)
             except ConvergenceError as exc:
-                pf = _exact_pf(spec, vars_at, problem.corr)
-                where = f"constraint {spec.name} at mu = {mu.tolist()}"
-                if pf == 1.0:
-                    raise SolverFailureError(f"{where} fails with probability 1",
-                                             phase="double-loop") from exc
-                if pf != 0.0:
-                    raise ConvergenceError(f"{exc} ({where})", trace=exc.trace) from exc
-                mpps.append(None)
+                raise ConvergenceError(f"{exc} (constraint {spec.name} at mu = {mu.tolist()})",
+                                       trace=exc.trace) from exc
+            if mpp[0] == -math.inf:
+                raise SolverFailureError(f"constraint {spec.name} at mu = {mu.tolist()} "
+                                         "fails with probability 1", phase="double-loop")
+            mpps.append(None if mpp[0] == math.inf else mpp)
         betas = np.array([math.inf if m is None else m[0] for m in mpps])
         return betas - self.targets, mpps
 

@@ -7,17 +7,24 @@ import numpy as np
 import pytest
 from scipy.stats import lognorm
 
-from quadrel.errors import BreitungSingularityError, DomainError
+import quadrel.form
+from quadrel.errors import BreitungSingularityError, ConvergenceError, DomainError
 from quadrel.form import (
     beta_scale,
     fd_gradient,
     form_mpp,
     once_per_row,
     per_point,
+    quadratic_mpp,
     sorm_breitung,
 )
 from quadrel.montecarlo import marginal_map, mc_pf, transform_samples
-from quadrel.quadratic import QuadraticForm, correlation_decompose
+from quadrel.quadratic import (
+    QuadraticForm,
+    correlation_decompose,
+    standard_normal_map,
+    to_standard_normal,
+)
 from quadrel.variables import Kind, RandomVariable, Role, std_normal
 
 
@@ -205,6 +212,113 @@ class TestFormMpp:
         form_mpp(g, marginal_map([snv("z1"), snv("z2")], None))
         assert rows.count((0.0, 0.0)) == 1
         assert len(set(rows)) == len(rows)
+
+
+def closed_form_mpp(q, variables, corr=None):
+    """``quadratic_mpp`` of the explicit quadratic ``q`` over ``variables``."""
+    qn = to_standard_normal(q, standard_normal_map(variables, corr))
+    return quadratic_mpp(q, marginal_map(variables, corr), qn, q.gradient)
+
+
+def brute_force_beta(q, directions):
+    """min over unit ``directions`` v of the least t > 0 with Q(t v) = 0, for
+    Q(0) > 0: the beta of a dense search over the sphere, from above."""
+    v = directions / np.linalg.norm(directions, axis=1, keepdims=True)
+    a = np.einsum("ij,jk,ik->i", v, q.a, v)
+    b = v @ q.k
+    disc = b * b - 4.0 * a * q.c
+    with np.errstate(invalid="ignore", divide="ignore"):
+        roots = np.stack([(-b - np.sqrt(disc)) / (2.0 * a), (-b + np.sqrt(disc)) / (2.0 * a),
+                          np.where(a == 0.0, -q.c / b, np.nan)])
+    return np.nanmin(np.where(roots > 0.0, roots, np.nan))
+
+
+class TestQuadraticMpp:
+    def test_matches_the_iterative_search(self):
+        # seeded quadratics over correlated normals and a deterministic column:
+        # the closed form's beta is form_mpp's to rtol 1e-7, of either sign
+        rng = np.random.default_rng(31)
+        f = rng.standard_normal((4, 4))
+        cov = f @ f.T
+        corr = correlation_decompose(cov / np.sqrt(np.outer(np.diag(cov), np.diag(cov))))
+        variables = [RandomVariable("x1", Kind.NORMAL, Role.PARAMETER, 1.0, 0.3),
+                     RandomVariable("x2", Kind.NORMAL, Role.PARAMETER, 2.0, 0.5),
+                     RandomVariable("d", Kind.DETERMINISTIC, Role.PARAMETER, 1.5, 0.0),
+                     RandomVariable("x3", Kind.NORMAL, Role.PARAMETER, 3.0, 0.2)]
+        means = np.array([v.mean for v in variables])
+        compared = 0
+        for corr_used in (None, corr):
+            to_z = marginal_map(variables, corr_used)
+            for _ in range(25):
+                a = rng.standard_normal((4, 4))
+                k = rng.standard_normal(4)
+                at_means = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.5)
+                q = QuadraticForm(a, k, 0.0)
+                q = QuadraticForm(a, k, at_means - q(means))
+                beta, u, grad = closed_form_mpp(q, variables, corr_used)
+                assert math.copysign(1.0, beta) == math.copysign(1.0, at_means)
+                try:
+                    beta_hl, _, grad_hl = form_mpp(q, to_z, gradient=q.gradient, hessian=2.0 * q.a)
+                except ConvergenceError:
+                    continue
+                assert beta == pytest.approx(beta_hl, rel=1e-7)
+                z = to_z(u[None, :])[0]
+                assert np.array_equal(grad, to_z.chain_rule(z, q.gradient(z)))
+                compared += 1
+        assert compared >= 40
+
+    @pytest.mark.parametrize("gamma,kbar,c,hard", [
+        ([-1.0, 1.0, 2.0], [0.0, 1.0, 1.0], 1.0, True),    # kbar = 0 on the binding eigenvector
+        ([-1.0, -1.0, 2.0], [0.0, 0.0, 1.0], 1.0, True),   # on both of a double one
+        ([1.0, -1.0, -2.0], [0.0, -1.0, -1.0], -1.0, True),  # the first, where the means fail
+        ([-1.0, 1.0, 2.0], [0.05, 1.0, 1.0], 1.0, False),  # next to it: a pole, no hard case
+        ([-1.0, 1.0, 2.0], [1e-10, 1.0, 1.0], 1.0, False),  # a root within 1e-10 of the pole
+        ([-1.0, 1.0, 2.0], [0.0, 3.0, 1.0], 1.0, False),   # kbar = 0 there, but a root comes first
+    ])
+    def test_hard_case_matches_a_brute_force_minimum(self, gamma, kbar, c, hard, monkeypatch):
+        # in a rotated eigenbasis over three standard normals
+        rng = np.random.default_rng(7)
+        rotation = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        q = QuadraticForm(rotation @ np.diag(gamma) @ rotation.T, rotation @ np.array(kbar), c)
+        if hard:  # closed form: no root is searched for
+            monkeypatch.setattr(quadrel.form, "brentq", None)
+        beta, u, _ = closed_form_mpp(q, [snv("z1"), snv("z2"), snv("z3")])
+        assert abs(q(u)) <= 1e-12
+        assert math.copysign(1.0, beta) == c
+        brute = brute_force_beta(QuadraticForm(q.a * c, q.k * c, q.c * c),
+                                 rng.standard_normal((400_000, 3)))
+        assert abs(beta) <= brute * (1.0 + 1e-12)
+        assert brute <= abs(beta) * (1.0 + 1e-3)
+
+    def test_least_eigenvalue_sets_the_pole(self):
+        # eigh lists -5e-13 first; with no slope along it, it drops out as 0,
+        # ahead of the sloped -3e-13 it no longer sorts below
+        q = QuadraticForm(np.diag([-5e-13, -3e-13, 1.0]), np.array([0.0, 0.4, 0.5]), 0.1)
+        beta, u, _ = closed_form_mpp(q, [snv("z1"), snv("z2"), snv("z3")])
+        assert abs(q(u)) <= 1e-12
+        brute = brute_force_beta(q, np.random.default_rng(8).standard_normal((400_000, 3)))
+        assert beta <= brute * (1.0 + 1e-12)
+        assert brute <= beta * (1.0 + 1e-3)
+
+    @pytest.mark.parametrize("a,k,c,beta", [
+        ([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], 1.0, math.inf),     # >= 1 everywhere
+        ([[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0], -1.0, -math.inf),  # <= -1 everywhere
+        ([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0], 1.0, math.inf),     # flat along z2, >= 1
+        ([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0], 0.25, math.inf),    # touches 0 at (-1/2, 0) only
+        ([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.1], 1.0, 10.0),         # flat along z2 but sloped
+        # a curvature within the zero tolerance still bounds a slope along it:
+        # min G = 0.1 - 0.25 / 4 - (4.7e-12)^2 / (4 * 5e-13) > 0
+        ([[1.0, 0.0], [0.0, 5e-13]], [0.5, 4.7e-12], 0.1, math.inf),
+        ([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0], 0.0, 0.0),          # the means on G = 0
+    ])
+    def test_no_root_is_an_infinite_beta(self, a, k, c, beta):
+        q = QuadraticForm(np.array(a), np.array(k), c)
+        found = closed_form_mpp(q, [snv("z1"), snv("z2")])
+        if math.isinf(beta):
+            assert found == (beta, None, None)
+        else:
+            assert found[0] == pytest.approx(beta, rel=1e-12)
+            assert found[1] == pytest.approx([0.0, -beta], abs=1e-9)
 
 
 class TestBetaSensitivity:

@@ -540,6 +540,20 @@ class TestCli:
                      "--at", "4.85", "--seed", "3"]) == 0
         assert "pf_mc[g]" in capsys.readouterr().out
 
+    def test_mc_check_that_fails_prints_nothing(self, tmp_path, capsys):
+        # an audit that fails is exit 2 with stdout empty, as a flag error is
+        doc = {"variables": [{"name": "x1", "kind": "normal", "role": "design-variable",
+                              "mean": 5.0, "std": 0.3, "lower": 0.0, "upper": 10.0}],
+               "objective": {"builtin": "sum"},
+               "constraints": [{"name": "g_log", "expression": "log(x1 - 4.5)"}],
+               "targets": {"beta_d": 3.0}}
+        path = tmp_path / "nan.json"
+        write_document(doc, path)
+        with np.errstate(invalid="ignore"):
+            assert main(["mc-check", str(path), "--at", "5.0", "--mc-n", "100000"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "g_log: g is NaN" in err
+
     def test_negative_seed_is_input_error(self, capsys):
         assert main(["mc-check", "demo-ellipse", "--seed", "-1", "--mc-n", "1000"]) == 2
         assert "seed >= 0" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 probabilistic constraints, counters, the FORM double loop and the audit
 helpers."""
 
+import dataclasses
 import math
 import os
 
@@ -62,6 +63,15 @@ def demo_ellipse_lognormal_black_box():
     problem = demo_ellipse_lognormal()
     problem.constraints = [ConstraintSpec(name=spec.name, g=spec.quadratic, beta_d=spec.beta_d)
                            for spec in problem.constraints]
+    return problem
+
+
+def crashworthiness_lognormal():
+    """crashworthiness with p1 lognormal: its ten explicit quadratics are no
+    longer exact in standard-normal space, so each takes the iterative search."""
+    problem = builtin("crashworthiness")
+    problem.variables = [dataclasses.replace(v, kind=Kind.LOGNORMAL) if v.name == "p1" else v
+                         for v in problem.variables]
     return problem
 
 
@@ -803,10 +813,13 @@ class TestFormDoubleLoop:
                     np.testing.assert_allclose(to_z.chain_rule(z, q.gradient(z)), fd,
                                                rtol=1e-6, atol=1e-8)
 
-    @pytest.mark.parametrize("name", ["demo-ellipse-lognormal", "crashworthiness"])
-    def test_explicit_quadratic_search_has_no_stencil(self, name, monkeypatch):
-        # every search takes the exact gradient: g sees one row per call, and
-        # each row and each gradient counts one limit-state call
+    @pytest.mark.parametrize("build", [lambda: builtin("demo-ellipse-lognormal"),
+                                       crashworthiness_lognormal],
+                             ids=["demo-ellipse-lognormal", "crashworthiness-lognormal"])
+    def test_explicit_quadratic_search_has_no_stencil(self, build, monkeypatch):
+        # every iterative search of an explicit quadratic (here, with a lognormal
+        # variable) takes the exact gradient: g sees one row per call, and each
+        # row and each gradient counts one limit-state call
         rows, gradients = [], []
         search = quadrel.solver.form_mpp
 
@@ -820,7 +833,7 @@ class TestFormDoubleLoop:
                           gradient=lambda z: gradients.append(1) or gradient(z), **kwargs)
 
         monkeypatch.setattr(quadrel.solver, "form_mpp", logged)
-        problem = builtin(name)
+        problem = build()
         counters = EvalCounters()
         margins = FormMargins(problem, counters)
         lo, hi = bounds_of(problem)
@@ -829,24 +842,24 @@ class TestFormDoubleLoop:
         assert gradients and rows and set(rows) == {1}
         assert counters.deterministic_g_evals == len(rows) + len(gradients)
 
-    @pytest.mark.parametrize("name,points", [
-        ("demo-ellipse", 20),
-        ("demo-ellipse-det", 20),
-        ("demo-ellipse-lognormal", 20),
-        ("demo-ellipse-varstd", 20),
-        ("crashworthiness", 6),  # its stalled searches take about 0.1 s each
+    # exact_calls: the limit-state calls of the exact-Hessian searches that end
+    # without the SLSQP fallback, before the secant step; they may only go down.
+    # A fallback's calls move with the BLAS thread count, inside scipy's SLSQP
+    @pytest.mark.parametrize("name,points,exact_calls", [
+        ("demo-ellipse", 20, 208),
+        ("demo-ellipse-det", 20, 296),
+        ("demo-ellipse-lognormal", 20, 223),
+        ("demo-ellipse-varstd", 20, 259),
+        ("crashworthiness", 6, 780),  # its stalled searches take about 0.1 s each
     ])
-    def test_sqp_step_keeps_the_hlrf_beta(self, name, points, monkeypatch):
-        # at seeded design points each explicit quadratic's beta equals that
-        # of the search with its Hessian withheld (plain HLRF) to rtol 1e-7,
-        # wherever that search succeeds.  The SQP search makes no more
-        # limit-state calls, and fewer in all, except where plain HLRF stalls:
-        # there both end in the SLSQP fallback, whose cost depends on where
-        # the stall left it
+    def test_exact_hessian_keeps_the_secant_beta(self, name, points, exact_calls, monkeypatch):
+        # at seeded design points each explicit quadratic's beta equals that of
+        # the search with its Hessian withheld (the secant step) to rtol 1e-7,
+        # wherever that search succeeds
         problem = builtin(name)
         fallbacks = counted_fallbacks(monkeypatch)
         lo, hi = bounds_of(problem)
-        totals = np.zeros(2, dtype=int)
+        total = 0
         for mu in lo + np.random.default_rng(20).random((points, lo.size)) * (hi - lo):
             to_z = marginal_map(problem.variables_at(problem.full_mean(mu)), problem.corr)
             for q in (spec.quadratic for spec in problem.constraints):
@@ -863,34 +876,29 @@ class TestFormDoubleLoop:
                     except ConvergenceError:
                         beta = None
                     searches.append((beta, sum(calls), bool(fallbacks)))
-                (beta_hl, calls_hl, stalled), (beta, calls, _) = searches
-                if beta_hl is None:
-                    continue
-                assert beta == pytest.approx(beta_hl, rel=1e-7)
+                (beta_secant, _, _), (beta, calls, stalled) = searches
+                if beta_secant is not None:
+                    assert beta == pytest.approx(beta_secant, rel=1e-7)
                 if not stalled:
-                    assert calls <= calls_hl
-                    totals += (calls, calls_hl)
-        assert totals[0] < totals[1]
+                    total += calls
+        assert total <= exact_calls
 
-    # parent_evals: the calls of the FORM loop before the SQP step, whose
-    # explicit quadratics already took their exact gradient; limit-state calls
-    # may only go down from there.  Threaded BLAS moves the last bits of
-    # bench-3g's outer loop: that loop made 1107 calls with one BLAS thread
-    # and 1267 with two.  crashworthiness and demo-ellipse-varstd take the
-    # one-thread counts from before a stalled search ran its SLSQP fallback
-    # once: crashworthiness's fallback calls move with the BLAS thread count
-    # (19014 and 20248 then, 10261 and 10647 with one fallback run)
+    # parent_evals: the calls of the FORM loop before the closed-form search and
+    # the secant step; limit-state calls may only go down from there.  No search
+    # of these ends in the SLSQP fallback, so the counts hold at any BLAS thread
+    # count (before, crashworthiness made 10261 calls at one thread and 10647 at
+    # two, and bench-3g 1107 and 1267)
     @pytest.mark.parametrize("name,build,objective,parent_evals", [
-        ("bench-3g", bench_3g, 6.725659, 1267),
-        ("bench-quad4", bench_quad4, 0.0154656, 1914),
-        ("bench-quad4 beta=3", lambda: bench_quad4(beta_d=3.0), 0.910632, 3174),
-        ("demo-ellipse", demo_ellipse, 0.0, 327),
-        ("demo-ellipse-lognormal", demo_ellipse_lognormal, 0.1, 1016),
+        ("bench-3g", bench_3g, 6.725659, 592),
+        ("bench-quad4", bench_quad4, 0.0154656, 921),
+        ("bench-quad4 beta=3", lambda: bench_quad4(beta_d=3.0), 0.910632, 2109),
+        ("demo-ellipse", demo_ellipse, 0.0, 12),
+        ("demo-ellipse-lognormal", demo_ellipse_lognormal, 0.1, 81),
         # the rssl optimum; the unsigned beta ended at 2.436275, where MC gives pf 0.9985
-        ("demo-ellipse-det", demo_ellipse_det, 0.1, 504),
-        ("demo-ellipse-varstd", demo_ellipse_varstd, 0.0, 95),
+        ("demo-ellipse-det", demo_ellipse_det, 0.1, 18),
+        ("demo-ellipse-varstd", demo_ellipse_varstd, 0.0, 8),
         # lower-bound corner
-        ("crashworthiness", lambda: builtin("crashworthiness"), 3.8675, 19014),
+        ("crashworthiness", lambda: builtin("crashworthiness"), 3.8675, 480),
     ])
     def test_optimum_with_fewer_limit_state_calls(self, name, build, objective, parent_evals):
         problem = build()
@@ -901,52 +909,31 @@ class TestFormDoubleLoop:
         for pf, spec in zip(result.pf_closed_form, problem.constraints):
             assert pf <= spec.pf_target + 1e-9
 
-    def test_sqp_step_cuts_the_calls_outside_the_fallback(self, monkeypatch):
-        # crashworthiness's g02, g06 and g07 (beta 277-921) stall at every
-        # design point, and each ends in the SLSQP fallback.  The fallback's
-        # calls move with the BLAS thread count inside scipy's SLSQP (before
-        # the SQP step the solve made 19230 calls in all with one thread and
-        # 19671 with two); the calls outside it do not: 2574 before the SQP
-        # step at either thread count, and they may only go down from there
-        counters = []
-        monkeypatch.setattr(quadrel.solver, "EvalCounters",
-                            lambda: counters.append(EvalCounters()) or counters[-1])
-        in_fallback = []
-        minimize = quadrel.form.minimize
-
-        def counted(*args, **kwargs):
-            before = counters[0].deterministic_g_evals
-            res = minimize(*args, **kwargs)
-            in_fallback.append(counters[0].deterministic_g_evals - before)
-            return res
-
-        monkeypatch.setattr(quadrel.form, "minimize", counted)
-        result = rbdo_double_loop_form(builtin("crashworthiness"))
-        assert result.objective_value == pytest.approx(3.8675, abs=1e-4)
-        assert in_fallback
-        assert result.counters.deterministic_g_evals - sum(in_fallback) <= 2574
-
-    def test_one_fallback_run_per_stalled_search(self, monkeypatch):
-        # crashworthiness's g02, g06 and g07 stall at the design points FORM
-        # visits from design_start(); each stalled search runs SLSQP once,
-        # from the iterate where it stopped: 9 runs, 18 when a second run
-        # also started from u = 0.1
+    @pytest.mark.parametrize("name,calls", [("crashworthiness", 480), ("bench-3g", 592)])
+    def test_same_calls_at_any_blas_thread_count(self, name, calls, monkeypatch):
+        # crashworthiness's searches are closed-form and bench-3g's take the
+        # secant step: none runs the SLSQP fallback, whose calls moved with the
+        # BLAS thread count.  Tier-1 runs at one and at two threads
         fallbacks = counted_fallbacks(monkeypatch)
-        per_search = []
-        search = quadrel.solver.form_mpp
+        result = rbdo_double_loop_form(builtin(name))
+        assert not fallbacks
+        assert result.counters.deterministic_g_evals == calls
 
-        def logged(*args, **kwargs):
-            before = len(fallbacks)
-            try:
-                return search(*args, **kwargs)
-            finally:
-                per_search.append(len(fallbacks) - before)
-
-        monkeypatch.setattr(quadrel.solver, "form_mpp", logged)
-        result = rbdo_double_loop_form(builtin("crashworthiness"))
-        assert result.objective_value == pytest.approx(3.8675, abs=1e-4)
-        assert max(per_search) == 1
-        assert len(fallbacks) == 9
+    @pytest.mark.parametrize("name", ["crashworthiness", "demo-ellipse", "demo-ellipse-det",
+                                      "demo-ellipse-varstd"])
+    def test_closed_form_search_makes_two_calls(self, name, monkeypatch):
+        # every variable is normal or deterministic: each explicit quadratic's
+        # MPP is closed-form, with one call for g at u* and one for its gradient
+        searches = counted_mpp_searches(monkeypatch)
+        problem = builtin(name)
+        counters = EvalCounters()
+        margins = FormMargins(problem, counters)
+        lo, hi = bounds_of(problem)
+        for mu in lo + np.random.default_rng(3).random((6, lo.size)) * (hi - lo):
+            before = counters.deterministic_g_evals
+            assert np.isfinite(margins(mu)).all()
+            assert counters.deterministic_g_evals - before == 2 * len(problem.constraints)
+        assert not searches
 
     def test_one_map_per_design_point(self, monkeypatch):
         # every constraint's search at a design point shares its variables and
@@ -1015,25 +1002,27 @@ class TestFormDoubleLoop:
         assert str(err.value) == "constraint g_never_safe at mu = [2.0] fails with probability 1"
 
     @pytest.mark.parametrize("build,fallback", [
-        (demo_ellipse_det, False),        # steps along the deterministic d1 repeat rows
+        (demo_ellipse_det, False),        # closed-form: each search evaluates u* alone
         (bench_3g, False),
         (demo_ellipse_lognormal, False),  # the SQP step: no search falls back
-        (demo_ellipse_lognormal_black_box, True),  # plain HLRF: one search ends in the fallback
+        (demo_ellipse_lognormal_black_box, False),  # the secant step: none falls back either
     ])
     def test_each_search_evaluates_a_row_once(self, build, fallback, monkeypatch):
         searches = []
-        search = quadrel.solver.form_mpp
 
-        def logged(g, *args, **kwargs):
-            rows = []
-            searches.append(rows)
+        def logged(search):
+            def run(g, *args, **kwargs):
+                rows = []
+                searches.append(rows)
 
-            def g_logged(z):
-                rows.extend(map(bytes, np.atleast_2d(z)))
-                return g(z)
-            return search(g_logged, *args, **kwargs)
+                def g_logged(z):
+                    rows.extend(map(bytes, np.atleast_2d(z)))
+                    return g(z)
+                return search(g_logged, *args, **kwargs)
+            return run
 
-        monkeypatch.setattr(quadrel.solver, "form_mpp", logged)
+        for name in ("form_mpp", "quadratic_mpp"):
+            monkeypatch.setattr(quadrel.solver, name, logged(getattr(quadrel.solver, name)))
         fallbacks = counted_fallbacks(monkeypatch)
         rbdo_double_loop_form(build())
         assert bool(fallbacks) == fallback
