@@ -1,11 +1,11 @@
 """First- and second-order reliability methods.
 
-Most-probable-point search: in closed form for a quadratic that is exact in
-standard-normal space, otherwise via damped SQP steps (with an explicit
-quadratic's exact Hessian, or a secant estimate; the Hasofer-Lind-Rackwitz-
-Fiessler step where neither allows one) with a constrained-minimization
-fallback; and the Breitung curvature correction evaluated on a quadratic limit
-state at the MPP.
+Most-probable-point search: damped SQP steps (with an explicit quadratic's
+exact Hessian, or a secant estimate; the Hasofer-Lind-Rackwitz-Fiessler step
+where neither allows one) with a constrained-minimization fallback, started at
+the closed-form MPP where the limit state is a quadratic that is exact in
+standard-normal space; and the Breitung curvature correction evaluated on a
+quadratic limit state at the MPP.
 Also the one per-row evaluation memo, shared by the solver and the MPP search,
 and the one finite-difference helper, which evaluates its stencil as a stack.
 """
@@ -119,7 +119,7 @@ def _sr1_update(h, s, r):
         h += np.outer(v, v / vs)
 
 
-def form_mpp(g, to_z, gradient=None, hessian=None):
+def form_mpp(g, to_z, gradient=None, hessian=None, exact=None):
     """Find the most probable point of Prob[g(z) < 0].
 
     ``to_z`` is the design point's ``montecarlo.marginal_map``.  Returns
@@ -137,6 +137,13 @@ def form_mpp(g, to_z, gradient=None, hessian=None):
     exact through the second-order chain rule; otherwise it is a symmetric
     rank-one (SR1) secant estimate, started at 0 (so the first step is HLRF)
     and updated from consecutive iterates' gradients, at no extra call.
+
+    ``exact`` is g's standard-normal ``QuadraticForm`` Q_N(u) = g(to_z(u)),
+    where that form is exact (every variable normal or deterministic).  Given
+    it, g at the means is its c', with no call, and the search starts at its
+    closed-form MPP (``quadratic_mpp``), or returns (+/-inf, None, None),
+    signed as c', where Q_N keeps that sign everywhere.  A start within the
+    convergence tests is accepted with one row of g and one gradient.
     """
     g_n = _g_in_standard_space(once_per_row(g), to_z)
 
@@ -149,8 +156,14 @@ def form_mpp(g, to_z, gradient=None, hessian=None):
         h_u = None if hessian is None else to_z.hessian_chain_rule(z, grad_z, hessian)
         return to_z.chain_rule(z, grad_z), h_u
 
-    z = np.zeros(to_z.n)
-    gval = g0 = g_n(z)
+    if exact is None:
+        z = np.zeros(to_z.n)
+        gval = g0 = g_n(z)
+    else:
+        g0, z = exact.c, quadratic_mpp(exact)
+        if z is None:
+            return math.copysign(math.inf, g0), None, None
+        gval = g_n(z)
     scale = max(abs(g0), 1.0)
     secant = np.zeros((z.size, z.size)) if hessian is None else None
     trace = []
@@ -201,15 +214,14 @@ def form_mpp(g, to_z, gradient=None, hessian=None):
     return math.copysign(math.sqrt(z @ z), g0), z, grad
 
 
-def quadratic_mpp(g, to_z, qn: QuadraticForm, gradient):
-    """``form_mpp``'s (beta_hl, u*, grad) in closed form, for an explicit
-    quadratic g whose standard-normal form ``qn`` is exact (every variable
-    normal or deterministic): Q_N(u) = g(to_z(u)).  Where Q_N keeps the sign
-    of c' = Q_N(0) everywhere it returns (+/-inf, None, None), signed as c'.
+def quadratic_mpp(qn: QuadraticForm):
+    """The MPP u* = argmin ||u|| subject to Q_N(u) = 0 of a standard-normal
+    quadratic ``qn`` in closed form, or None where Q_N keeps the sign of
+    c' = Q_N(0) everywhere.
 
-    min ||u|| subject to Q_N(u) = 0 (Moré 1993): in the eigenbasis
-    A' = P diag(gamma) P', kbar = P'k', y_i = -lambda kbar_i / (1 + 2 lambda gamma_i),
-    with lambda the root of phi(lambda) = Q_N(y(lambda))
+    Moré (1993): in the eigenbasis A' = P diag(gamma) P', kbar = P'k',
+    y_i = -lambda kbar_i / (1 + 2 lambda gamma_i), with lambda the root of
+    phi(lambda) = Q_N(y(lambda))
     = c' - sum_i kbar_i^2 lambda (1 + lambda gamma_i) / (1 + 2 lambda gamma_i)^2
     where I + 2 lambda Gamma is positive definite.  phi' < 0 there, so the
     root is unique and has the sign of c' (``_secular_root`` solves for
@@ -217,30 +229,19 @@ def quadratic_mpp(g, to_z, qn: QuadraticForm, gradient):
     and so does an eigenvalue within it (relative, as ``eigenbasis`` takes
     them) where its kbar is 0: such a direction, a deterministic column's
     say, drops out.  One whose kbar is not 0 keeps its eigenvalue, since
-    lambda gamma_i need not be small at the root.  It calls ``g`` once, at u*, to
-    check |g| <= MPP_TOL max(1, |c'|) (a miss raises ``ConvergenceError``), and
-    ``gradient`` once there.
+    lambda gamma_i need not be small at the root.
     """
     c = qn.c
+    if c == 0.0:
+        return np.zeros(qn.dim)
     sign = math.copysign(1.0, c)
     gamma, p = np.linalg.eigh(sign * qn.a)
     kbar = p.T @ (sign * qn.k)
     tol = SIGN_ZERO_TOL * max(1.0, math.sqrt(np.sum(qn.a * qn.a)))
     kbar[np.abs(kbar) <= SIGN_ZERO_TOL * max(1.0, math.sqrt(kbar @ kbar))] = 0.0
     gamma[(np.abs(gamma) <= tol) & (kbar == 0.0)] = 0.0
-    if c == 0.0:
-        u = np.zeros(qn.dim)
-    else:
-        y = _secular_root(gamma, kbar, abs(c), tol)
-        if y is None:
-            return math.copysign(math.inf, c), None, None
-        u = p @ y
-    z = to_z(u[None, :])
-    gval = float(np.asarray(g(z))[0])
-    if abs(gval) > MPP_TOL * max(1.0, abs(c)):
-        raise ConvergenceError(f"closed-form MPP misses the limit state (g = {gval:.3g})",
-                               trace=[(0, math.sqrt(u @ u), gval)])
-    return math.copysign(math.sqrt(u @ u), c), u, to_z.chain_rule(z[0], gradient(z[0]))
+    y = _secular_root(gamma, kbar, abs(c), tol)
+    return None if y is None else p @ y
 
 
 def _secular_root(gamma, kbar, c, tol):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, ProblemFormatError
 from .problem_io import build_problem
-from .quadratic import QuadraticForm, n_quadratic_coefficients
+from .quadratic import n_quadratic_coefficients
 from .solver import RbdoProblem
 
 
@@ -78,10 +78,6 @@ def bench_quad4(beta_d: float = None, pf_all: float = 0.015) -> RbdoProblem:
 
 # flat layout [c, k1, k2, a11, a12, a22] over (x1, p1)
 ELLIPSE_FLAT = [31.0 / 30.0, -8.0 / 15.0, -2.0 / 15.0, 1.0 / 24.0, 1.0 / 40.0, 1.0 / 24.0]
-
-
-def ellipse_form() -> QuadraticForm:
-    return QuadraticForm.from_flat(ELLIPSE_FLAT, 2)
 
 
 def _ellipse(beta_d: float, x1: dict) -> dict:
@@ -177,13 +173,6 @@ def _crash_rows(path):
     if len(rows) != 10:
         raise ProblemFormatError(f"expected 10 constraint rows, found {len(rows)}", path="")
     return objective, rows
-
-
-def load_crash_coefficients(path):
-    """The coefficient CSV (``_crash_rows``) as (objective_form, {name: QuadraticForm})."""
-    objective, rows = _crash_rows(path)
-    return (QuadraticForm.from_flat(objective, CRASH_NZ),
-            {name: QuadraticForm.from_flat(row, CRASH_NZ) for name, row in rows.items()})
 
 
 def crashworthiness(coefficient_file=None, beta_d: float = None) -> RbdoProblem:

@@ -24,7 +24,6 @@ from .form import (
     form_mpp,
     once_per_row,
     per_point,
-    quadratic_mpp,
 )
 from .montecarlo import marginal_map, mc_pf
 from .pf import PfBatch, pf_batch, require_finite
@@ -437,16 +436,15 @@ class FormMargins:
     ``jacobian`` takes d beta / d mu from those MPPs (``form.beta_scale``),
     so it starts no search at a point the margins were evaluated at.  Where
     every variable is normal or deterministic, an explicit quadratic is exact
-    in standard-normal space at every point, and its MPP comes in closed
-    form (``form.quadratic_mpp``): a failure set that is empty there gives
-    beta = +inf and a zero row, and one that is everything raises
-    ``SolverFailureError``.  Any other constraint runs ``form.form_mpp``; an
-    explicit quadratic's search takes its exact gradient 2Az + k in place of a
-    stencil, and its Hessian 2A (built once) for the SQP step.  The searches
-    at a point share its marginal map.  Every limit-state row evaluated, and
-    every exact gradient, counts one call in ``counters.deterministic_g_evals``:
-    a closed-form MPP counts 2, its check of g at u* and its gradient; the
-    Hessian is a coefficient, not an evaluation, and counts none.
+    in standard-normal space at every point: its search starts at the closed-
+    form MPP (``form_mpp``'s ``exact``), and a failure set that is empty there
+    gives beta = +inf and a zero row, while one that is everything raises
+    ``SolverFailureError``.  An explicit quadratic's search takes its exact
+    gradient 2Az + k in place of a stencil, and its Hessian 2A (built once) for
+    the SQP step.  The searches at a point share its marginal map.  Every
+    limit-state row evaluated, and every exact gradient, counts one call in
+    ``counters.deterministic_g_evals``; the Hessian is a coefficient, not an
+    evaluation, and counts none.
     """
 
     def __init__(self, problem: RbdoProblem, counters: EvalCounters):
@@ -476,11 +474,9 @@ class FormMargins:
         mpps = []
         for spec, closed_form, g, (grad, hess) in zip(problem.constraints, self._closed_form,
                                                       self._limit_states, self._derivatives):
+            exact = to_standard_normal(spec.quadratic, snmap) if closed_form else None
             try:
-                if closed_form:
-                    mpp = quadratic_mpp(g, to_z, to_standard_normal(spec.quadratic, snmap), grad)
-                else:
-                    mpp = form_mpp(g, to_z, gradient=grad, hessian=hess)
+                mpp = form_mpp(g, to_z, gradient=grad, hessian=hess, exact=exact)
             except ConvergenceError as exc:
                 raise ConvergenceError(f"{exc} (constraint {spec.name} at mu = {mu.tolist()})",
                                        trace=exc.trace) from exc

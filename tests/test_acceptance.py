@@ -24,7 +24,6 @@ from quadrel.problems import (
     bench_quad4,
     crashworthiness,
     demo_ellipse,
-    ellipse_form,
 )
 from quadrel.quadratic import QuadraticForm, standard_normal_map, to_standard_normal
 from quadrel.solver import mc_audit, rbdo_double_loop_form, rssl_solve
@@ -43,7 +42,7 @@ def report(num, desc, ok):
 def ellipse_qn(mu_x1):
     problem = demo_ellipse(mu_x1=float(mu_x1))
     mu_full = problem.full_mean(np.array([mu_x1], dtype=float))
-    return to_standard_normal(ellipse_form(),
+    return to_standard_normal(problem.constraints[0].quadratic,
                               standard_normal_map(problem.variables_at(mu_full), None))
 
 
@@ -101,7 +100,7 @@ def test_criterion_02_constraint_geometry():
 
 def test_criterion_03_closed_form_tracks_mc_on_grid():
     problem = demo_ellipse()
-    q = ellipse_form()
+    q = problem.constraints[0].quadratic
     worst = 0.0
     ok = True
     for i, mu in enumerate(np.linspace(0.0, 15.0, 31)):

@@ -215,9 +215,11 @@ class TestFormMpp:
 
 
 def closed_form_mpp(q, variables, corr=None):
-    """``quadratic_mpp`` of the explicit quadratic ``q`` over ``variables``."""
+    """``form_mpp`` of the explicit quadratic ``q`` over ``variables``, given
+    its exact standard-normal form: the search from the closed-form MPP."""
     qn = to_standard_normal(q, standard_normal_map(variables, corr))
-    return quadratic_mpp(q, marginal_map(variables, corr), qn, q.gradient)
+    return form_mpp(q, marginal_map(variables, corr), gradient=q.gradient, hessian=2.0 * q.a,
+                    exact=qn)
 
 
 def brute_force_beta(q, directions):
@@ -319,6 +321,67 @@ class TestQuadraticMpp:
         else:
             assert found[0] == pytest.approx(beta, rel=1e-12)
             assert found[1] == pytest.approx([0.0, -beta], abs=1e-9)
+
+
+    def test_a_start_accepted_is_the_closed_form(self):
+        # seeded quadratics over 1-6 normals, some with a near-zero eigenvalue,
+        # |c'| from 0.1 to 1e8: a search that makes one row of g and one
+        # gradient returns quadratic_mpp's point bit for bit, beta = +/-||u*||
+        # signed as c'; where there is no root it makes no call.  Only a beta
+        # past 1e7 may miss its start by more than a step can recover
+        rng = np.random.default_rng(32)
+        accepted = finite = 0
+        for _ in range(500):
+            n = int(rng.integers(1, 7))
+            means, stds = rng.normal(0.0, 2.0, n), rng.uniform(0.1, 2.0, n)
+            variables = [RandomVariable(f"z{i}", Kind.NORMAL, Role.PARAMETER, m, s)
+                         for i, (m, s) in enumerate(zip(means, stds))]
+            rotation = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            gamma = rng.standard_normal(n)
+            if rng.random() < 0.3:
+                gamma[0] = 1e-13 * rng.standard_normal()
+            q = QuadraticForm(rotation @ np.diag(gamma) @ rotation.T, rng.standard_normal(n), 0.0)
+            at_means = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-1.0, 8.0)
+            q = QuadraticForm(q.a, q.k, at_means - q(means[None])[0])
+            qn = to_standard_normal(q, standard_normal_map(variables, None))
+            to_z = marginal_map(variables, None)
+            start = quadratic_mpp(qn)
+            rows, gradients = [], []
+            try:
+                beta, u, grad = form_mpp(lambda z: rows.append(len(z)) or q(z), to_z,
+                                         gradient=lambda z: gradients.append(1) or q.gradient(z),
+                                         hessian=2.0 * q.a, exact=qn)
+            except ConvergenceError:
+                assert np.linalg.norm(start) > 1e7
+                continue
+            if start is None:
+                assert beta == math.copysign(math.inf, qn.c) and not rows and not gradients
+                continue
+            finite += 1
+            if sum(rows) == 1 and len(gradients) == 1:
+                accepted += 1
+                assert np.array_equal(u, start)
+                assert beta == math.copysign(math.sqrt(start @ start), qn.c)
+                z = to_z(u[None, :])[0]
+                assert np.array_equal(grad, to_z.chain_rule(z, q.gradient(z)))
+        assert accepted >= 0.95 * finite and finite >= 400
+
+    def test_far_limit_state_recovers_from_roundoff(self, monkeypatch):
+        # |beta| = 469 952.8: G at the closed-form point carries roundoff far
+        # above MPP_TOL |c'|, so the start is not accepted; the exact-Hessian
+        # SQP step from there lands on it without the fallback
+        fallbacks = []
+        minimize = quadrel.form.minimize
+        monkeypatch.setattr(quadrel.form, "minimize",
+                            lambda *args, **kwargs: fallbacks.append(1) or minimize(*args, **kwargs))
+        q = QuadraticForm.from_flat([1000.0, 0.0013, -0.0017, 2.0, 1.9, 1.805], 2)
+        variables = [snv("z1"), snv("z2")]
+        qn = to_standard_normal(q, standard_normal_map(variables, None))
+        closed = np.linalg.norm(quadratic_mpp(qn))
+        assert closed == pytest.approx(469_952.8, abs=0.1)
+        beta, _, _ = closed_form_mpp(q, variables)
+        assert beta == pytest.approx(closed, rel=1e-6)
+        assert not fallbacks
 
 
 class TestBetaSensitivity:

@@ -15,8 +15,7 @@ from quadrel.problems import (
     bench_quad4,
     builtin_problems,
     crashworthiness,
-    ellipse_form,
-    load_crash_coefficients,
+    demo_ellipse,
 )
 from quadrel.solver import build_surrogates, rssl_solve
 from quadrel.variables import std_normal, std_normal_inv
@@ -148,7 +147,8 @@ class TestSignConventions:
         assert problem.constraints[0].evaluate(z)[0] == pytest.approx(13.0)
 
     def test_ellipse_value_at_reference_point(self):
-        assert ellipse_form()(np.array([5.0, 3.4])) == pytest.approx(0.2867, abs=1e-4)
+        q = demo_ellipse().constraints[0].quadratic
+        assert q(np.array([5.0, 3.4])) == pytest.approx(0.2867, abs=1e-4)
 
     @pytest.mark.parametrize("builder,references,mean", [
         (bench_3g, [_g3_1, _g3_2, _g3_3], 5.0),
@@ -173,10 +173,8 @@ class TestCrashworthiness:
             crashworthiness()
 
     def test_loads_shipped_synthetic_file(self):
-        obj, forms = load_crash_coefficients(CRASH_CSV)
-        assert len(forms) == 10
-        assert np.all(obj.a == 0.0)
         problem = crashworthiness(CRASH_CSV)
+        assert len(problem.constraints) == 10
         assert len(problem.variables) == 11
         assert len(problem.design_indices) == 7
         assert problem.shared_evaluations
@@ -194,7 +192,7 @@ class TestCrashworthiness:
         short = tmp_path / "short.csv"
         short.write_text("name,c\nobjective,1.0,2.0\n")
         with pytest.raises(ProblemFormatError):
-            load_crash_coefficients(short)
+            crashworthiness(short)
 
     @pytest.mark.parametrize("cell", ["abc", "nan"])
     def test_non_finite_cell(self, cell, tmp_path):
@@ -206,7 +204,7 @@ class TestCrashworthiness:
         path = tmp_path / "cell.csv"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ProblemFormatError) as err:
-            load_crash_coefficients(path)
+            crashworthiness(path)
         assert err.value.path == "line 4"
 
     def test_missing_objective_row(self, tmp_path):
@@ -217,7 +215,7 @@ class TestCrashworthiness:
         lines += [f"g{i}," + row for i in range(10)]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ProblemFormatError) as err:
-            load_crash_coefficients(path)
+            crashworthiness(path)
         assert "objective" in str(err.value)
 
     def test_nonlinear_objective_rejected(self, tmp_path):
@@ -231,7 +229,7 @@ class TestCrashworthiness:
         lines += [f"g{i}," + zero for i in range(10)]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ProblemFormatError):
-            load_crash_coefficients(path)
+            crashworthiness(path)
 
 
 class TestProblemDocuments:

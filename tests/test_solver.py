@@ -13,7 +13,7 @@ from scipy.optimize import brentq
 import quadrel.form
 import quadrel.solver
 from quadrel.errors import ConvergenceError, DomainError, SolverFailureError
-from quadrel.form import _g_in_standard_space, fd_gradient, form_mpp, per_point
+from quadrel.form import _g_in_standard_space, fd_gradient, form_mpp, per_point, quadratic_mpp
 from quadrel.montecarlo import marginal_map
 from quadrel.pf import pf_batch, pf_quadratic
 from quadrel.problem_io import build_problem
@@ -923,8 +923,19 @@ class TestFormDoubleLoop:
                                       "demo-ellipse-varstd"])
     def test_closed_form_search_makes_two_calls(self, name, monkeypatch):
         # every variable is normal or deterministic: each explicit quadratic's
-        # MPP is closed-form, with one call for g at u* and one for its gradient
-        searches = counted_mpp_searches(monkeypatch)
+        # search is given its exact standard-normal form and stops at that
+        # form's closed-form MPP, with one call for g there and one for its
+        # gradient, and none falls back
+        starts = []
+        search = quadrel.solver.form_mpp
+
+        def logged(*args, exact=None, **kwargs):
+            mpp = search(*args, exact=exact, **kwargs)
+            starts.append(exact is not None and np.array_equal(mpp[1], quadratic_mpp(exact)))
+            return mpp
+
+        monkeypatch.setattr(quadrel.solver, "form_mpp", logged)
+        fallbacks = counted_fallbacks(monkeypatch)
         problem = builtin(name)
         counters = EvalCounters()
         margins = FormMargins(problem, counters)
@@ -933,7 +944,8 @@ class TestFormDoubleLoop:
             before = counters.deterministic_g_evals
             assert np.isfinite(margins(mu)).all()
             assert counters.deterministic_g_evals - before == 2 * len(problem.constraints)
-        assert not searches
+        assert len(starts) == 6 * len(problem.constraints) and all(starts)
+        assert not fallbacks
 
     def test_one_map_per_design_point(self, monkeypatch):
         # every constraint's search at a design point shares its variables and
@@ -1002,7 +1014,7 @@ class TestFormDoubleLoop:
         assert str(err.value) == "constraint g_never_safe at mu = [2.0] fails with probability 1"
 
     @pytest.mark.parametrize("build,fallback", [
-        (demo_ellipse_det, False),        # closed-form: each search evaluates u* alone
+        (demo_ellipse_det, False),        # closed-form start: each search evaluates u* alone
         (bench_3g, False),
         (demo_ellipse_lognormal, False),  # the SQP step: no search falls back
         (demo_ellipse_lognormal_black_box, False),  # the secant step: none falls back either
@@ -1021,8 +1033,7 @@ class TestFormDoubleLoop:
                 return search(g_logged, *args, **kwargs)
             return run
 
-        for name in ("form_mpp", "quadratic_mpp"):
-            monkeypatch.setattr(quadrel.solver, name, logged(getattr(quadrel.solver, name)))
+        monkeypatch.setattr(quadrel.solver, "form_mpp", logged(quadrel.solver.form_mpp))
         fallbacks = counted_fallbacks(monkeypatch)
         rbdo_double_loop_form(build())
         assert bool(fallbacks) == fallback
