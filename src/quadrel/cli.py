@@ -23,15 +23,15 @@ from .errors import (
     SolverFailureError,
 )
 from .montecarlo import MIN_SAMPLES
-from .pf import beta_generalized, pf_quadratic
+from .pf import beta_generalized
 from .problem_io import build_problem, load_document, save_result, target_value, trace_to_csv
 from .problems import builtin_problems
-from .quadratic import standard_normal_map, to_standard_normal
 from .solver import (
     EvalCounters,
     RbdoResult,
     doe_plan,
     mc_audit,
+    probabilistic_constraint,
     rbdo_double_loop_form,
     rssl_solve,
     solve_deterministic,
@@ -158,31 +158,31 @@ def cmd_solve(args) -> int:
 
 def cmd_pf(args) -> int:
     problem = _load_problem(args)
-    if not 0 <= args.index < len(problem.constraints):
-        raise ProblemFormatError(
-            f"--index must be in [0, {len(problem.constraints) - 1}]", path="--index")
-    spec = problem.constraints[args.index]
-    if spec.quadratic is None:
-        raise ProblemFormatError(
-            f"constraint {spec.name!r} is a black-box limit state; pf diagnostics "
-            "need an explicit quadratic (run 'solve' to fit surrogates)",
-            path=f"constraints[{args.index}]")
+    explicit = [spec for spec in problem.constraints if spec.quadratic is not None]
+    if not explicit:
+        raise ProblemFormatError("every constraint is a black-box limit state; pf needs an "
+                                 "explicit quadratic (run 'solve' to fit one)", path="constraints")
     mu_design = _design_point(args, problem)
-    snmap = standard_normal_map(problem.variables_at(problem.full_mean(mu_design)), problem.corr)
-    qn = to_standard_normal(spec.quadratic, snmap)
-    pf, diag = pf_quadratic(qn)
-    print(f"constraint        {spec.name}")
-    print(f"mu_design         {np.round(mu_design, 6).tolist()}")
-    print(f"pf                {pf:.6g}")
-    print(f"beta_generalized  {beta_generalized(pf):.6g}")
-    print(f"branch            {diag.branch.value}")
-    print(f"kappa             {diag.kappa:.6g}")
-    if diag.h is not None:
-        print(f"h                 {diag.h:.6g}")
-    if diag.q0 is not None:
-        print(f"q0                {diag.q0:.6g}")
-    if diag.degenerate:
-        print("degenerate        constant limit state")
+    # the single loop's kernel rows at mu_design: one pass, the PfBatch rssl_solve reports
+    batch = probabilistic_constraint([spec.quadratic for spec in explicit],
+                                     replace(problem, constraints=explicit)).batch(mu_design)
+    rows = ((float(pf), batch.diagnostics(i)) for i, pf in enumerate(batch.pf))
+    for spec in problem.constraints:
+        if spec.quadratic is None:
+            print(f"black-box         {spec.name} (no closed form; run 'solve' to fit surrogates)")
+            continue
+        pf, diag = next(rows)
+        print(f"constraint        {spec.name}")
+        print(f"mu_design         {np.round(mu_design, 6).tolist()}")
+        print(f"pf                {pf:.6g}")
+        print(f"beta_generalized  {beta_generalized(pf):.6g}")
+        print(f"branch            {diag.branch.value}")
+        print(f"kappa             {diag.kappa:.6g}")
+        for label, value in (("h", diag.h), ("q0", diag.q0)):
+            if value is not None:
+                print(f"{label:18s}{value:.6g}")
+        if diag.degenerate:
+            print("degenerate        constant limit state")
     return 0
 
 
@@ -283,9 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default=None, help="write the iteration trace CSV here")
     p.set_defaults(func=cmd_solve)
 
-    p = subs.add_parser("pf", help="closed-form pf diagnostics for one constraint")
+    p = subs.add_parser("pf", help="closed-form pf diagnostics for every explicit quadratic")
     _add_common(p, at=True)
-    p.add_argument("--index", type=int, default=0, help="constraint index (0-based)")
     p.set_defaults(func=cmd_pf)
 
     p = subs.add_parser("mc-check", help="Monte Carlo audit at a design point")

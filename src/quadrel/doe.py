@@ -156,19 +156,19 @@ def _fractional_factorial(n: int, f: int) -> np.ndarray:
     return np.hstack(cols)
 
 
-def ccd_points(box: DoeBox) -> DoePlan:
-    """Central composite plan: center + 2n axis points + 2^(n-f) corners, n = ``box.dim``."""
-    n = box.dim
+def _ccd_coded(n: int) -> np.ndarray:
+    """Coded central composite rows: center, then -/+ each axis, then the 2^(n-f) corners."""
     if n < 2 or n > 12:
         raise UnsupportedDesignError(f"CCD supported for 2 <= n <= 12, got {n}")
-    rows = [np.zeros(n)]
+    axes = np.zeros((2 * n, n))
     for i in range(n):
-        for s in (-1.0, 1.0):
-            row = np.zeros(n)
-            row[i] = s
-            rows.append(row)
-    coded = np.vstack([np.array(rows), _fractional_factorial(n, _CCD_FRACTION[n])])
-    return DoePlan(scheme=Scheme.CCD, points=_scale(coded, box))
+        axes[2 * i:2 * i + 2, i] = (-1.0, 1.0)
+    return np.vstack([np.zeros((1, n)), axes, _fractional_factorial(n, _CCD_FRACTION[n])])
+
+
+def ccd_points(box: DoeBox) -> DoePlan:
+    """Central composite plan: center + 2n axis points + 2^(n-f) corners, n = ``box.dim``."""
+    return DoePlan(scheme=Scheme.CCD, points=_scale(_ccd_coded(box.dim), box))
 
 
 def inscribed_ccd_2(box: DoeBox) -> DoePlan:
@@ -179,12 +179,8 @@ def inscribed_ccd_2(box: DoeBox) -> DoePlan:
     """
     if box.dim != 2:
         raise UnsupportedDesignError(f"inscribed CCD is defined for n = 2, got {box.dim}")
-    s = 1.0 / np.sqrt(2.0)
-    coded = np.array([
-        [0.0, 0.0],
-        [-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0],
-        [-s, -s], [-s, s], [s, -s], [s, s],
-    ])
+    coded = _ccd_coded(2)
+    coded[5:] /= np.sqrt(2.0)
     return DoePlan(scheme=Scheme.INSCRIBED_CCD2, points=_scale(coded, box))
 
 

@@ -331,26 +331,14 @@ def beta_scale(beta: float, u, grad) -> float:
     return -(u @ grad) / (beta * grad_sq) if beta != 0.0 else 1.0 / np.sqrt(grad_sq)
 
 
-def _tangent_basis(alpha: np.ndarray) -> np.ndarray:
-    """Orthonormal matrix whose last column is ``alpha`` (Householder)."""
-    n = alpha.size
-    e = np.zeros(n)
-    e[-1] = 1.0
-    v = alpha - e
-    nv = np.linalg.norm(v)
-    if nv < 1e-14:
-        return np.eye(n)
-    v = v / nv
-    return np.eye(n) - 2.0 * np.outer(v, v)
-
-
 def sorm_breitung(qn: QuadraticForm, beta_hl: float, mpp_zN) -> float:
     """Breitung's curvature-corrected failure probability for a quadratic
     limit state at a known MPP.
 
-    Curvatures rho_i are the eigenvalues of the tangent-space block of
-    the Hessian divided by the signed radial gradient component, so that
-    a failure surface curving away from the origin shrinks the estimate.
+    Curvatures rho_i are the eigenvalues of the Hessian projected onto the
+    tangent plane, P 2A P with P = I - alpha alpha', over the signed radial
+    gradient component, so that a failure surface curving away from the
+    origin shrinks the estimate; alpha's own eigenvalue 0 is a factor of 1.
     """
     if beta_hl <= 0.0:
         raise DomainError(f"sorm_breitung requires beta_hl > 0, got {beta_hl}")
@@ -360,10 +348,8 @@ def sorm_breitung(qn: QuadraticForm, beta_hl: float, mpp_zN) -> float:
     g_alpha = float(grad @ alpha)
     if g_alpha == 0.0:
         raise DomainError("gradient orthogonal to the MPP direction")
-    r = _tangent_basis(alpha)
-    hess = 2.0 * qn.a
-    block = (r.T @ hess @ r)[:-1, :-1] / g_alpha
-    rho = np.linalg.eigvalsh(block)
+    proj = np.eye(z.size) - np.outer(alpha, alpha)
+    rho = np.linalg.eigvalsh(proj @ (2.0 * qn.a) @ proj / g_alpha)
     factors = 1.0 - beta_hl * rho
     if np.any(factors <= 0.0):
         raise BreitungSingularityError(

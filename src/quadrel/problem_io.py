@@ -14,6 +14,7 @@ import ast
 import json
 import keyword
 import math
+import sys
 
 import numpy as np
 
@@ -50,13 +51,15 @@ def _known_fields(obj: dict, known, path: str):
 
 
 def _is_number(val) -> bool:
-    """A JSON number: not a bool, and not NaN (which Python's json module accepts)."""
-    return isinstance(val, (int, float)) and not isinstance(val, bool) and val == val
+    """A JSON number a float holds finitely: not a bool, NaN (it fails every comparison),
+    +/-inf (json reads ``Infinity`` and ``1e999`` as inf) or an int past the float range."""
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and abs(val) <= sys.float_info.max)
 
 
 def _number(val, key, path, above=None, below=None):
     """``val`` as a float, optionally strictly between ``above`` and ``below``."""
-    _require(_is_number(val), f"{key!r} must be a number, got {val!r}", path)
+    _require(_is_number(val), f"{key!r} must be a finite number, got {val!r}", path)
     _require(above is None or val > above, f"{key!r} must be > {above}, got {val!r}", path)
     _require(below is None or val < below, f"{key!r} must be < {below}, got {val!r}", path)
     return float(val)
@@ -80,10 +83,10 @@ def target_value(key: str, val, path: str) -> float:
 
 
 def _get_array(val, shape: tuple, path: str) -> np.ndarray:
-    """``val`` as a float array of ``shape`` whose entries are all JSON numbers."""
+    """``val`` as a float array of ``shape`` whose entries are all finite JSON numbers."""
     arr = np.array(val, dtype=object)
     _require(arr.shape == shape and all(map(_is_number, arr.flat)),
-             f"must be a numeric array of shape {shape}", path)
+             f"must be a finite numeric array of shape {shape}", path)
     return arr.astype(float)
 
 

@@ -81,6 +81,14 @@ class TestInscribedCcd:
         # rows 5..8 are the factorial corners, pulled in by 1/sqrt(2)
         assert np.all(np.abs(dev[5:] - 1.0 / np.sqrt(2.0)) <= 1e-12)
 
+    def test_coded_rows_exact(self):
+        # the 2-D CCD's rows in its order, with the four corners divided by sqrt(2)
+        s = 1.0 / math.sqrt(2.0)
+        coded = [[0.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0],
+                 [-s, -s], [-s, s], [s, -s], [s, s]]
+        assert inscribed_ccd_2(unit_box(2)).points.tolist() == coded
+        assert ccd_points(unit_box(2)).points[:5].tolist() == coded[:5]
+
     def test_wrong_dimension(self):
         with pytest.raises(UnsupportedDesignError):
             inscribed_ccd_2(unit_box(3))

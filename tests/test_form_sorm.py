@@ -455,6 +455,18 @@ class TestSormBreitung:
         ref = std_normal(-beta)[1] * (1.0 + 2.0 * a * beta) ** (-(n - 1) / 2.0)
         assert pf == pytest.approx(ref, rel=1e-10)
 
+    def test_rotated_paraboloid_gives_the_axis_aligned_pf(self):
+        # every other test puts the MPP on a coordinate axis; Q(R'z) has its
+        # MPP at R z* and the same curvatures, so the same pf
+        beta, n = 2.5, 4
+        qn = QuadraticForm(a=np.diag([0.0, 0.08, -0.05, 0.12]), k=np.eye(n)[0], c=beta)
+        z_mpp = -beta * np.eye(n)[0]
+        rot, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((n, n)))
+        rotated = QuadraticForm(a=rot @ qn.a @ rot.T, k=rot @ qn.k, c=beta)
+        assert rotated(rot @ z_mpp) == pytest.approx(0.0, abs=1e-12)
+        assert sorm_breitung(rotated, beta, rot @ z_mpp) == pytest.approx(
+            sorm_breitung(qn, beta, z_mpp), rel=1e-12)
+
     def test_singularity_raises(self):
         beta, a, n = 2.0, -0.3, 2
         z_mpp = np.zeros(n)

@@ -330,6 +330,17 @@ class TestProblemDocuments:
                      "doe.c_r_design", id="c-r-design-bool"),
         pytest.param(lambda d: d.update(targets={"beta_d": float("nan")}),
                      "targets.beta_d", id="beta-d-nan"),
+        # +/-inf, which json reads from 1e999 and Infinity, and an integer no float holds
+        pytest.param(lambda d: d["variables"][1].update(std=1e999),
+                     "variables[1].std", id="std-inf"),
+        pytest.param(lambda d: d["variables"][0].update(mean=-1e999),
+                     "variables[0].mean", id="mean-minus-inf"),
+        pytest.param(lambda d: d["constraints"][0]["quadratic"].__setitem__(1, 1e999),
+                     "constraints[0].quadratic", id="quadratic-inf"),
+        pytest.param(lambda d: d.update(targets={"beta_d": 1e999}),
+                     "targets.beta_d", id="beta-d-inf"),
+        pytest.param(lambda d: d["variables"][0].update(upper=10**400),
+                     "variables[0].upper", id="upper-huge-int"),
         # range checks, each at its own field
         pytest.param(lambda d: d.update(doe={"c_r_design": -1}),
                      "doe.c_r_design", id="c-r-design-negative"),
@@ -479,7 +490,8 @@ class TestCli:
         assert res["success"]
 
     @pytest.mark.parametrize("flag,value", [("--beta", "-1"), ("--beta", "0"), ("--pf", "0"),
-                                            ("--pf", "0.6"), ("--pf", "1.5")])
+                                            ("--pf", "0.6"), ("--pf", "1.5"),
+                                            ("--beta", "1e999")])
     @pytest.mark.parametrize("source", ["demo-ellipse", "bench-3g", "file"])
     def test_target_flag_out_of_range_is_input_error(self, source, flag, value, tmp_path,
                                                      capsys):
@@ -522,12 +534,36 @@ class TestCli:
         assert "q0" in out and "branch" in out
 
     def test_pf_subcommand_mixed_signs(self, capsys):
-        # crashworthiness g01 at the design start is a saddle: no h or q0 line
-        assert main(["pf", "crashworthiness", "--coeff-file", CRASH_CSV, "--index", "0"]) == 0
+        # one block per constraint; g01 at the design start is a saddle: no h or q0 line
+        assert main(["pf", "crashworthiness", "--coeff-file", CRASH_CSV]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert "branch            mixed-signs" in lines
-        assert "pf                0.0137673" in lines
-        assert not any(line.startswith(("h ", "q0 ")) for line in lines)
+        starts = [i for i, line in enumerate(lines) if line.startswith("constraint ")]
+        assert len(starts) == 10 and lines[0] == "constraint        g01"
+        g01 = lines[:starts[1]]
+        assert "branch            mixed-signs" in g01
+        assert "pf                0.0137673" in g01
+        assert not any(line.startswith(("h ", "q0 ")) for line in g01)
+
+    def test_pf_subcommand_prints_the_single_loop_optimum(self, capsys):
+        # each block's pf is the kernel row rssl_solve reports at its optimum
+        res = rssl_solve(crashworthiness(CRASH_CSV))
+        at = ",".join(map(repr, res.mu_opt.tolist()))
+        assert main(["pf", "crashworthiness", "--coeff-file", CRASH_CSV, "--at", at]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("pf ")] == [
+            f"pf                {pf:.6g}" for pf in res.pf_closed_form]
+
+    def test_pf_names_a_black_box_beside_a_quadratic(self, tmp_path, capsys):
+        doc = ellipse_doc()  # demo-ellipse, plus an expression constraint
+        doc["constraints"].append({"name": "g_box", "expression": "x1 - p1"})
+        path = tmp_path / "mixed.json"
+        write_document(doc, path)
+        assert main(["pf", "demo-ellipse", "--at", "3.0"]) == 0
+        block = capsys.readouterr().out
+        assert main(["pf", str(path), "--at", "3.0"]) == 0
+        out, err = capsys.readouterr()
+        assert out == block + "black-box         g_box (no closed form; run 'solve' to fit " \
+                              "surrogates)\n" and err == ""
 
     def test_pf_blackbox_rejected(self, capsys):
         assert main(["pf", "bench-3g"]) == 2
@@ -721,6 +757,23 @@ class TestCli:
         assert main(command + [f"--at={value}"]) == 2
         assert "(at --at)" in capsys.readouterr().err
         assert not (tmp_path / "plan.csv").exists()
+
+    @pytest.mark.parametrize("mutate,command,path", [
+        (lambda d: d["constraints"][0]["quadratic"].__setitem__(1, 1e999),
+         ["mc-check", "--mc-n", "1000"], "constraints[0].quadratic"),
+        (lambda d: d["variables"][1].update(std=1e999),
+         ["solve", "--method", "form-double-loop"], "variables[1].std"),
+    ], ids=["mc-check-quadratic", "form-std"])
+    def test_infinite_number_in_a_file_is_input_error(self, mutate, command, path, tmp_path,
+                                                      capsys):
+        # json reads 1e999 as inf: mc-check reported pf 0 +- 0, and FORM ended in a traceback
+        doc = ellipse_doc()
+        mutate(doc)
+        source = tmp_path / "inf.json"
+        write_document(doc, source)
+        assert main(command[:1] + [str(source)] + command[1:]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"(at {path})" in err
 
     def test_form_on_a_constraint_that_always_fails(self, tmp_path, capsys):
         doc = ellipse_doc()
