@@ -5,8 +5,10 @@ The pipeline: fit (or accept) quadratic limit states, transform them
 into uncorrelated standard-normal space, evaluate the probability of
 failure in closed form, and optimize the design means in a single loop.
 The FORM double loop (first-order pf Phi(-beta)) and Monte Carlo audits are
-the baselines.  Lower-level helpers come from their submodules, among them
-``form.sorm_breitung``, a standalone SORM correction that no solver calls.
+the baselines.  A problem's stds are constant, or proportional to the
+design means with ``RbdoProblem(proportional_t=...)``.  Lower-level helpers
+come from their submodules, among them ``form.sorm_breitung``, a standalone
+SORM correction that no solver calls.
 """
 
 from .errors import QuadrelError
@@ -16,7 +18,6 @@ from .pf import pf_quadratic
 from .solver import (
     ConstraintSpec,
     RbdoProblem,
-    StdMode,
     mc_audit,
     rbdo_double_loop_form,
     rssl_solve,
@@ -31,7 +32,7 @@ __all__ = [
     "Kind", "RandomVariable", "Role",
     "QuadraticForm", "correlation_decompose", "standard_normal_map", "to_standard_normal",
     "pf_quadratic",
-    "ConstraintSpec", "RbdoProblem", "StdMode",
+    "ConstraintSpec", "RbdoProblem",
     "mc_audit", "rbdo_double_loop_form", "rssl_solve",
     "builtin_problems", "build_problem",
 ]

@@ -38,22 +38,26 @@ from .solver import (
 )
 
 
-def _load_problem(args):
+def _target(args) -> dict:
+    """The target that ``--pf`` / ``--beta`` set on every constraint, or {}.
+
+    Each must lie in the range a problem file's ``targets`` has."""
+    if args.pf is not None:
+        return {"pf_all": target_value("pf_all", args.pf, "--pf")}
+    if args.beta is not None:
+        return {"beta_d": target_value("beta_d", args.beta, "--beta")}
+    return {}
+
+
+def _load_problem(args, target=None):
     """Resolve the positional problem argument into an RbdoProblem.
 
-    ``--pf`` / ``--beta`` replace every constraint's target; each must lie in
-    the range a problem file's ``targets`` has.  ``--coeff-file`` is for the
-    crashworthiness builtin only.
+    A ``target`` from ``_target`` replaces every constraint's target.
+    ``--coeff-file`` is for the crashworthiness builtin only.
     """
     if args.coeff_file is not None and args.problem != "crashworthiness":
         raise ProblemFormatError("--coeff-file applies only to the crashworthiness builtin",
                                  path="--coeff-file")
-    if args.pf is not None:
-        target = {"pf_all": target_value("pf_all", args.pf, "--pf")}
-    elif args.beta is not None:
-        target = {"beta_d": target_value("beta_d", args.beta, "--beta")}
-    else:
-        target = {}
     builders = builtin_problems()
     if args.problem in builders:
         builder = builders[args.problem]
@@ -79,8 +83,6 @@ def _check_mc_flags(args):
     mc-check, whose work is the audit."""
     if args.seed < 0:
         raise ProblemFormatError(f"needs --seed >= 0, got {args.seed}", path="--seed")
-    if not hasattr(args, "mc_n"):
-        return
     can_skip = args.command != "mc-check"
     if args.mc_n < MIN_SAMPLES and not (can_skip and args.mc_n == 0):
         hint = " (or 0 to skip the audit)" if can_skip else ""
@@ -141,10 +143,11 @@ def _run_method(problem, method):
 
 
 def cmd_solve(args) -> int:
-    problem = _load_problem(args)
+    _check_mc_flags(args)
+    problem = _load_problem(args, _target(args))
     t0 = time.perf_counter()
     res = _run_method(problem, args.method)
-    if args.mc_n > 0 and args.method != "deterministic":
+    if args.mc_n > 0:
         res.pf_mc = mc_audit(problem, res.mu_opt, n=args.mc_n, seed=args.seed)
     wall = time.perf_counter() - t0
     _print_report(problem, res)
@@ -187,6 +190,7 @@ def cmd_pf(args) -> int:
 
 
 def cmd_mc_check(args) -> int:
+    _check_mc_flags(args)
     problem = _load_problem(args)
     mu_design = _design_point(args, problem)
     # audit first, so that an audit that fails leaves stdout empty
@@ -197,7 +201,7 @@ def cmd_mc_check(args) -> int:
 
 
 def cmd_doe(args) -> int:
-    problem = _load_problem(args)
+    problem = _load_problem(args, _target(args))
     mu_full = problem.full_mean(_design_point(args, problem))
     beta_d = max(s.beta_target for s in problem.constraints)
     scheme = Scheme(args.scheme) if args.scheme else problem.doe_scheme
@@ -219,7 +223,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    problem = _load_problem(args)  # neither solve mutates it
+    _check_mc_flags(args)
+    problem = _load_problem(args, _target(args))  # neither solve mutates it
     rows = {}
     for method in ("rssl", "form-double-loop"):
         res = _run_method(problem, method)
@@ -249,19 +254,29 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _add_common(sub, at=False):
-    sub.add_argument("problem", nargs="?" if sub.prog.endswith("bench") else None,
-                     help="builtin problem name or JSON problem file")
-    sub.add_argument("--beta", type=float, default=None,
-                     help="override the target reliability index for every constraint")
-    sub.add_argument("--pf", type=float, default=None,
-                     help="override the allowed failure probability for every constraint")
-    sub.add_argument("--seed", type=int, default=0)
+def _subcommand(subs, name, func, help_text, targets=False, at=False, mc_n=None, nargs=None):
+    """A subcommand with the problem argument and the flags that ``func`` reads:
+    ``--beta`` / ``--pf`` with ``targets``, ``--at`` with ``at``, and
+    ``--mc-n`` (default ``mc_n``) with ``--seed`` where ``mc_n`` is given."""
+    sub = subs.add_parser(name, help=help_text)
+    sub.set_defaults(func=func)
+    sub.add_argument("problem", nargs=nargs, help="builtin problem name or JSON problem file")
     sub.add_argument("--coeff-file", default=None,
                      help="coefficient CSV for the crashworthiness builtin")
+    if targets:
+        sub.add_argument("--beta", type=float, default=None,
+                         help="override the target reliability index for every constraint")
+        sub.add_argument("--pf", type=float, default=None,
+                         help="override the allowed failure probability for every constraint")
     if at:
         sub.add_argument("--at", default=None,
                          help="comma-separated design means (default: start point)")
+    if mc_n is not None:
+        sub.add_argument("--mc-n", type=int, default=mc_n,
+                         help="Monte Carlo sample count, one draw shared by every "
+                              "constraint (0 skips the audit of solve, bench and compare)")
+        sub.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,44 +287,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("solve", help="run one RBDO method on a problem")
-    _add_common(p)
+    p = _subcommand(subs, "solve", cmd_solve, "run one RBDO method on a problem",
+                    targets=True, mc_n=0)
     p.add_argument("--method", choices=("rssl", "form-double-loop", "deterministic"),
                    default="rssl")
-    p.add_argument("--mc-n", type=int, default=0,
-                   help="Monte Carlo audit sample count, one draw shared by every "
-                        "constraint (0 = skip)")
     p.add_argument("--out", default=None, help="write the result JSON here")
     p.add_argument("--trace", default=None, help="write the iteration trace CSV here")
-    p.set_defaults(func=cmd_solve)
 
-    p = subs.add_parser("pf", help="closed-form pf diagnostics for every explicit quadratic")
-    _add_common(p, at=True)
-    p.set_defaults(func=cmd_pf)
+    _subcommand(subs, "pf", cmd_pf, "closed-form pf diagnostics for every explicit quadratic",
+                at=True)
+    _subcommand(subs, "mc-check", cmd_mc_check, "Monte Carlo audit at a design point",
+                at=True, mc_n=10_000_000)
 
-    p = subs.add_parser("mc-check", help="Monte Carlo audit at a design point")
-    _add_common(p, at=True)
-    p.add_argument("--mc-n", type=int, default=10_000_000)
-    p.set_defaults(func=cmd_mc_check)
-
-    p = subs.add_parser("doe", help="emit a sampling plan CSV")
-    _add_common(p, at=True)
+    p = _subcommand(subs, "doe", cmd_doe, "emit a sampling plan CSV", targets=True, at=True)
     p.add_argument("--scheme", choices=[s.value for s in Scheme], default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_doe)
 
-    p = subs.add_parser("bench", help="run a named builtin with default settings")
-    _add_common(p)
+    p = _subcommand(subs, "bench", cmd_bench, "run a named builtin with default settings",
+                    targets=True, mc_n=1_000_000, nargs="?")
     p.add_argument("--list", action="store_true", help="list builtin problems")
-    p.add_argument("--mc-n", type=int, default=1_000_000)
     p.add_argument("--out", default=None)
     p.add_argument("--trace", default=None)
-    p.set_defaults(func=cmd_bench)
 
-    p = subs.add_parser("compare", help="run rssl and the FORM double loop side by side")
-    _add_common(p)
-    p.add_argument("--mc-n", type=int, default=1_000_000)
-    p.set_defaults(func=cmd_compare)
+    _subcommand(subs, "compare", cmd_compare, "run rssl and the FORM double loop side by side",
+                targets=True, mc_n=1_000_000)
 
     return parser
 
@@ -323,7 +324,6 @@ def main(argv=None) -> int:
             argv[i:i + 2] = [f"--at={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     try:
-        _check_mc_flags(args)
         return args.func(args)
     except (SolverFailureError, ConvergenceError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

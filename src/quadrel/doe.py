@@ -21,9 +21,6 @@ from .variables import RandomVariable, Role
 C_R_DESIGN = 1.4
 C_R_PARAMETER = 1.0
 
-# Relative slack of DoeBox.contains on the box halfwidths.
-_CONTAINS_RTOL = 1e-9
-
 # Fraction f of the 2^(n-f) factorial part of a central composite design.
 _CCD_FRACTION = {2: 0, 3: 0, 4: 0, 5: 1, 6: 1, 7: 1, 8: 2, 9: 2, 10: 3, 11: 4, 12: 4}
 
@@ -63,10 +60,6 @@ class DoeBox:
     @property
     def dim(self) -> int:
         return self.center.size
-
-    def contains(self, points: np.ndarray) -> bool:
-        dev = np.abs(points - self.center)
-        return bool(np.all(dev <= self.halfwidths * (1.0 + _CONTAINS_RTOL) + 1e-12))
 
 
 @dataclass(frozen=True)

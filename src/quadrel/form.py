@@ -70,7 +70,7 @@ def per_point(f):
     return lambda points: [f(x) for x in points]
 
 
-def fd_gradient(f, x, rel_step=FD_REL_STEP):
+def fd_gradient(f, x):
     """Central-difference gradient (n,) of a scalar ``f`` at ``x``, or the
     Jacobian (m, n) of an ``f`` returning an (m,) vector.
 
@@ -80,7 +80,7 @@ def fd_gradient(f, x, rel_step=FD_REL_STEP):
     """
     x = np.asarray(x, dtype=float)
     n = x.size
-    h = rel_step * np.maximum(1.0, np.abs(x))
+    h = FD_REL_STEP * np.maximum(1.0, np.abs(x))
     stencil = np.empty((2 * n, n))
     stencil[:] = x
     flat = stencil.reshape(-1)  # entry (2i, i) of the stencil, and (2i + 1, i) n further on

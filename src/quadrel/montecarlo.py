@@ -148,7 +148,7 @@ def _require_count(name: str, value, least: int):
 
 
 def mc_pf(g, variables: list[RandomVariable], corr: CorrelationModel | None,
-          n: int, seed: int, chunk_size: int = DEFAULT_CHUNK) -> McEstimate | list[McEstimate]:
+          n: int, seed: int) -> McEstimate | list[McEstimate]:
     """Estimate Prob[g(z) < 0] with ``n`` samples.
 
     ``g`` must accept an (m, nvar) array and return either (m,) values, for
@@ -156,24 +156,23 @@ def mc_pf(g, variables: list[RandomVariable], corr: CorrelationModel | None,
     on the same samples, for which a list of k estimates is returned, each
     with this call's ``seed``.  Failures are counted per row, so row i's
     estimate equals that of a call whose ``g`` returns row i alone.  Chunks
-    of min(chunk_size, n) rows are drawn, on the calling thread, into one
+    of min(DEFAULT_CHUNK, n) rows are drawn, on the calling thread, into one
     buffer of that many rows x nvar floats, mapped there in place with
     ``transform_samples`` and evaluated with ``g``.  Consecutive draws from
     one generator concatenate, so the estimate depends on (seed, n) only,
-    not on ``chunk_size``, up to samples whose g lies within roundoff of 0:
+    not on the chunk size, up to samples whose g lies within roundoff of 0:
     a quadratic's value at a sample may differ in the last bit with the
     number of rows evaluated alongside it (numpy's and BLAS's kernels depend
     on the shape), for ``QuadraticForm`` and ``monomial_product`` alike, so
     such a sample can be counted at one chunk size and not at another.
     """
     _require_count("n", n, MIN_SAMPLES)
-    _require_count("chunk_size", chunk_size, 1)
     _require_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    buffer = np.empty((min(chunk_size, n), len(variables)))
+    buffer = np.empty((min(DEFAULT_CHUNK, n), len(variables)))
     failures = 0
-    for start in range(0, n, chunk_size):
-        z = rng.standard_normal(out=buffer[:min(chunk_size, n - start)])
+    for start in range(0, n, DEFAULT_CHUNK):
+        z = rng.standard_normal(out=buffer[:min(DEFAULT_CHUNK, n - start)])
         z = transform_samples(z, variables, corr, out=z)
         failures += _count_failures(g(z), len(z))
     if np.ndim(failures) == 0:

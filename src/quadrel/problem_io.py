@@ -23,7 +23,7 @@ from .errors import ProblemFormatError
 from .montecarlo import McEstimate
 from .pf import beta_generalized
 from .quadratic import QuadraticForm, correlation_decompose, n_quadratic_coefficients
-from .solver import ConstraintSpec, RbdoProblem, RbdoResult, StdMode
+from .solver import ConstraintSpec, RbdoProblem, RbdoResult
 from .variables import Kind, RandomVariable, Role
 
 _KINDS = {k.value for k in Kind}
@@ -258,10 +258,10 @@ def build_problem(doc: dict) -> RbdoProblem:
     solver = doc.get("solver", {})
     _require(isinstance(solver, dict), "'solver' must be an object", "solver")
     _known_fields(solver, {"proportional_t"}, "solver")
-    std_mode = StdMode()
+    proportional_t = None
     if "proportional_t" in solver:
-        t = _get_array(solver["proportional_t"], (len(design_names),), "solver.proportional_t")
-        std_mode = StdMode(t=t)
+        proportional_t = _get_array(solver["proportional_t"], (len(design_names),),
+                                    "solver.proportional_t")
 
     doe = doc.get("doe", {})
     _require(isinstance(doe, dict), "'doe' must be an object", "doe")
@@ -288,7 +288,7 @@ def build_problem(doc: dict) -> RbdoProblem:
         objective=objective,
         constraints=specs,
         corr=corr,
-        std_mode=std_mode,
+        proportional_t=proportional_t,
         shared_evaluations=shared,
         doe_scheme=scheme,
         doe_halfwidth_overrides=halfwidths,

@@ -90,14 +90,14 @@ def _ellipse(beta_d: float, x1: dict) -> dict:
     }
 
 
-def demo_ellipse(beta_d: float = 3.0, mu_x1: float = 2.0, sigma_x1: float = 0.3) -> RbdoProblem:
-    return build_problem(_ellipse(beta_d, _variable("x1", "design-variable", mu_x1, sigma_x1,
+def demo_ellipse(beta_d: float = 3.0) -> RbdoProblem:
+    return build_problem(_ellipse(beta_d, _variable("x1", "design-variable", 2.0, 0.3,
                                                     (0.0, 15.0))))
 
 
-def demo_ellipse_varstd(beta_d: float = 3.0, t: float = 0.1) -> RbdoProblem:
-    doc = _ellipse(beta_d, _variable("x1", "design-variable", 2.0, t * 2.0, (0.0, 15.0)))
-    doc["solver"] = {"proportional_t": [t]}
+def demo_ellipse_varstd(beta_d: float = 3.0) -> RbdoProblem:
+    doc = _ellipse(beta_d, _variable("x1", "design-variable", 2.0, 0.2, (0.0, 15.0)))
+    doc["solver"] = {"proportional_t": [0.1]}
     return build_problem(doc)
 
 

@@ -143,16 +143,10 @@ def monomial_product(forms: list[QuadraticForm]):
 
 @dataclass(frozen=True)
 class CorrelationModel:
-    """Eigen-decomposition C = (T diag(d)) (T diag(d))' of a correlation matrix."""
+    """A correlation matrix C = L L' by its eigen-decomposition, L = T diag(d):
+    T the eigenvectors and d the square roots of the eigenvalues of C."""
 
-    c: np.ndarray
-    t: np.ndarray
-    d: np.ndarray  # square roots of the eigenvalues of C
-
-    @property
-    def l(self) -> np.ndarray:
-        """The mixing matrix T diag(d), mapping uncorrelated scores to correlated ones."""
-        return self.t * self.d
+    l: np.ndarray  # the mixing matrix, mapping uncorrelated scores to correlated ones
 
 
 def correlation_decompose(c) -> CorrelationModel:
@@ -171,7 +165,7 @@ def correlation_decompose(c) -> CorrelationModel:
             f"correlation matrix is not positive semidefinite (min eigenvalue {lam.min():.3e})"
         )
     lam = np.clip(lam, 0.0, None)
-    return CorrelationModel(c=c, t=t, d=np.sqrt(lam))
+    return CorrelationModel(l=t * np.sqrt(lam))
 
 
 def standard_normal_map(

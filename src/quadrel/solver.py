@@ -83,19 +83,6 @@ class ConstraintSpec:
 
 
 @dataclass
-class StdMode:
-    """Constant sigma (``t`` None), or proportional sigma = t * mu for design variables."""
-
-    t: np.ndarray = None
-
-    def __post_init__(self):
-        if self.t is not None:
-            self.t = np.asarray(self.t, dtype=float)
-            if np.any(self.t <= 0.0):
-                raise DomainError("proportional std mode requires t > 0")
-
-
-@dataclass
 class EvalCounters:
     deterministic_g_evals: int = 0
     gstar_evals: int = 0
@@ -104,13 +91,17 @@ class EvalCounters:
 
 @dataclass
 class RbdoProblem:
-    """Full problem description over the stacked variable vector."""
+    """Full problem description over the stacked variable vector.
+
+    ``proportional_t`` None keeps every std constant; one t > 0 per design
+    variable sets its std to t * |mean| at each design point.
+    """
 
     variables: list
     objective: object  # callable over the design-mean vector
     constraints: list
     corr: CorrelationModel = None
-    std_mode: StdMode = field(default_factory=StdMode)
+    proportional_t: np.ndarray = None
     shared_evaluations: bool = False
     doe_scheme: Scheme = None
     doe_halfwidth_overrides: dict = field(default_factory=dict)
@@ -130,8 +121,11 @@ class RbdoProblem:
             if v.kind is Kind.LOGNORMAL and v.lower <= FD_REL_STEP:
                 raise DomainError(f"{v.name}: lognormal design variables need "
                                   f"lower > {FD_REL_STEP}, got {v.lower}")
-        if self.std_mode.t is not None and self.std_mode.t.shape != (len(self.design_indices),):
-            raise DomainError("proportional t must have one entry per design variable")
+        if self.proportional_t is not None:
+            t = self.proportional_t = np.asarray(self.proportional_t, dtype=float)
+            if t.shape != (len(self.design_indices),) or np.any(t <= 0.0):
+                raise DomainError("proportional_t needs one entry > 0 per design variable, "
+                                  f"got {t.tolist()}")
 
     @property
     def bounds(self):
@@ -155,9 +149,10 @@ class RbdoProblem:
         """Variable list with means set to ``mu_full`` (and proportional stds)."""
         out = []
         design_pos = {idx: j for j, idx in enumerate(self.design_indices)}
+        t = self.proportional_t
         for i, v in enumerate(self.variables):
-            if self.std_mode.t is not None and i in design_pos and v.role is Role.DESIGN_VARIABLE:
-                std = self.std_mode.t[design_pos[i]] * abs(mu_full[i])
+            if t is not None and i in design_pos and v.role is Role.DESIGN_VARIABLE:
+                std = t[design_pos[i]] * abs(mu_full[i])
                 out.append(v.with_mean(mu_full[i], std))
             else:
                 out.append(v.with_mean(mu_full[i]))
@@ -297,7 +292,7 @@ def _map_is_constant(problem: RbdoProblem) -> bool:
     deterministic: equivalent normalization then returns each variable's
     own (mean, std), so only mu_eq = mu moves.
     """
-    return problem.std_mode.t is None and all(
+    return problem.proportional_t is None and all(
         v.is_deterministic or v.kind is Kind.NORMAL for v in problem.variables
     )
 

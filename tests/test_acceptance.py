@@ -40,7 +40,7 @@ def report(num, desc, ok):
 
 
 def ellipse_qn(mu_x1):
-    problem = demo_ellipse(mu_x1=float(mu_x1))
+    problem = demo_ellipse()
     mu_full = problem.full_mean(np.array([mu_x1], dtype=float))
     return to_standard_normal(problem.constraints[0].quadratic,
                               standard_normal_map(problem.variables_at(mu_full), None))
@@ -187,7 +187,7 @@ def test_criterion_08_design_sizes():
     b2 = DoeBox(center=np.array([1.0, -2.0]), halfwidths=np.array([0.4, 0.9]))
     plan = inscribed_ccd_2(b2)
     dev = np.abs(plan.points - b2.center) / b2.halfwidths
-    ok = ok and b2.contains(plan.points)
+    ok = ok and np.all(dev <= 1.0 + 1e-9)
     ok = ok and np.allclose(np.max(dev[1:5], axis=1), 1.0, atol=1e-12)
     report(8, "plan sizes 13/25/41 (Box-Behnken), 9/27/147 (composite) and "
               "inscribed star points on the box boundary", ok)

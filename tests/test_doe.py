@@ -74,8 +74,8 @@ class TestInscribedCcd:
         box = DoeBox(center=np.array([1.0, 2.0]), halfwidths=np.array([0.5, 0.8]))
         plan = inscribed_ccd_2(box)
         assert plan.size == 9
-        assert box.contains(plan.points)
         dev = np.abs(plan.points - box.center) / box.halfwidths
+        assert np.all(dev <= 1.0 + 1e-9)
         # rows 1..4 are the axial star points, pinned to the boundary
         assert np.max(dev[1:5], axis=1) == pytest.approx(np.ones(4), abs=1e-12)
         # rows 5..8 are the factorial corners, pulled in by 1/sqrt(2)

@@ -98,18 +98,20 @@ class TestReproducibility:
         assert a.pf_hat == b.pf_hat
         assert a.ci95_halfwidth == b.ci95_halfwidth
 
-    def test_chunking_invariant(self):
+    def test_chunking_invariant(self, monkeypatch):
         # the estimate depends on (seed, n), not on how the stream is cut
         # into chunks: consecutive draws from one generator concatenate
         qn = QuadraticForm(a=np.zeros((2, 2)),
                                      k=np.array([1.0, 0.0]), c=2.0)
         variables = [snv("z1"), snv("z2")]
-        a = mc_pf(qn, variables, None, n=300_000, seed=11, chunk_size=50_000)
-        b = mc_pf(qn, variables, None, n=300_000, seed=11, chunk_size=300_000)
+        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 50_000)
+        a = mc_pf(qn, variables, None, n=300_000, seed=11)
+        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 300_000)
+        b = mc_pf(qn, variables, None, n=300_000, seed=11)
         assert a.pf_hat == b.pf_hat
 
     @pytest.mark.parametrize("name", AUDIT_POINTS)
-    def test_chunking_invariant_at_benchmark_points(self, name):
+    def test_chunking_invariant_at_benchmark_points(self, name, monkeypatch):
         # crash's explicit quadratics, bench-3g's black boxes and the
         # correlated lognormal: the map and g give each row the same value
         # whatever rows share its chunk
@@ -117,16 +119,18 @@ class TestReproducibility:
         problem = build()
         variables = problem.variables_at(problem.full_mean(np.array(point)))
         n = 20_000
+
+        def chunked(g, seed, chunk):
+            monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", chunk)
+            return mc_pf(g, variables, problem.corr, n=n, seed=seed)
+
+        chunks = (7, 999, DEFAULT_CHUNK, n)
         for i, spec in enumerate(problem.constraints):
-            pf = {chunk: mc_pf(spec.evaluate, variables, problem.corr, n=n, seed=5 + i,
-                               chunk_size=chunk).pf_hat
-                  for chunk in (7, 999, DEFAULT_CHUNK, n)}
+            pf = {chunk: chunked(spec.evaluate, 5 + i, chunk).pf_hat for chunk in chunks}
             assert len(set(pf.values())) == 1, (spec.name, pf)
         # and every constraint stacked on one draw by mc_audit's evaluator
         g = stacked_limit_states(problem.constraints)
-        pf = {chunk: tuple(e.pf_hat for e in mc_pf(g, variables, problem.corr,
-                                                   n=n, seed=5, chunk_size=chunk))
-              for chunk in (7, 999, DEFAULT_CHUNK, n)}
+        pf = {chunk: tuple(e.pf_hat for e in chunked(g, 5, chunk)) for chunk in chunks}
         assert len(set(pf.values())) == 1, pf
 
     @pytest.mark.parametrize("name", AUDIT_CASES)
@@ -155,6 +159,11 @@ class TestReproducibility:
 class TestDrawThread:
     """Every chunk is drawn, mapped and evaluated on the calling thread."""
 
+    @pytest.fixture(autouse=True)
+    def ten_chunks(self, monkeypatch):
+        # n = 10 000 in 10 chunks of 1 000 rows
+        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 1_000)
+
     @staticmethod
     def linear():
         return QuadraticForm(a=np.zeros((1, 1)), k=np.array([1.0]), c=2.0)
@@ -178,7 +187,7 @@ class TestDrawThread:
 
         monkeypatch.setattr(montecarlo.np.random, "default_rng", Recorded)
         before = threading.active_count()
-        mc_pf(g, [snv("z")], None, n=10_000, seed=0, chunk_size=1_000)
+        mc_pf(g, [snv("z")], None, n=10_000, seed=0)
         assert draw_threads == g_threads == {threading.get_ident()}
         assert counts == {before}
 
@@ -195,11 +204,11 @@ class TestDrawThread:
             return self.linear()(z)
 
         with pytest.raises(ZeroDivisionError, match="limit state failed"):
-            mc_pf(g, [snv("z")], None, n=10_000, seed=0, chunk_size=1_000)
+            mc_pf(g, [snv("z")], None, n=10_000, seed=0)
         assert calls[0] == fail_on
         assert threading.active_count() == before
 
-    def test_concurrent_calls_under_fast_switching(self):
+    def test_concurrent_calls_under_fast_switching(self, monkeypatch):
         # more callers than cores, each with its own generator and buffer,
         # switching every microsecond: a draw from another call's generator,
         # or into another call's buffer, moves the failure count
@@ -209,15 +218,17 @@ class TestDrawThread:
         def g(z):
             return 1.4 - z[:, 1] + 0.1 * z[:, 0]
 
-        def run(seed, chunk):
-            return mc_pf(g, variables, corr, n=30_000, seed=seed, chunk_size=chunk).pf_hat
+        def run(seed):
+            return mc_pf(g, variables, corr, n=30_000, seed=seed).pf_hat
 
-        expected = {seed: run(seed, 30_000) for seed in range(4)}
+        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 30_000)
+        expected = {seed: run(seed) for seed in range(4)}
+        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 97)
         got = {}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=lambda s=seed: got.update({s: run(s, 97)}))
+            threads = [threading.Thread(target=lambda s=seed: got.update({s: run(s)}))
                        for seed in expected]
             for t in threads:
                 t.start()
@@ -230,7 +241,7 @@ class TestDrawThread:
 
     def test_no_thread_left_after_a_return(self):
         before = threading.active_count()
-        mc_pf(self.linear(), [snv("z")], None, n=10_000, seed=0, chunk_size=1_000)
+        mc_pf(self.linear(), [snv("z")], None, n=10_000, seed=0)
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("fail_on", [1, 3, 10])
@@ -245,18 +256,16 @@ class TestDrawThread:
             return np.stack([self.linear()(z), -self.linear()(z)])
 
         with pytest.raises(ZeroDivisionError, match="limit state failed"):
-            mc_pf(g, [snv("z")], None, n=10_000, seed=0, chunk_size=1_000)
+            mc_pf(g, [snv("z")], None, n=10_000, seed=0)
         assert calls[0] == fail_on
         assert threading.active_count() == before
 
     def test_stacked_limit_state_returns_one_estimate_per_row(self):
         before = threading.active_count()
         q = self.linear()
-        single = mc_pf(q, [snv("z")], None, n=10_000, seed=0, chunk_size=1_000)
-        one = mc_pf(lambda z: q(z)[None, :], [snv("z")], None, n=10_000, seed=0,
-                    chunk_size=1_000)
-        two = mc_pf(lambda z: np.stack([q(z), -q(z)]), [snv("z")], None, n=10_000, seed=0,
-                    chunk_size=1_000)
+        single = mc_pf(q, [snv("z")], None, n=10_000, seed=0)
+        one = mc_pf(lambda z: q(z)[None, :], [snv("z")], None, n=10_000, seed=0)
+        two = mc_pf(lambda z: np.stack([q(z), -q(z)]), [snv("z")], None, n=10_000, seed=0)
         assert one == [single]
         assert two[0] == single
         assert round(two[1].pf_hat * 10_000) == 10_000 - round(single.pf_hat * 10_000)
@@ -399,20 +408,10 @@ class TestValidation:
         with pytest.raises(DomainError):
             mc_pf(qn, [snv("z")], None, n=500, seed=0)
 
-    def test_bad_chunk(self):
-        qn = QuadraticForm(a=np.zeros((1, 1)), k=np.array([1.0]), c=1.0)
-        with pytest.raises(DomainError):
-            mc_pf(qn, [snv("z")], None, n=10_000, seed=0, chunk_size=0)
-
     def test_n_not_integer(self):
         qn = QuadraticForm(a=np.zeros((1, 1)), k=np.array([1.0]), c=1.0)
         with pytest.raises(DomainError, match="integer n"):
             mc_pf(qn, [snv("z")], None, n=2e3, seed=0)
-
-    def test_chunk_not_integer(self):
-        qn = QuadraticForm(a=np.zeros((1, 1)), k=np.array([1.0]), c=1.0)
-        with pytest.raises(DomainError, match="integer chunk_size"):
-            mc_pf(qn, [snv("z")], None, n=10_000, seed=0, chunk_size=1.5)
 
     @pytest.mark.parametrize("seed,match", [(-1, "seed >= 0"), (1.5, "integer seed")])
     def test_bad_seed(self, seed, match):
@@ -424,8 +423,7 @@ class TestValidation:
     def test_limit_state_values_of_another_shape(self, shape):
         # an (m, 1) column would otherwise count as m limit states of one sample
         with pytest.raises(DomainError, match="mc_pf needs"):
-            mc_pf(lambda z: np.ones(shape), [snv("z")], None, n=10_000, seed=0,
-                  chunk_size=10_000)
+            mc_pf(lambda z: np.ones(shape), [snv("z")], None, n=10_000, seed=0)
 
     def test_more_columns_than_variables(self):
         # the extra column would be returned uninitialized

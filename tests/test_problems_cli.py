@@ -593,8 +593,7 @@ class TestCli:
         assert "seed >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
-        ["solve", "bench-3g"], ["pf", "demo-ellipse"], ["mc-check", "demo-ellipse"],
-        ["doe", "demo-ellipse", "--out", "plan.csv"], ["bench", "bench-3g"],
+        ["solve", "bench-3g"], ["mc-check", "demo-ellipse"], ["bench", "bench-3g"],
         ["compare", "demo-ellipse"],
     ], ids=lambda c: c[0])
     def test_negative_seed_rejected_before_any_work(self, command, monkeypatch, capsys):
@@ -615,9 +614,36 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and "(at --mc-n)" in err
 
+    @pytest.mark.parametrize("command,flag", [
+        (["pf", "demo-ellipse"], ["--beta", "1"]),
+        (["pf", "demo-ellipse"], ["--pf", "0.01"]),
+        (["pf", "demo-ellipse"], ["--seed", "9"]),
+        (["mc-check", "demo-ellipse"], ["--beta", "1"]),
+        (["mc-check", "demo-ellipse"], ["--pf", "0.01"]),
+        (["doe", "demo-ellipse", "--out", "plan.csv"], ["--seed", "9"]),
+    ], ids=["pf-beta", "pf-pf", "pf-seed", "mc-check-beta", "mc-check-pf", "doe-seed"])
+    def test_flag_the_command_does_not_read_is_refused(self, command, flag, monkeypatch,
+                                                       capsys):
+        # its output would not change, so argparse refuses it rather than drop it
+        monkeypatch.setattr("quadrel.cli._load_problem", self._no_work)
+        with pytest.raises(SystemExit) as exc:
+            main(command + flag)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"unrecognized arguments: {' '.join(flag)}" in err
+
     @staticmethod
-    def _no_work(args):
+    def _no_work(*args):
         raise AssertionError("the command ran before its flags were checked")
+
+    def test_deterministic_solve_audits_mu_det(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["solve", "demo-ellipse", "--method", "deterministic", "--mc-n", "1000",
+                     "--seed", "7", "--out", str(out)]) == 0
+        assert "pf_mc[g]" in capsys.readouterr().out
+        res = json.loads(out.read_text())
+        assert res["mu_opt"] == res["mu_det"]
+        assert [(e["n"], e["seed"]) for e in res["pf_mc"]] == [(1000, 7)]
 
     @pytest.mark.parametrize("source,rows,scheme", [
         ("bench-3g", 9, "inscribed-ccd2"),
@@ -659,6 +685,18 @@ class TestCli:
         written = np.loadtxt(out, delimiter=",", skiprows=1)
         assert written.shape == (rows, len(problem.variables))
         assert np.array_equal(written, fitted.points)
+
+    def test_doe_beta_sets_the_plan(self, tmp_path, capsys):
+        # --beta is the target the box scales with: each plan is build_surrogates' at it
+        problem = builtin_problems()["bench-3g"]()
+        plans = []
+        for beta in (2.0, 4.0):
+            out = tmp_path / f"plan{beta}.csv"
+            assert main(["doe", "bench-3g", "--beta", str(beta), "--out", str(out)]) == 0
+            plans.append(np.loadtxt(out, delimiter=",", skiprows=1))
+            _, fitted = build_surrogates(problem, problem.design_start(), beta)
+            assert np.array_equal(plans[-1], fitted.points)
+        assert not np.array_equal(*plans)
 
     def test_doe_scheme_option(self, tmp_path, capsys):
         out = tmp_path / "plan.csv"

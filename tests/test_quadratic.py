@@ -145,8 +145,10 @@ class TestCorrelation:
     @given(st.floats(min_value=-0.95, max_value=0.95))
     def test_two_by_two_family(self, rho):
         cm = correlation_decompose(np.array([[1.0, rho], [rho, 1.0]]))
-        assert np.allclose(cm.l @ cm.l.T, cm.c, atol=1e-10)
-        assert np.all(cm.d >= 0.0)
+        assert np.allclose(cm.l @ cm.l.T, [[1.0, rho], [rho, 1.0]], atol=1e-10)
+        # L's columns are eigenvectors scaled by the square roots of 1 -+ |rho|
+        assert np.allclose(np.sort(np.sum(cm.l ** 2, axis=0)), [1.0 - abs(rho), 1.0 + abs(rho)],
+                           atol=1e-10)
 
 
 class TestToStandardNormal:

@@ -33,7 +33,6 @@ from quadrel.solver import (
     EvalCounters,
     FormMargins,
     RbdoProblem,
-    StdMode,
     build_surrogates,
     mc_audit,
     probabilistic_constraint,
@@ -99,7 +98,7 @@ def branch_problem(kind=Kind.NORMAL, t=None):
         objective=lambda mu: float(np.sum(mu)),
         constraints=[ConstraintSpec(name=f"g{i}", quadratic=f, beta_d=3.0)
                      for i, f in enumerate(forms)],
-        std_mode=StdMode(t=t),
+        proportional_t=t,
     )
 
 
@@ -176,23 +175,23 @@ class TestProblemValidation:
         with pytest.raises(DomainError):
             RbdoProblem(variables=[v], objective=lambda mu: 0.0,
                         constraints=[ConstraintSpec(name="g", quadratic=q, beta_d=3.0)],
-                        std_mode=StdMode(t=np.array([0.1, 0.1])))
+                        proportional_t=np.array([0.1, 0.1]))
 
     def test_std_mode_has_one_value(self):
-        # t = None is constant sigma; any t is proportional sigma = t * mu
-        assert StdMode().t is None
-        assert StdMode(t=[0.1]).t.tolist() == [0.1]
-        with pytest.raises(DomainError):
-            StdMode(t=[0.0])
-        # t alone selects the mode: no flag can disagree with it
-        with pytest.raises(TypeError):
-            StdMode(proportional=False, t=[0.1])
+        # proportional_t None is constant sigma; any t is proportional sigma = t * mu
         v = design("x", 2.0, 0.3, 0.0, 5.0)
         q = QuadraticForm(a=np.zeros((1, 1)), k=np.ones(1), c=0.0)
-        problem = RbdoProblem(variables=[v], objective=lambda mu: 0.0,
-                              constraints=[ConstraintSpec(name="g", quadratic=q, beta_d=3.0)],
-                              std_mode=StdMode(t=[0.1]))
-        assert problem.variables_at(np.array([4.0]))[0].std == pytest.approx(0.4)
+
+        def problem(t):
+            return RbdoProblem(variables=[v], objective=lambda mu: 0.0,
+                               constraints=[ConstraintSpec(name="g", quadratic=q, beta_d=3.0)],
+                               proportional_t=t)
+
+        assert problem(None).variables_at(np.array([4.0]))[0].std == 0.3
+        assert problem([0.1]).proportional_t.tolist() == [0.1]
+        assert problem([0.1]).variables_at(np.array([4.0]))[0].std == pytest.approx(0.4)
+        with pytest.raises(DomainError):
+            problem([0.0])
 
 
 class TestDeterministicPhase:
@@ -347,8 +346,8 @@ class TestProbabilisticConstraint:
     def test_proportional_matches_constant_at_crossing(self):
         # at mu = 3 the proportional std t*mu equals the constant 0.3, so
         # both models give the same analytic constraint value
-        const = demo_ellipse(beta_d=3.0, sigma_x1=0.3)
-        prop = demo_ellipse_varstd(beta_d=3.0, t=0.1)
+        const = demo_ellipse(beta_d=3.0)
+        prop = demo_ellipse_varstd(beta_d=3.0)
         mu = np.array([3.0])
         g_const = probabilistic_constraint([const.constraints[0].quadratic], const)(mu)[0]
         g_prop = probabilistic_constraint([prop.constraints[0].quadratic], prop)(mu)[0]
@@ -737,7 +736,10 @@ class TestFormDoubleLoop:
     def test_jacobian_matches_outer_differences(self, build, mu):
         margins = FormMargins(build(), EvalCounters())
         mu = np.array(mu)
-        reference = fd_gradient(per_point(margins), mu, rel_step=1e-5)
+        # outer central differences at steps of 1e-5 * max(1, |mu_i|), in fd_gradient's order
+        steps = np.diag(1e-5 * np.maximum(1.0, np.abs(mu)))
+        reference = np.stack([(margins(mu + e) - margins(mu - e)) / (2.0 * e.max())
+                              for e in steps], axis=1)
         np.testing.assert_allclose(margins.jacobian(mu), reference, rtol=1e-4)
 
     def test_jacobian_at_cached_point_starts_no_search(self, monkeypatch):
