@@ -1,11 +1,11 @@
 """First- and second-order reliability methods.
 
 Most-probable-point search: damped SQP steps (with an explicit quadratic's
-exact Hessian, or a secant estimate; the Hasofer-Lind-Rackwitz-Fiessler step
-where neither allows one) with a constrained-minimization fallback, started at
-the closed-form MPP where the limit state is a quadratic that is exact in
-standard-normal space; and the Breitung curvature correction evaluated on a
-quadratic limit state at the MPP.
+exact Hessian, or a secant estimate made positive definite by modified Newton;
+the Hasofer-Lind-Rackwitz-Fiessler step where neither allows one) with a
+constrained-minimization fallback, started at the closed-form MPP where the
+limit state is a quadratic that is exact in standard-normal space; and the
+Breitung curvature correction evaluated on a quadratic limit state at the MPP.
 Also the one per-row evaluation memo, shared by the solver and the MPP search,
 and the one finite-difference helper, which evaluates its stencil as a stack.
 """
@@ -90,21 +90,33 @@ def fd_gradient(f, x):
     return (values[0::2] - values[1::2]).T / (2.0 * h)
 
 
-def _sqp_step(u, gval, grad, h_u):
+def _sqp_step(u, gval, grad, h_u, secant):
     """The SQP iterate u + d for min ||u||^2 / 2 subject to G(u) = 0 (Liu & Der
-    Kiureghian 1991), or None where its Hessian is not positive definite.
+    Kiureghian 1991), or None where there is none to take.
 
     B = I + lambda H_u is the Lagrangian Hessian, with the multiplier
     lambda = -(u . grad) / ||grad||^2 of the least-squares stationarity
     u + lambda grad = 0; d = -B^-1 (u + nu grad) with nu such that
     G + grad . d = 0.  With B = I (lambda = 0, at u = 0) it is the HLRF iterate.
+    Where B is not positive definite, an exact H_u gives None; with a
+    ``secant`` estimate of H_u, B is rebuilt from its eigendecomposition with
+    each eigenvalue replaced by its absolute value (modified Newton, Nocedal &
+    Wright 2006, sec. 3.4), and only an eigenvalue 0 gives None.
+    (The exact path keeps None: modified, its seeded searches made 255 > 223 and 792 > 780 calls.)
     """
     b = np.eye(u.size) - (u @ grad) / (grad @ grad) * h_u
+    rhs = np.stack((u, grad), axis=1)
     try:
         np.linalg.cholesky(b)  # raises unless B is positive definite
     except np.linalg.LinAlgError:
-        return None
-    b_u, b_grad = np.linalg.solve(b, np.stack((u, grad), axis=1)).T
+        if not secant:
+            return None
+        w, v = np.linalg.eigh(b)
+        if not np.all(w):
+            return None
+        b_u, b_grad = (v @ ((v.T @ rhs) / np.abs(w)[:, None])).T
+    else:
+        b_u, b_grad = np.linalg.solve(b, rhs).T
     nu = (gval - grad @ b_u) / (grad @ b_grad)
     return u - b_u - nu * b_grad
 
@@ -126,17 +138,18 @@ def form_mpp(g, to_z, gradient=None, hessian=None, exact=None):
     (beta_hl, u*, grad): beta_hl = +/-||u*|| signed as g at the means
     (negative where they fail), u* the MPP in standard-normal space and grad
     the limit state's standard-space gradient there.  The search runs a
-    damped SQP iteration (``_sqp_step``, which falls back to the HLRF iterate)
-    in uncorrelated standard-normal space and, on stall, one SLSQP run of
-    min ||u|| s.t. g = 0 from where it stopped.  It calls ``g`` once per stack
-    of distinct original-space rows it has not seen (``once_per_row``).  Each
-    gradient is ``fd_gradient`` over one call on its stencil or, given
-    ``gradient`` (z -> dg/dz at one original-space point (n,)), exact through
-    the marginal map's chain rule.  The step's Hessian H_u is, given
+    damped SQP iteration (``_sqp_step``, which falls back to the HLRF iterate
+    where it has no step) in uncorrelated standard-normal space and, on
+    stall, one SLSQP run of min ||u|| s.t. g = 0 from where it stopped.  It
+    calls ``g`` once per stack of distinct original-space rows it has not
+    seen (``once_per_row``).  Each gradient is ``fd_gradient`` over one call
+    on its stencil or, given ``gradient`` (z -> dg/dz at one original-space
+    point (n,)), exact through the marginal map's chain rule.  The step's Hessian H_u is, given
     ``hessian`` (the constant d^2g/dz^2 (n, n) of an explicit quadratic),
     exact through the second-order chain rule; otherwise it is a symmetric
     rank-one (SR1) secant estimate, started at 0 (so the first step is HLRF)
-    and updated from consecutive iterates' gradients, at no extra call.
+    and updated from consecutive iterates' gradients, at no extra call; where
+    it leaves B indefinite, the step takes B's eigenvalues in absolute value.
 
     ``exact`` is g's standard-normal ``QuadraticForm`` Q_N(u) = g(to_z(u)),
     where that form is exact (every variable normal or deterministic).  Given
@@ -185,7 +198,7 @@ def form_mpp(g, to_z, gradient=None, hessian=None, exact=None):
             if it > 0:
                 _sr1_update(secant, z - z_prev, grad - grad_prev)
             h_u, z_prev, grad_prev = secant, z, grad
-        z_new = None if h_u is None else _sqp_step(z, gval, grad, h_u)
+        z_new = None if h_u is None else _sqp_step(z, gval, grad, h_u, secant is not None)
         if z_new is None:
             z_new = (grad @ z - gval) / gnorm * alpha
         d = z_new - z

@@ -262,6 +262,8 @@ def build_problem(doc: dict) -> RbdoProblem:
     if "proportional_t" in solver:
         proportional_t = _get_array(solver["proportional_t"], (len(design_names),),
                                     "solver.proportional_t")
+        _require(np.all(proportional_t > 0.0), "every entry must be > 0",
+                 "solver.proportional_t")
 
     doe = doc.get("doe", {})
     _require(isinstance(doe, dict), "'doe' must be an object", "doe")

@@ -212,6 +212,21 @@ class TestFormMpp:
         assert rows.count((0.0, 0.0)) == 1
         assert len(set(rows)) == len(rows)
 
+    @pytest.mark.parametrize("h_diag,secant,expected", [
+        ((-3.0, 1.0), True, [1.25, 1.25]),  # B = diag(-2, 2): the step with |B| = 2I
+        ((-3.0, 1.0), False, None),         # an exact Hessian takes no such step
+        ((-1.0, 1.0), True, None),          # B = diag(0, 2) is singular
+    ])
+    def test_sqp_step_where_b_is_not_positive_definite(self, h_diag, secant, expected):
+        # at u = (1, 1) with grad = (-1, -1), lambda = 1 and B = I + diag(h)
+        u, grad, gval = np.ones(2), -np.ones(2), 0.5
+        step = quadrel.form._sqp_step(u, gval, grad, np.diag(h_diag), secant)
+        if expected is None:
+            assert step is None
+        else:
+            np.testing.assert_allclose(step, expected, rtol=1e-15)
+            assert gval + grad @ (step - u) == pytest.approx(0.0, abs=1e-15)
+
 
 def closed_form_mpp(q, variables, corr=None):
     """``form_mpp`` of the explicit quadratic ``q`` over ``variables``, given

@@ -483,6 +483,16 @@ class TestCli:
         assert main(["solve", str(path)]) == 2
         assert "(at constraints[0].expression)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("t", [0.0, -0.1])
+    def test_proportional_t_not_positive_is_input_error(self, t, tmp_path, capsys):
+        doc = ellipse_doc()
+        doc["solver"] = {"proportional_t": [t]}
+        path = tmp_path / "t.json"
+        write_document(doc, path)
+        assert main(["solve", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert not out and "(at solver.proportional_t)" in err
+
     def test_beta_override(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert main(["solve", "demo-ellipse", "--beta", "2.0", "--out", str(out)]) == 0

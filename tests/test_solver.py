@@ -9,6 +9,7 @@ import os
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.optimize import minimize as scipy_minimize
 
 import quadrel.form
 import quadrel.solver
@@ -885,6 +886,38 @@ class TestFormDoubleLoop:
                     total += calls
         assert total <= exact_calls
 
+    # secant_calls: the limit-state calls of the black-box searches, which take
+    # the secant step, modified where its Hessian is indefinite; they may only go
+    # down
+    @pytest.mark.parametrize("name,secant_calls", [("bench-3g", 3656), ("bench-quad4", 4165)])
+    def test_secant_search_reaches_the_minimum_norm_point(self, name, secant_calls,
+                                                          monkeypatch):
+        # at seeded design points each black box's search ends without raising or
+        # falling back, at the beta of a minimum of ||u|| subject to G = 0 that
+        # SLSQP reaches from u = 0 or from the search's u*, to rtol 1e-7
+        problem = builtin(name)
+        fallbacks = counted_fallbacks(monkeypatch)
+        lo, hi = bounds_of(problem)
+        total = 0
+        for mu in lo + np.random.default_rng(20).random((40, lo.size)) * (hi - lo):
+            to_z = marginal_map(problem.variables_at(problem.full_mean(mu)), problem.corr)
+            for spec in problem.constraints:
+                calls = []
+                beta, u, _ = form_mpp(lambda z: calls.append(len(z)) or spec.evaluate(z), to_z)
+                total += sum(calls)
+                g_n = _g_in_standard_space(spec.evaluate, to_z)
+                tol = 1e-8 * max(1.0, abs(g_n(np.zeros(to_z.n))))
+                norms = []
+                for start in (np.zeros(to_z.n), u):
+                    res = scipy_minimize(lambda v: v @ v, start, jac=lambda v: 2.0 * v,
+                                         method="SLSQP", constraints=[{"type": "eq", "fun": g_n}],
+                                         options={"maxiter": 500, "ftol": 1e-14})
+                    if abs(g_n(res.x)) <= tol:  # a point on G = 0, whatever SLSQP's status
+                        norms.append(math.sqrt(res.x @ res.x))
+                assert abs(beta) == pytest.approx(min(norms), rel=1e-7)
+        assert not fallbacks
+        assert total <= secant_calls
+
     # parent_evals: the calls of the FORM loop before the closed-form search and
     # the secant step; limit-state calls may only go down from there.  No search
     # of these ends in the SLSQP fallback, so the counts hold at any BLAS thread
@@ -893,7 +926,7 @@ class TestFormDoubleLoop:
     @pytest.mark.parametrize("name,build,objective,parent_evals", [
         ("bench-3g", bench_3g, 6.725659, 592),
         ("bench-quad4", bench_quad4, 0.0154656, 921),
-        ("bench-quad4 beta=3", lambda: bench_quad4(beta_d=3.0), 0.910632, 2109),
+        ("bench-quad4 beta=3", lambda: bench_quad4(beta_d=3.0), 0.910632, 1312),
         ("demo-ellipse", demo_ellipse, 0.0, 12),
         ("demo-ellipse-lognormal", demo_ellipse_lognormal, 0.1, 81),
         # the rssl optimum; the unsigned beta ended at 2.436275, where MC gives pf 0.9985
@@ -911,13 +944,16 @@ class TestFormDoubleLoop:
         for pf, spec in zip(result.pf_closed_form, problem.constraints):
             assert pf <= spec.pf_target + 1e-9
 
-    @pytest.mark.parametrize("name,calls", [("crashworthiness", 480), ("bench-3g", 592)])
+    @pytest.mark.parametrize("name,calls", [("crashworthiness", 480), ("bench-3g", 592),
+                                            ("bench-quad4 beta=3", 1312)])
     def test_same_calls_at_any_blas_thread_count(self, name, calls, monkeypatch):
-        # crashworthiness's searches are closed-form and bench-3g's take the
-        # secant step: none runs the SLSQP fallback, whose calls moved with the
-        # BLAS thread count.  Tier-1 runs at one and at two threads
+        # crashworthiness's searches are closed-form and the black boxes' take the
+        # secant step, modified where indefinite: none runs the SLSQP fallback,
+        # whose calls moved with the BLAS thread count.  Tier-1 runs at one and at
+        # two threads
         fallbacks = counted_fallbacks(monkeypatch)
-        result = rbdo_double_loop_form(builtin(name))
+        problem = bench_quad4(beta_d=3.0) if name == "bench-quad4 beta=3" else builtin(name)
+        result = rbdo_double_loop_form(problem)
         assert not fallbacks
         assert result.counters.deterministic_g_evals == calls
 
