@@ -90,6 +90,14 @@ def fd_gradient(f, x):
     return (values[0::2] - values[1::2]).T / (2.0 * h)
 
 
+def _along_normal(u, grad) -> bool:
+    """The MPP's tangential test ||u - (u . alpha) alpha|| <= MPP_OPT_TOL max(1, ||u||),
+    with alpha = grad / ||grad|| (grad not 0)."""
+    alpha = grad / math.sqrt(grad @ grad)
+    tangential = u - (u @ alpha) * alpha
+    return math.sqrt(tangential @ tangential) <= MPP_OPT_TOL * max(1.0, math.sqrt(u @ u))
+
+
 def _sqp_step(u, gval, grad, h_u, secant):
     """The SQP iterate u + d for min ||u||^2 / 2 subject to G(u) = 0 (Liu & Der
     Kiureghian 1991), or None where there is none to take.
@@ -140,7 +148,8 @@ def form_mpp(g, to_z, gradient=None, hessian=None, exact=None):
     the limit state's standard-space gradient there.  The search runs a
     damped SQP iteration (``_sqp_step``, which falls back to the HLRF iterate
     where it has no step) in uncorrelated standard-normal space and, on
-    stall, one SLSQP run of min ||u|| s.t. g = 0 from where it stopped.  It
+    stall, one SLSQP run of min ||u|| s.t. g = 0 from where it stopped, whose
+    point on g = 0 must pass the loop's tangential test where SLSQP fails.  It
     calls ``g`` once per stack of distinct original-space rows it has not
     seen (``once_per_row``).  Each gradient is ``fd_gradient`` over one call
     on its stencil or, given ``gradient`` (z -> dg/dz at one original-space
@@ -184,14 +193,10 @@ def form_mpp(g, to_z, gradient=None, hessian=None, exact=None):
     for it in range(MPP_MAX_ITER):
         grad, h_u = derivatives_at(z)
         gnorm = math.sqrt(grad @ grad)
-        znorm = math.sqrt(z @ z)
-        trace.append((it, znorm, float(gval)))
+        trace.append((it, math.sqrt(z @ z), float(gval)))
         if gnorm == 0.0:
             break
-        alpha = grad / gnorm
-        tangential = z - (z @ alpha) * alpha
-        converged = (abs(gval) <= MPP_TOL * scale
-                     and math.sqrt(tangential @ tangential) <= MPP_OPT_TOL * max(1.0, znorm))
+        converged = abs(gval) <= MPP_TOL * scale and _along_normal(z, grad)
         if converged:
             break
         if secant is not None:
@@ -200,7 +205,7 @@ def form_mpp(g, to_z, gradient=None, hessian=None, exact=None):
             h_u, z_prev, grad_prev = secant, z, grad
         z_new = None if h_u is None else _sqp_step(z, gval, grad, h_u, secant is not None)
         if z_new is None:
-            z_new = (grad @ z - gval) / gnorm * alpha
+            z_new = (grad @ z - gval) / gnorm * (grad / gnorm)
         d = z_new - z
         # merit line search: m(z) = 0.5||z||^2 + c_m |g(z)|
         c_m = 2.0 * math.sqrt(z_new @ z_new) / gnorm + 10.0
@@ -220,10 +225,12 @@ def form_mpp(g, to_z, gradient=None, hessian=None, exact=None):
         res = minimize(lambda u: u @ u, z, jac=lambda u: 2.0 * u, method="SLSQP",
                        constraints=[{"type": "eq", "fun": lambda u: g_n(u) / scale}],
                        options={"maxiter": 300, "ftol": 1e-12})
-        if not res.success or abs(g_n(res.x)) > 1e-6 * scale:
-            raise ConvergenceError("MPP search did not converge", trace=trace)
         z = res.x
+        if abs(g_n(z)) > 1e-6 * scale:
+            raise ConvergenceError("MPP search did not converge", trace=trace)
         grad = derivatives_at(z)[0]
+        if not (res.success or grad.any() and _along_normal(z, grad)):  # SLSQP can fail at the MPP
+            raise ConvergenceError(f"MPP search did not converge: {res.message}", trace=trace)
     return math.copysign(math.sqrt(z @ z), g0), z, grad
 
 

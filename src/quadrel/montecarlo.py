@@ -148,13 +148,12 @@ def _require_count(name: str, value, least: int):
 
 
 def mc_pf(g, variables: list[RandomVariable], corr: CorrelationModel | None,
-          n: int, seed: int) -> McEstimate | list[McEstimate]:
-    """Estimate Prob[g(z) < 0] with ``n`` samples.
+          n: int, seed: int) -> list[McEstimate]:
+    """Estimate Prob[g_i(z) < 0] of k stacked limit states with ``n`` samples.
 
-    ``g`` must accept an (m, nvar) array and return either (m,) values, for
-    which one ``McEstimate`` is returned, or (k, m) values, k limit states
-    on the same samples, for which a list of k estimates is returned, each
-    with this call's ``seed``.  Failures are counted per row, so row i's
+    ``g`` must accept an (m, nvar) array and return (k, m) values, k limit
+    states on the same samples (one is a stack of one).  The k estimates each
+    carry this call's ``seed``; failures are counted per row, so row i's
     estimate equals that of a call whose ``g`` returns row i alone.  Chunks
     of min(DEFAULT_CHUNK, n) rows are drawn, on the calling thread, into one
     buffer of that many rows x nvar floats, mapped there in place with
@@ -175,21 +174,16 @@ def mc_pf(g, variables: list[RandomVariable], corr: CorrelationModel | None,
         z = rng.standard_normal(out=buffer[:min(DEFAULT_CHUNK, n - start)])
         z = transform_samples(z, variables, corr, out=z)
         failures += _count_failures(g(z), len(z))
-    if np.ndim(failures) == 0:
-        return _estimate(int(failures), n, seed)
     return [_estimate(int(k), n, seed) for k in failures]
 
 
 def _count_failures(values, m: int):
-    """Failures per row of one chunk's limit-state values, (m,) or (k, m).
-
-    A function, so that a chunk's values are freed before the next chunk's
-    are computed: with k rows they are k times a chunk's column."""
+    """Failures per row of one chunk's (k, m) limit-state values: a function,
+    so that a chunk's values, k times its column, are freed before the next's."""
     values = np.asarray(values)
-    if values.ndim not in (1, 2) or values.shape[-1] != m:
-        raise DomainError(f"g returned shape {values.shape} for {m} samples; "
-                          f"mc_pf needs ({m},) or (k, {m})")
-    return np.count_nonzero(values < 0.0, axis=-1)
+    if values.ndim != 2 or values.shape[1] != m:
+        raise DomainError(f"g returned shape {values.shape} for {m} samples; mc_pf needs (k, {m})")
+    return np.count_nonzero(values < 0.0, axis=1)
 
 
 def _estimate(failures: int, n: int, seed: int) -> McEstimate:

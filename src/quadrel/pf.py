@@ -197,9 +197,10 @@ def pf_batch(gamma, p, k, cprime) -> PfBatch:
 
 
 def require_finite(*arrays):
-    """Raise DomainError unless every coefficient is finite."""
+    """The ``arrays``, checked: raise DomainError unless every coefficient is finite."""
     if not all(np.isfinite(x).all() for x in arrays):
         raise DomainError("the closed form requires finite coefficients")
+    return arrays
 
 
 def pf_quadratic(qn: QuadraticForm):

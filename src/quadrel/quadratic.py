@@ -1,7 +1,7 @@
 """Quadratic-form algebra.
 
 Correlation eigen-decomposition, the equivalent-normal map at the means
-and the exact affine transformation of a quadratic limit state into
+and the exact affine transformation of stacked quadratic limit states into
 uncorrelated standard-normal space, plus the eigenbasis (gamma, P) of a
 stack of transformed forms with its zero tolerance and epsilon lift, and
 the moment sums the closed-form kernels in ``pf`` take on their own rows.
@@ -190,19 +190,27 @@ def standard_normal_map(
     return sigma_eq[:, None] * corr.l, mu_eq
 
 
-def to_standard_normal(q: QuadraticForm, snmap: tuple[np.ndarray, np.ndarray]) -> QuadraticForm:
-    """Transform Q through the map ``snmap = (S T D, mu_eq)`` of ``standard_normal_map``.
+def standard_normal_forms(a, k, c, m, mu_eq):
+    """Forms z'Az + k'z + c through maps z = M z_N + mu_eq: (A', k', c') with
+    A' = M'AM (symmetrized as ``QuadraticForm`` does), k' = M'(k + 2A mu_eq) and
+    c' = c + mu_eq'A mu_eq + k'mu_eq.  Forms a (..., n, n), k (..., n), c (...)
+    broadcast against maps m (..., n, n), mu_eq (..., n)."""
+    m_t = np.swapaxes(m, -1, -2)
+    a_n = np.matmul(np.matmul(m_t, a), m)
+    a_n = 0.5 * (a_n + np.swapaxes(a_n, -1, -2))
+    k_n = np.matmul(m_t, (k + np.matmul(2.0 * a, mu_eq[..., None])[..., 0])[..., None])[..., 0]
+    c_n = c + row_dot(np.matmul(mu_eq[..., None, :], a)[..., 0, :], mu_eq) + row_dot(k, mu_eq)
+    return a_n, k_n, c_n
 
-    The returned form satisfies the exact identity
-    Q_N(z_N) = Q(S T D z_N + mu_eq).
-    """
+
+def to_standard_normal(q: QuadraticForm, snmap: tuple[np.ndarray, np.ndarray]) -> QuadraticForm:
+    """Q through the map ``snmap = (S T D, mu_eq)`` of ``standard_normal_map``:
+    ``standard_normal_forms`` on a stack of one, Q_N(z_N) = Q(S T D z_N + mu_eq)."""
     m, mu_eq = snmap
     if m.shape[0] != q.dim:
         raise DomainError(f"quadratic has dim {q.dim} but the map has {m.shape[0]} variables")
-    a_n = m.T @ q.a @ m
-    k_n = m.T @ (q.k + 2.0 * q.a @ mu_eq)
-    c_n = q.c + mu_eq @ q.a @ mu_eq + q.k @ mu_eq
-    return QuadraticForm(a=a_n, k=k_n, c=c_n)
+    a_n, k_n, c_n = standard_normal_forms(q.a, q.k, q.c, m[None], mu_eq[None])
+    return QuadraticForm(a=a_n[0], k=k_n[0], c=c_n[0])
 
 
 def moment_sums(gamma: np.ndarray, kbar: np.ndarray) -> tuple:

@@ -33,7 +33,7 @@ from .quadratic import (
     QuadraticForm,
     eigenbasis,
     monomial_product,
-    row_dot,
+    standard_normal_forms,
     standard_normal_map,
     to_standard_normal,
 )
@@ -303,47 +303,38 @@ def probabilistic_constraint(surrogates: list, problem: RbdoProblem,
 
     Returns one function of the design means giving the vector over
     ``problem.constraints``, or of a stack (P, n_design) of them giving
-    one row per point.  The points not seen before run through the closed
-    form in one batched pass over P * n_con rows.  One stacked transform
-    through each point's standard-normal map (M, mu_eq) gives every
-    A' = M'AM with its eigenbasis, then k' and c'.  A fixed map
-    (``_map_is_constant``) is built once, here; otherwise each evaluation
-    builds it at each point.  No evaluation calls a black-box limit state.
-    Each design point is evaluated and counted once: ``gstar.batch`` is the
-    memo (``once_per_row``), and ``gstar.batch(mu)`` is the point's ``PfBatch``.
+    one row per point, and calls no black box.  The points not seen before
+    run through the closed form in one batched pass over P * n_con rows:
+    ``standard_normal_forms`` through each point's map (M, mu_eq) gives every
+    (A', k', c'), then the eigenbasis of every A'.  A fixed map
+    (``_map_is_constant``) and its eigenbases are built once, here.  Each
+    design point is evaluated and counted once: ``gstar.batch`` is the memo
+    (``once_per_row``), and ``gstar.batch(mu)`` the point's ``PfBatch``.
     """
     targets = np.array([spec.pf_target for spec in problem.constraints])
     a = np.stack([q.a for q in surrogates])
-    two_a = 2.0 * a
     k = np.stack([q.k for q in surrogates])
     c = np.array([q.c for q in surrogates])
     n_con, n = k.shape
 
-    def transform(mu_full):
-        """(M', eigenbasis of every A', mu_eq) under the maps at the rows (P, n) of ``mu_full``."""
+    def maps_at(mu_full):
+        """Each row's map (M, mu_eq), stacked (P, 1, n, n) and (P, 1, n) against the forms."""
         maps = [standard_normal_map(problem.variables_at(mu), problem.corr) for mu in mu_full]
-        m = np.stack([m for m, _ in maps])[:, None]  # (P, 1, n, n) against the n_con forms
-        m_t = np.swapaxes(m, -1, -2)
-        a_n = np.matmul(np.matmul(m_t, a), m)
-        a_n = 0.5 * (a_n + np.swapaxes(a_n, -1, -2))  # as QuadraticForm symmetrizes A
-        require_finite(a_n)
-        return m_t, eigenbasis(a_n), np.stack([mu_eq for _, mu_eq in maps])
+        return np.stack([m for m, _ in maps])[:, None], np.stack([mu for _, mu in maps])[:, None]
 
     fixed = None
     if _map_is_constant(problem):  # every variable keeps its own mean: mu_eq = mu
-        fixed = transform(problem.full_mean(problem.design_start()[None]))[:2]
+        m, mu_eq = maps_at(problem.full_mean(problem.design_start()[None]))
+        fixed = m, eigenbasis(require_finite(*standard_normal_forms(a, k, c, m, mu_eq))[0])
 
     def kernel(points) -> list:
         """The closed form at a stack (P, n_design): one ``PfBatch`` of n_con rows per point."""
         if counters is not None:
             counters.gstar_evals += n_con * len(points)
         mu_full = problem.full_mean(points)
-        m_t, (gamma, p), mu_eq = transform(mu_full) if fixed is None else (*fixed, mu_full)
-        mu_eq = mu_eq[:, None, :]
-        # Q_N(z) = Q(M z + mu_eq) row by row as to_standard_normal associates it, bit for bit
-        k_n = np.matmul(m_t, (k + np.matmul(two_a, mu_eq[..., None])[..., 0])[..., None])[..., 0]
-        c_n = c + row_dot(np.matmul(mu_eq[..., None, :], a)[..., 0, :], mu_eq) + row_dot(k, mu_eq)
-        require_finite(k_n, c_n)
+        m, mu_eq = maps_at(mu_full) if fixed is None else (fixed[0], mu_full[:, None])
+        a_n, k_n, c_n = require_finite(*standard_normal_forms(a, k, c, m, mu_eq))
+        gamma, p = eigenbasis(a_n) if fixed is None else fixed[1]
         k_n = k_n.reshape(-1, n)
         gamma = np.broadcast_to(gamma, (len(points), n_con, n)).reshape(-1, n)
         p = np.broadcast_to(p, (len(points), n_con, n, n)).reshape(-1, n, n)
@@ -583,9 +574,9 @@ def mc_audit(problem: RbdoProblem, mu_design, n: int, seed: int):
     quadratics as one product over their monomials, the black boxes one by
     one.  Every estimate carries ``seed``.  A quadratic's values agree with
     ``spec.evaluate`` to roundoff, so each failure count equals that of
-    ``mc_pf`` on the constraint alone with the same seed except for samples
-    whose g lies within roundoff of 0, which one evaluation can count and the
-    other not.
+    ``mc_pf`` on the constraint alone (a stack of one) with the same seed,
+    except for samples whose g lies within roundoff of 0, which one
+    evaluation can count and the other not.
     """
     mu_full = problem.full_mean(np.asarray(mu_design, dtype=float))
     vars_at = problem.variables_at(mu_full)

@@ -106,8 +106,8 @@ def test_criterion_03_closed_form_tracks_mc_on_grid():
     for i, mu in enumerate(np.linspace(0.0, 15.0, 31)):
         pf_cf, _ = pf_quadratic(ellipse_qn(mu))
         mu_full = problem.full_mean(np.array([mu]))
-        est = mc_pf(q, problem.variables_at(mu_full), None,
-                    n=AUDIT_N, seed=1000 + i)
+        est, = mc_pf(lambda z: q(z)[None], problem.variables_at(mu_full), None,
+                     n=AUDIT_N, seed=1000 + i)
         # a zero-count estimate still bounds the truth by the rule of
         # three: pf_true <= 3/n at 95 %
         tol = max(3.0 * est.ci95_halfwidth, 0.1 * est.pf_hat, 3.0 / AUDIT_N)

@@ -449,7 +449,8 @@ class TestSormBreitung:
         z_mpp = np.zeros(n)
         z_mpp[0] = -beta
         pf = sorm_breitung(qn, beta, z_mpp)
-        est = mc_pf(qn, [snv(f"z{i}") for i in range(n)], None, n=4_000_000, seed=42)
+        est, = mc_pf(lambda z: qn(z)[None], [snv(f"z{i}") for i in range(n)], None,
+                     n=4_000_000, seed=42)
         assert abs(pf - est.pf_hat) <= max(3.0 * est.ci95_halfwidth, 0.1 * est.pf_hat)
 
     def test_convex_away_shrinks(self):

@@ -50,6 +50,11 @@ def snv(name):
     return RandomVariable(name, Kind.NORMAL, Role.PARAMETER, 0.0, 1.0)
 
 
+def stack_of_one(g):
+    """One limit state's (m,) values as the (1, m) stack ``mc_pf`` takes."""
+    return lambda z: g(z)[None]
+
+
 def reference_transform(z_n, variables, corr):
     """The marginal map one column at a time: the loop the blocked kernel replaced."""
     y = z_n @ corr.l.T if corr is not None else z_n
@@ -93,8 +98,8 @@ class TestReproducibility:
         qn = QuadraticForm(a=np.diag([0.05, -0.08]),
                                      k=np.array([0.3, -0.2]), c=1.2)
         variables = [snv("z1"), snv("z2")]
-        a = mc_pf(qn, variables, None, n=200_000, seed=7)
-        b = mc_pf(qn, variables, None, n=200_000, seed=7)
+        a, = mc_pf(stack_of_one(qn), variables, None, n=200_000, seed=7)
+        b, = mc_pf(stack_of_one(qn), variables, None, n=200_000, seed=7)
         assert a.pf_hat == b.pf_hat
         assert a.ci95_halfwidth == b.ci95_halfwidth
 
@@ -105,9 +110,9 @@ class TestReproducibility:
                                      k=np.array([1.0, 0.0]), c=2.0)
         variables = [snv("z1"), snv("z2")]
         monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 50_000)
-        a = mc_pf(qn, variables, None, n=300_000, seed=11)
+        a, = mc_pf(stack_of_one(qn), variables, None, n=300_000, seed=11)
         monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 300_000)
-        b = mc_pf(qn, variables, None, n=300_000, seed=11)
+        b, = mc_pf(stack_of_one(qn), variables, None, n=300_000, seed=11)
         assert a.pf_hat == b.pf_hat
 
     @pytest.mark.parametrize("name", AUDIT_POINTS)
@@ -126,7 +131,8 @@ class TestReproducibility:
 
         chunks = (7, 999, DEFAULT_CHUNK, n)
         for i, spec in enumerate(problem.constraints):
-            pf = {chunk: chunked(spec.evaluate, 5 + i, chunk).pf_hat for chunk in chunks}
+            pf = {chunk: chunked(stack_of_one(spec.evaluate), 5 + i, chunk)[0].pf_hat
+                  for chunk in chunks}
             assert len(set(pf.values())) == 1, (spec.name, pf)
         # and every constraint stacked on one draw by mc_audit's evaluator
         g = stacked_limit_states(problem.constraints)
@@ -145,14 +151,14 @@ class TestReproducibility:
         audit = mc_audit(problem, np.array(point), n=n, seed=5)
         assert len(audit) == len(problem.constraints)
         for spec, est in zip(problem.constraints, audit):
-            alone = mc_pf(spec.evaluate, variables, problem.corr, n=n, seed=5)
+            alone, = mc_pf(stack_of_one(spec.evaluate), variables, problem.corr, n=n, seed=5)
             assert est == alone, spec.name
 
     def test_different_seeds_differ(self):
         qn = QuadraticForm(a=np.zeros((1, 1)),
                                      k=np.array([1.0]), c=1.5)
-        a = mc_pf(qn, [snv("z")], None, n=100_000, seed=1)
-        b = mc_pf(qn, [snv("z")], None, n=100_000, seed=2)
+        a, = mc_pf(stack_of_one(qn), [snv("z")], None, n=100_000, seed=1)
+        b, = mc_pf(stack_of_one(qn), [snv("z")], None, n=100_000, seed=2)
         assert a.pf_hat != b.pf_hat
 
 
@@ -183,7 +189,7 @@ class TestDrawThread:
         def g(z):
             g_threads.add(threading.get_ident())
             counts.add(threading.active_count())
-            return self.linear()(z)
+            return self.linear()(z)[None]
 
         monkeypatch.setattr(montecarlo.np.random, "default_rng", Recorded)
         before = threading.active_count()
@@ -201,7 +207,7 @@ class TestDrawThread:
             calls[0] += 1
             if calls[0] == fail_on:
                 raise ZeroDivisionError("limit state failed")
-            return self.linear()(z)
+            return self.linear()(z)[None]
 
         with pytest.raises(ZeroDivisionError, match="limit state failed"):
             mc_pf(g, [snv("z")], None, n=10_000, seed=0)
@@ -216,10 +222,10 @@ class TestDrawThread:
         corr = correlation_decompose(np.array([[1.0, 0.5], [0.5, 1.0]]))
 
         def g(z):
-            return 1.4 - z[:, 1] + 0.1 * z[:, 0]
+            return (1.4 - z[:, 1] + 0.1 * z[:, 0])[None]
 
         def run(seed):
-            return mc_pf(g, variables, corr, n=30_000, seed=seed).pf_hat
+            return mc_pf(g, variables, corr, n=30_000, seed=seed)[0].pf_hat
 
         monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 30_000)
         expected = {seed: run(seed) for seed in range(4)}
@@ -241,7 +247,7 @@ class TestDrawThread:
 
     def test_no_thread_left_after_a_return(self):
         before = threading.active_count()
-        mc_pf(self.linear(), [snv("z")], None, n=10_000, seed=0)
+        mc_pf(stack_of_one(self.linear()), [snv("z")], None, n=10_000, seed=0)
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("fail_on", [1, 3, 10])
@@ -263,10 +269,8 @@ class TestDrawThread:
     def test_stacked_limit_state_returns_one_estimate_per_row(self):
         before = threading.active_count()
         q = self.linear()
-        single = mc_pf(q, [snv("z")], None, n=10_000, seed=0)
-        one = mc_pf(lambda z: q(z)[None, :], [snv("z")], None, n=10_000, seed=0)
+        single, = mc_pf(stack_of_one(q), [snv("z")], None, n=10_000, seed=0)
         two = mc_pf(lambda z: np.stack([q(z), -q(z)]), [snv("z")], None, n=10_000, seed=0)
-        assert one == [single]
         assert two[0] == single
         assert round(two[1].pf_hat * 10_000) == 10_000 - round(single.pf_hat * 10_000)
         assert threading.active_count() == before
@@ -277,7 +281,7 @@ class TestAccuracy:
         # g = 3 - z fails with probability Phi(-3) = 1.3499e-3
         qn = QuadraticForm(a=np.zeros((1, 1)),
                                      k=np.array([-1.0]), c=3.0)
-        est = mc_pf(qn, [snv("z")], None, n=10_000_000, seed=5)
+        est, = mc_pf(stack_of_one(qn), [snv("z")], None, n=10_000_000, seed=5)
         assert est.pf_hat == pytest.approx(0.001349898, abs=4e-5)
         assert est.n == 10_000_000
         # binomial CI check: halfwidth = 1.96 sqrt(p(1-p)/n)
@@ -290,9 +294,9 @@ class TestAccuracy:
         variables = [RandomVariable("x", Kind.NORMAL, Role.PARAMETER, 2.0, 0.5)]
 
         def g(x):
-            return x[:, 0]
+            return x[:, :1].T
 
-        est = mc_pf(g, variables, None, n=2_000_000, seed=3)
+        est, = mc_pf(g, variables, None, n=2_000_000, seed=3)
         assert est.pf_hat == pytest.approx(3.1671e-5, abs=1.2e-5)
 
 
@@ -406,22 +410,23 @@ class TestValidation:
     def test_n_too_small(self):
         qn = QuadraticForm(a=np.zeros((1, 1)), k=np.array([1.0]), c=1.0)
         with pytest.raises(DomainError):
-            mc_pf(qn, [snv("z")], None, n=500, seed=0)
+            mc_pf(stack_of_one(qn), [snv("z")], None, n=500, seed=0)
 
     def test_n_not_integer(self):
         qn = QuadraticForm(a=np.zeros((1, 1)), k=np.array([1.0]), c=1.0)
         with pytest.raises(DomainError, match="integer n"):
-            mc_pf(qn, [snv("z")], None, n=2e3, seed=0)
+            mc_pf(stack_of_one(qn), [snv("z")], None, n=2e3, seed=0)
 
     @pytest.mark.parametrize("seed,match", [(-1, "seed >= 0"), (1.5, "integer seed")])
     def test_bad_seed(self, seed, match):
         qn = QuadraticForm(a=np.zeros((1, 1)), k=np.array([1.0]), c=1.0)
         with pytest.raises(DomainError, match=match):
-            mc_pf(qn, [snv("z")], None, n=10_000, seed=seed)
+            mc_pf(stack_of_one(qn), [snv("z")], None, n=10_000, seed=seed)
 
-    @pytest.mark.parametrize("shape", [(), (1,), (2, 1), (10_000, 1), (1, 2, 10_000)])
+    @pytest.mark.parametrize("shape", [(), (1,), (2, 1), (10_000, 1), (1, 2, 10_000), (10_000,)])
     def test_limit_state_values_of_another_shape(self, shape):
-        # an (m, 1) column would otherwise count as m limit states of one sample
+        # an (m, 1) column would otherwise count as m limit states of one sample,
+        # and one limit state's (m,) values are a stack of one, (1, m)
         with pytest.raises(DomainError, match="mc_pf needs"):
             mc_pf(lambda z: np.ones(shape), [snv("z")], None, n=10_000, seed=0)
 

@@ -1,12 +1,15 @@
 """Quadratic-form algebra: correlation decomposition, the transform into
 uncorrelated standard-normal space, the eigenbasis and the moment sums."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadrel.errors import DomainError, NotACorrelationMatrixError
+from quadrel import problems
 from quadrel.problems import demo_ellipse_varstd
 from quadrel.quadratic import (
     CorrelationModel,
@@ -16,10 +19,14 @@ from quadrel.quadratic import (
     moment_sums,
     monomial_product,
     spectral,
+    standard_normal_forms,
     standard_normal_map,
     to_standard_normal,
 )
 from quadrel.variables import Kind, RandomVariable, Role
+
+
+CRASH_CSV = os.path.join(os.path.dirname(__file__), "data", "crash_coefficients.csv")
 
 
 def normal(name, mean, std, role=Role.PARAMETER):
@@ -223,6 +230,37 @@ class TestToStandardNormal:
         with pytest.raises(DomainError):
             to_standard_normal(ELLIPSE,
                                standard_normal_map([normal("x", 0.0, 1.0)], None))
+
+    @pytest.mark.parametrize("name", ["crashworthiness", "demo-ellipse-lognormal",
+                                      "demo-ellipse-varstd", "demo-ellipse-det"])
+    def test_stacked_maps_against_every_form(self, name):
+        # per-point maps (P, 1, n, n) against all of a problem's forms: each
+        # (point, form) pair gets the bytes to_standard_normal gives it alone,
+        # and Q_N(z_N) = Q(M z_N + mu_eq) at random z_N
+        build = problems.BUILTIN_BUILDERS[name]
+        problem = build(CRASH_CSV) if name == "crashworthiness" else build()
+        forms = [spec.quadratic for spec in problem.constraints]
+        lo = np.array([b[0] for b in problem.bounds])
+        hi = np.array([b[1] for b in problem.bounds])
+        rng = np.random.default_rng(7)
+        maps = [standard_normal_map(problem.variables_at(problem.full_mean(mu)), problem.corr)
+                for mu in lo + rng.random((5, lo.size)) * (hi - lo)]
+        m = np.stack([m for m, _ in maps])[:, None]
+        mu_eq = np.stack([mu_eq for _, mu_eq in maps])[:, None]
+        a_n, k_n, c_n = standard_normal_forms(np.stack([q.a for q in forms]),
+                                              np.stack([q.k for q in forms]),
+                                              np.array([q.c for q in forms]), m, mu_eq)
+        assert a_n.shape[:2] == k_n.shape[:2] == c_n.shape == (len(maps), len(forms))
+        z_n = rng.standard_normal((10, len(problem.variables)))
+        for p, snmap in enumerate(maps):
+            for i, q in enumerate(forms):
+                qn = to_standard_normal(q, snmap)
+                assert a_n[p, i].tobytes() == qn.a.tobytes()
+                assert k_n[p, i].tobytes() == qn.k.tobytes()
+                assert c_n[p, i] == qn.c
+                stacked = QuadraticForm(a_n[p, i], k_n[p, i], c_n[p, i])
+                np.testing.assert_allclose(stacked(z_n), q(z_n @ snmap[0].T + snmap[1]),
+                                           rtol=1e-10, atol=1e-10)
 
 
 class TestSpectral:

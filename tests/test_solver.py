@@ -721,6 +721,21 @@ def counted_fallbacks(monkeypatch):
     return calls
 
 
+def least_norm(g, to_z, u):
+    """The least ||v|| subject to G(v) = 0 that SLSQP reaches from v = 0 or from
+    ``u``: a point counts where |G| <= 1e-8 max(1, |G(0)|), whatever SLSQP's status."""
+    g_n = _g_in_standard_space(g, to_z)
+    tol = 1e-8 * max(1.0, abs(g_n(np.zeros(to_z.n))))
+    norms = []
+    for start in (np.zeros(to_z.n), u):
+        res = scipy_minimize(lambda v: v @ v, start, jac=lambda v: 2.0 * v, method="SLSQP",
+                             constraints=[{"type": "eq", "fun": g_n}],
+                             options={"maxiter": 500, "ftol": 1e-14})
+        if abs(g_n(res.x)) <= tol:
+            norms.append(math.sqrt(res.x @ res.x))
+    return min(norms)
+
+
 class TestFormDoubleLoop:
     @pytest.mark.parametrize("build,mu", [
         (bench_3g, [3.4, 3.3]),
@@ -905,18 +920,28 @@ class TestFormDoubleLoop:
                 calls = []
                 beta, u, _ = form_mpp(lambda z: calls.append(len(z)) or spec.evaluate(z), to_z)
                 total += sum(calls)
-                g_n = _g_in_standard_space(spec.evaluate, to_z)
-                tol = 1e-8 * max(1.0, abs(g_n(np.zeros(to_z.n))))
-                norms = []
-                for start in (np.zeros(to_z.n), u):
-                    res = scipy_minimize(lambda v: v @ v, start, jac=lambda v: 2.0 * v,
-                                         method="SLSQP", constraints=[{"type": "eq", "fun": g_n}],
-                                         options={"maxiter": 500, "ftol": 1e-14})
-                    if abs(g_n(res.x)) <= tol:  # a point on G = 0, whatever SLSQP's status
-                        norms.append(math.sqrt(res.x @ res.x))
-                assert abs(beta) == pytest.approx(min(norms), rel=1e-7)
+                assert abs(beta) == pytest.approx(least_norm(spec.evaluate, to_z, u), rel=1e-7)
         assert not fallbacks
         assert total <= secant_calls
+
+    @pytest.mark.parametrize("name", ["bench-3g", "bench-quad4"])
+    def test_fallback_accepts_the_minimum_norm_point(self, name, monkeypatch):
+        # every black box's search sent straight to the SLSQP fallback, from
+        # u = 0, ends without raising, at the beta of the least_norm reference
+        # to rtol 1e-7, also where SLSQP reports failure at the MPP ("Rank-
+        # deficient equality constraint subproblem HFTI" on bench-quad4's g2)
+        monkeypatch.setattr(quadrel.form, "MPP_MAX_ITER", 0)
+        problem = builtin(name)
+        fallbacks = counted_fallbacks(monkeypatch)
+        lo, hi = bounds_of(problem)
+        searches = 0
+        for mu in lo + np.random.default_rng(20).random((40, lo.size)) * (hi - lo):
+            to_z = marginal_map(problem.variables_at(problem.full_mean(mu)), problem.corr)
+            for spec in problem.constraints:
+                beta, u, _ = form_mpp(spec.evaluate, to_z)
+                searches += 1
+                assert abs(beta) == pytest.approx(least_norm(spec.evaluate, to_z, u), rel=1e-7)
+        assert len(fallbacks) == searches
 
     # parent_evals: the calls of the FORM loop before the closed-form search and
     # the secant step; limit-state calls may only go down from there.  No search
