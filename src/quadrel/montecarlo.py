@@ -21,6 +21,11 @@ DEFAULT_CHUNK = 16_384
 # The fewest samples ``mc_pf`` takes.
 MIN_SAMPLES = 1_000
 
+# ``gradient_in_z`` counts as 0 a correlation eigenvalue, or a marginal slope
+# (std or zeta), at or below RANK_TOL times the largest, and a column's squared
+# reach into the correlation's null space at or below RANK_TOL.
+RANK_TOL = 1e-12
+
 # Elements per block of the marginal map's affine step.  A block is whole
 # rows against a (shift, scale) tiled to the same shape, so numpy's inner
 # loop runs over the block, not over one row, whatever the number of variables.
@@ -66,7 +71,10 @@ def marginal_map(variables: list[RandomVariable], corr: CorrelationModel | None)
     deterministic column is then set to its value.  The result is written to
     ``out`` when given (which may be ``z_n`` itself), else to a new array; with
     a correlation, the mixed array is transformed in place.  ``apply.n`` is n,
-    and ``apply.chain_rule`` takes a gradient at a mapped point back through it.
+    ``apply.chain_rule`` takes a gradient at a mapped point back through it,
+    ``apply.gradient_in_z`` inverts that where it can, and ``apply.dz_dmu`` is
+    the map's derivative in each variable's own mean.  Both build what they
+    need when called: Monte Carlo builds a map per chunk and calls neither.
     """
     n = len(variables)
     shift, scale, fixed, lognormal = marginal_table(variables)
@@ -124,8 +132,51 @@ def marginal_map(variables: list[RandomVariable], corr: CorrelationModel | None)
         h_y[lognormal, lognormal] += scale[lognormal] * d[lognormal] * grad_z[lognormal]
         return h_y if mix is None else mix @ h_y @ mix.T
 
+    def gradient_in_z(z: np.ndarray, grad_u: np.ndarray):
+        """(grad_z, resolved): the gradient at the mapped point ``z`` (n,) of a
+        function whose standard-normal gradient is ``grad_u``, ``chain_rule``
+        inverted (grad_u = L'(d * grad_z)), on the columns ``resolved``, and 0
+        on the others, which grad_u does not determine: a deterministic column
+        (d = 0) and one that reaches into the null space of a singular
+        correlation."""
+        resolved = scale > RANK_TOL * scale.max(initial=0.0)
+        if mix is None:
+            w = grad_u
+        else:  # C = L L' with L = T diag(s): L's column norms are s
+            s2 = np.sum(corr.l * corr.l, axis=0)
+            rank = s2 > RANK_TOL * s2.max()
+            lead = corr.l[:, rank] / s2[rank]  # L^-T on range(C), as T diag(1/s)
+            w = lead @ grad_u[rank]
+            # 1 - sum_k T_jk^2 over the range is column j's reach into null(C)
+            resolved &= 1.0 - np.sum(lead * corr.l[:, rank], axis=1) <= RANK_TOL
+        return np.divide(w, slope(z), out=np.zeros(n), where=resolved), resolved
+
+    def dz_dmu(u: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """dz_j / d mean_j of the map at a fixed draw ``u`` (n,), with the std of
+        each variable j t_j |mean_j| where t_j > 0, else constant.  With y = L u
+        the correlated score: 1 for a normal or deterministic variable of
+        constant std, 1 + t sign(mean) y under a proportional one; for a
+        lognormal, z = exp(lambda + zeta y) gives z (d lambda/d mean +
+        y d zeta/d mean), with v = std / mean and zeta^2 = log(1 + v^2), and
+        z / mean under a proportional std (v constant)."""
+        y = u if mix is None else mix.T @ u
+        means = np.array([v.mean for v in variables])
+        d = 1.0 + t * np.sign(means) * y
+        if lognormal:
+            mean, zeta, y_l = means[lognormal], scale[lognormal], y[lognormal]
+            v2 = np.array([variables[i].std ** 2 for i in lognormal]) / (mean * mean)
+            z = np.exp(shift[lognormal] + zeta * y_l)
+            # mean (1 + v^2) times d lambda/d mean = 1 + 2 v^2, and times
+            # d zeta/d mean = -v^2 / zeta (0 at zeta = 0)
+            dzeta = np.divide(-v2, zeta, out=np.zeros(len(lognormal)), where=zeta != 0.0)
+            constant = z * (1.0 + 2.0 * v2 + y_l * dzeta) / (mean * (1.0 + v2))
+            d[lognormal] = np.where(t[lognormal] > 0.0, z / mean, constant)
+        return d
+
     apply.n = n
     apply.chain_rule = chain_rule
+    apply.gradient_in_z = gradient_in_z
+    apply.dz_dmu = dz_dmu
     apply.hessian_chain_rule = hessian_chain_rule
     return apply
 

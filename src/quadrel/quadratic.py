@@ -190,17 +190,28 @@ def standard_normal_map(
     return sigma_eq[:, None] * corr.l, mu_eq
 
 
-def standard_normal_forms(a, k, c, m, mu_eq):
-    """Forms z'Az + k'z + c through maps z = M z_N + mu_eq: (A', k', c') with
-    A' = M'AM (symmetrized as ``QuadraticForm`` does), k' = M'(k + 2A mu_eq) and
-    c' = c + mu_eq'A mu_eq + k'mu_eq.  Forms a (..., n, n), k (..., n), c (...)
-    broadcast against maps m (..., n, n), mu_eq (..., n)."""
-    m_t = np.swapaxes(m, -1, -2)
-    a_n = np.matmul(np.matmul(m_t, a), m)
-    a_n = 0.5 * (a_n + np.swapaxes(a_n, -1, -2))
-    k_n = np.matmul(m_t, (k + np.matmul(2.0 * a, mu_eq[..., None])[..., 0])[..., None])[..., 0]
+def standard_normal_a(a, m):
+    """A' = M'AM of forms a (..., n, n) through maps m (..., n, n), broadcast,
+    symmetrized as ``QuadraticForm`` does: the part of ``standard_normal_forms``
+    that depends on the map's M alone."""
+    a_n = np.matmul(np.matmul(np.swapaxes(m, -1, -2), a), m)
+    return 0.5 * (a_n + np.swapaxes(a_n, -1, -2))
+
+
+def standard_normal_kc(a, k, c, m, mu_eq):
+    """(k', c') with k' = M'(k + 2A mu_eq) and c' = c + mu_eq'A mu_eq + k'mu_eq:
+    the part of ``standard_normal_forms`` that moves with mu_eq."""
+    k_n = np.matmul(np.swapaxes(m, -1, -2),
+                    (k + np.matmul(2.0 * a, mu_eq[..., None])[..., 0])[..., None])[..., 0]
     c_n = c + row_dot(np.matmul(mu_eq[..., None, :], a)[..., 0, :], mu_eq) + row_dot(k, mu_eq)
-    return a_n, k_n, c_n
+    return k_n, c_n
+
+
+def standard_normal_forms(a, k, c, m, mu_eq):
+    """Forms z'Az + k'z + c through maps z = M z_N + mu_eq: (A', k', c'), from
+    ``standard_normal_a`` and ``standard_normal_kc``.  Forms a (..., n, n),
+    k (..., n), c (...) broadcast against maps m (..., n, n), mu_eq (..., n)."""
+    return (standard_normal_a(a, m), *standard_normal_kc(a, k, c, m, mu_eq))
 
 
 def to_standard_normal(q: QuadraticForm, snmap: tuple[np.ndarray, np.ndarray]) -> QuadraticForm:

@@ -33,7 +33,9 @@ from .quadratic import (
     QuadraticForm,
     eigenbasis,
     monomial_product,
+    standard_normal_a,
     standard_normal_forms,
+    standard_normal_kc,
     standard_normal_map,
     to_standard_normal,
 )
@@ -145,18 +147,19 @@ class RbdoProblem:
         mu[..., self.design_indices] = mu_design
         return mu
 
+    def std_factors(self) -> np.ndarray:
+        """Each variable's t: its std is t * |mean| where t > 0 (a design
+        variable under ``proportional_t``), else constant."""
+        t = np.zeros(len(self.variables))
+        if self.proportional_t is not None:
+            t[self.design_indices] = self.proportional_t
+            t[[v.role is not Role.DESIGN_VARIABLE for v in self.variables]] = 0.0
+        return t
+
     def variables_at(self, mu_full) -> list:
         """Variable list with means set to ``mu_full`` (and proportional stds)."""
-        out = []
-        design_pos = {idx: j for j, idx in enumerate(self.design_indices)}
-        t = self.proportional_t
-        for i, v in enumerate(self.variables):
-            if t is not None and i in design_pos and v.role is Role.DESIGN_VARIABLE:
-                std = t[design_pos[i]] * abs(mu_full[i])
-                out.append(v.with_mean(mu_full[i], std))
-            else:
-                out.append(v.with_mean(mu_full[i]))
-        return out
+        return [v.with_mean(mu, t * abs(mu) if t > 0.0 else None)
+                for v, mu, t in zip(self.variables, mu_full, self.std_factors())]
 
 
 @dataclass
@@ -305,9 +308,10 @@ def probabilistic_constraint(surrogates: list, problem: RbdoProblem,
     ``problem.constraints``, or of a stack (P, n_design) of them giving
     one row per point, and calls no black box.  The points not seen before
     run through the closed form in one batched pass over P * n_con rows:
-    ``standard_normal_forms`` through each point's map (M, mu_eq) gives every
-    (A', k', c'), then the eigenbasis of every A'.  A fixed map
-    (``_map_is_constant``) and its eigenbases are built once, here.  Each
+    each point's map (M, mu_eq) gives every (k', c') (``standard_normal_kc``)
+    and A' (``standard_normal_a``), then the eigenbasis of every A'.  A fixed
+    map (``_map_is_constant``), its A' and their eigenbases are built once,
+    here, so a call forms only (k', c').  Each
     design point is evaluated and counted once: ``gstar.batch`` is the memo
     (``once_per_row``), and ``gstar.batch(mu)`` the point's ``PfBatch``.
     """
@@ -333,8 +337,12 @@ def probabilistic_constraint(surrogates: list, problem: RbdoProblem,
             counters.gstar_evals += n_con * len(points)
         mu_full = problem.full_mean(points)
         m, mu_eq = maps_at(mu_full) if fixed is None else (fixed[0], mu_full[:, None])
-        a_n, k_n, c_n = require_finite(*standard_normal_forms(a, k, c, m, mu_eq))
-        gamma, p = eigenbasis(a_n) if fixed is None else fixed[1]
+        k_n, c_n = standard_normal_kc(a, k, c, m, mu_eq)
+        if fixed is None:
+            gamma, p = eigenbasis(require_finite(standard_normal_a(a, m), k_n, c_n)[0])
+        else:  # A' and its eigenbasis were formed, and checked, once
+            gamma, p = fixed[1]
+            require_finite(k_n, c_n)
         k_n = k_n.reshape(-1, n)
         gamma = np.broadcast_to(gamma, (len(points), n_con, n)).reshape(-1, n)
         p = np.broadcast_to(p, (len(points), n_con, n, n)).reshape(-1, n, n)
@@ -419,8 +427,10 @@ class FormMargins:
     as a function of the design means, and their Jacobian.
 
     Each distinct design point runs one MPP search per constraint, once.
-    ``jacobian`` takes d beta / d mu from those MPPs (``form.beta_scale``),
-    so it starts no search at a point the margins were evaluated at.  Where
+    ``jacobian`` takes d beta / d mu from those MPPs (``form.beta_scale``) and
+    the gradients their searches returned, so it starts no search, and
+    evaluates no limit state but along the columns the gradient leaves
+    undetermined, at a point the margins were evaluated at.  Where
     every variable is normal or deterministic, an explicit quadratic is exact
     in standard-normal space at every point: its search starts at the closed-
     form MPP (``form_mpp``'s ``exact``), and a failure set that is empty there
@@ -437,6 +447,7 @@ class FormMargins:
         self.problem = problem
         self.targets = np.array([spec.beta_target for spec in problem.constraints])
         self._mpps = once_per_row(per_point(self._search))
+        self._t = problem.std_factors()
 
         def counted(f):  # one call per row of z, and per point (n,) a gradient is taken at
             def call(z):
@@ -452,7 +463,7 @@ class FormMargins:
         self._closed_form = [normal and spec.quadratic is not None for spec in problem.constraints]
 
     def _search(self, mu):
-        """(margins, [(beta, u*, grad) or None per constraint]) at ``mu``."""
+        """(margins, [(beta, u*, grad) or None per constraint], marginal map) at ``mu``."""
         problem = self.problem
         vars_at = problem.variables_at(problem.full_mean(mu))
         to_z = marginal_map(vars_at, problem.corr)
@@ -471,7 +482,7 @@ class FormMargins:
                                          "fails with probability 1", phase="double-loop")
             mpps.append(None if mpp[0] == math.inf else mpp)
         betas = np.array([math.inf if m is None else m[0] for m in mpps])
-        return betas - self.targets, mpps
+        return betas - self.targets, mpps, to_z
 
     def __call__(self, mu) -> np.ndarray:
         return self._mpps(mu)[0]
@@ -479,20 +490,31 @@ class FormMargins:
     def jacobian(self, mu) -> np.ndarray:
         """(n_con, n_design) d beta_i / d mu_j at the MPPs found at ``mu``.
 
-        dG_i/d mu is the central difference of each limit state at its own
-        fixed u*, mapped through the transform at the moved means: one
-        marginal map per stencil point, shared by every constraint.
+        At fixed u*, dG_i/d mu_j = (grad_z g_i)_j dz_j/d mu_j at z* = to_z(u*)
+        (the map's ``dz_dmu``).  grad_z g_i is the search's own grad_u G taken
+        back through the map (``gradient_in_z``), with no call.  A design
+        column that this leaves undetermined (a deterministic one, or one under
+        a singular correlation) takes a central difference of g_i along z_j at
+        z*: 2 counted rows per constraint per such column.
         """
-        _, mpps = self._mpps(mu)
-        problem = self.problem
-        scales = np.array([0.0 if m is None else beta_scale(*m) for m in mpps])
-
-        def at_mpps(m):
-            to_z = marginal_map(problem.variables_at(problem.full_mean(m)), problem.corr)
-            return np.array([0.0 if mpp is None else g(to_z(mpp[1][None, :]))[0]
-                             for g, mpp in zip(self._limit_states, mpps)])
-
-        return scales[:, None] * fd_gradient(per_point(at_mpps), mu)
+        _, mpps, to_z = self._mpps(mu)
+        design = self.problem.design_indices
+        jac = np.zeros((len(mpps), len(design)))
+        for row, g, mpp in zip(jac, self._limit_states, mpps):
+            if mpp is None:
+                continue
+            u, grad_u = mpp[1], mpp[2]
+            z = to_z(u[None, :])[0]
+            grad_z, resolved = to_z.gradient_in_z(z, grad_u)
+            along = [j for j in design if not resolved[j]]
+            if along:
+                def g_along(points):  # g at z* with the columns ``along`` set to each row of points
+                    rows = np.repeat(z[None, :], len(points), axis=0)
+                    rows[:, along] = points
+                    return g(rows)
+                grad_z[along] = fd_gradient(g_along, z[along])
+            row[:] = beta_scale(*mpp) * (grad_z * to_z.dz_dmu(u, self._t))[design]
+        return jac
 
 
 def rbdo_double_loop_form(problem: RbdoProblem, start=None) -> RbdoResult:

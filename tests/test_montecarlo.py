@@ -93,6 +93,16 @@ def random_correlation(rng, n):
     return correlation_decompose(s[:, None] * cov * s[None, :])
 
 
+def singular_correlation(rng, n):
+    """A random correlation whose first two variables are perfectly correlated
+    (rho = 1): one zero eigenvalue, whose eigenvector reaches those two columns."""
+    a = rng.standard_normal((n, n + 1))
+    a[1] = a[0]
+    cov = a @ a.T
+    s = 1.0 / np.sqrt(np.diag(cov))
+    return correlation_decompose(s[:, None] * cov * s[None, :])
+
+
 class TestReproducibility:
     def test_same_seed_same_estimate(self):
         qn = QuadraticForm(a=np.diag([0.05, -0.08]),
@@ -197,9 +207,10 @@ class TestDrawThread:
         assert draw_threads == g_threads == {threading.get_ident()}
         assert counts == {before}
 
+    @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("fail_on", [1, 3, 10])
-    def test_failing_limit_state_raises_and_leaves_no_thread(self, fail_on):
-        # first chunk, a middle one and the last
+    def test_failing_limit_state_raises_and_leaves_no_thread(self, fail_on, k):
+        # first chunk, a middle one and the last, of a stack of one and of two
         before = threading.active_count()
         calls = [0]
 
@@ -207,7 +218,7 @@ class TestDrawThread:
             calls[0] += 1
             if calls[0] == fail_on:
                 raise ZeroDivisionError("limit state failed")
-            return self.linear()(z)[None]
+            return np.stack([self.linear()(z), -self.linear()(z)][:k])
 
         with pytest.raises(ZeroDivisionError, match="limit state failed"):
             mc_pf(g, [snv("z")], None, n=10_000, seed=0)
@@ -248,22 +259,6 @@ class TestDrawThread:
     def test_no_thread_left_after_a_return(self):
         before = threading.active_count()
         mc_pf(stack_of_one(self.linear()), [snv("z")], None, n=10_000, seed=0)
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("fail_on", [1, 3, 10])
-    def test_failing_stacked_limit_state_raises_and_leaves_no_thread(self, fail_on):
-        before = threading.active_count()
-        calls = [0]
-
-        def g(z):
-            calls[0] += 1
-            if calls[0] == fail_on:
-                raise ZeroDivisionError("limit state failed")
-            return np.stack([self.linear()(z), -self.linear()(z)])
-
-        with pytest.raises(ZeroDivisionError, match="limit state failed"):
-            mc_pf(g, [snv("z")], None, n=10_000, seed=0)
-        assert calls[0] == fail_on
         assert threading.active_count() == before
 
     def test_stacked_limit_state_returns_one_estimate_per_row(self):
@@ -390,6 +385,71 @@ class TestBlockedKernel:
             return np.array([to_z.chain_rule(y, q.gradient(y)) for y in to_z(points)])
         fd = fd_gradient(gradients, u)
         np.testing.assert_allclose(hessian, fd, rtol=1e-5, atol=1e-6 * max(1.0, np.abs(fd).max()))
+
+    @given(variable_lists(), st.sampled_from(["none", "full-rank", "singular"]),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_gradient_in_z_inverts_the_chain_rule(self, variables, correlation, seed):
+        # grad_z back from L'(d * grad_z) on every resolved column, 0 on the rest;
+        # a column is unresolved where its slope is 0 (deterministic) or within
+        # 1e-12 of the largest, or where it reaches into the null space of a
+        # singular correlation
+        n = len(variables)
+        rng = np.random.default_rng(seed)
+        scale = np.array([v.log_params()[1] if v.kind is Kind.LOGNORMAL else v.std
+                          for v in variables])
+        resolved = scale > 1e-12 * scale.max()
+        corr = None
+        if correlation == "full-rank":
+            corr = random_correlation(rng, n)
+        elif correlation == "singular" and n > 1:
+            corr = singular_correlation(rng, n)
+            resolved[:2] = False
+        to_z = marginal_map(variables, corr)
+        z = to_z(rng.standard_normal((1, n)))[0]
+        grad_z = rng.standard_normal(n)
+        back, got = to_z.gradient_in_z(z, to_z.chain_rule(z, grad_z))
+        assert np.array_equal(got, resolved)
+        assert not back[~resolved].any()
+        # d * grad_z is what the inversion recovers, to roundoff; divided by a
+        # small slope its error grows, so it is compared before the division
+        # (and to 1e-300 absolute, where a subnormal std keeps few bits)
+        d = marginal_map(variables, None).chain_rule(z, np.ones(n))
+        w = d * grad_z
+        np.testing.assert_allclose((d * back)[resolved], w[resolved],
+                                   rtol=1e-12 if corr is None else 0.0,
+                                   atol=1e-300 + (0.0 if corr is None else 1e-9 * np.abs(w).max()))
+
+    @given(variable_lists(), st.booleans(), st.booleans(),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_dz_dmu_matches_differences_of_the_map(self, variables, correlated, proportional,
+                                                  seed):
+        # at a fixed draw, the map's derivative in each variable's own mean is
+        # the central difference over maps built at moved means, with each
+        # std t |mean| where t > 0
+        n = len(variables)
+        rng = np.random.default_rng(seed)
+        corr = random_correlation(rng, n) if correlated else None
+        t = np.where(rng.random(n) < 0.5, rng.uniform(0.05, 0.5, n), 0.0) if proportional \
+            else np.zeros(n)
+        t[[v.is_deterministic for v in variables]] = 0.0
+
+        def moved(j, mean):
+            v = variables[j]
+            return variables[:j] + [v.with_mean(mean, t[j] * mean if t[j] else None)] \
+                + variables[j + 1:]
+        base = [v.with_mean(v.mean, t[i] * v.mean if t[i] else None)
+                for i, v in enumerate(variables)]
+        u = rng.standard_normal(n)
+        fd = np.empty(n)
+        for j, v in enumerate(variables):
+            h = 1e-6 * max(1.0, v.mean)
+            up = marginal_map(moved(j, v.mean + h), corr)(u[None])[0, j]
+            down = marginal_map(moved(j, v.mean - h), corr)(u[None])[0, j]
+            fd[j] = (up - down) / (2.0 * h)
+        np.testing.assert_allclose(marginal_map(base, corr).dz_dmu(u, t), fd,
+                                   rtol=1e-6, atol=1e-6)
 
     def test_map_is_freed_without_the_garbage_collector(self):
         # mc_pf builds a map per chunk: a reference cycle through the map
